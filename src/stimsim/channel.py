@@ -65,36 +65,19 @@ def snr_to_sigma2(snr_db: float, l_taps: int) -> float:
 
 
 def transmit(
-    frame: StimFrame, ch: ChannelRealization, sigma2: float, rng: np.random.Generator
+    frame: StimFrame, h: np.ndarray, sigma2: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Received vector y = H x + n of length N n_r.
 
-    x stacks the data columns of the frame (the cyclic prefix turns the
-    linear channel convolution into the block-circulant product and is then
+    h is the frame's block-circulant matrix from build_block_circulant; x
+    stacks the data columns of the frame (the cyclic prefix turns the linear
+    channel convolution into the block-circulant product and is then
     discarded).
     """
-    n_t, n = frame.b_mat.shape
-    if ch.taps.shape[2] != n_t:
-        raise ValueError("channel and frame transmit-antenna counts differ")
-    h = build_block_circulant(ch, n)
     x = frame.b_mat.T.reshape(-1)
-    n_r = ch.taps.shape[1]
+    if h.shape[1] != x.size:
+        raise ValueError("channel matrix and frame sizes differ")
     noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(n * n_r) + 1j * rng.standard_normal(n * n_r)
+        rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     )
     return h @ x + noise
-
-
-def circular_convolution_reference(frame: StimFrame, ch: ChannelRealization) -> np.ndarray:
-    """Per-antenna circular convolution of the data columns with the taps.
-
-    Independent oracle for the block-circulant product: entry (slot j, rx r)
-    is sum_l sum_i taps[l, r, i] * B[i, (j - l) mod N].
-    """
-    l_taps, n_r, n_t = ch.taps.shape
-    n = frame.b_mat.shape[1]
-    y = np.zeros((n, n_r), dtype=np.complex128)
-    for j in range(n):
-        for l in range(l_taps):
-            y[j] += ch.taps[l] @ frame.b_mat[:, (j - l) % n]
-    return y.reshape(-1)

@@ -8,15 +8,15 @@ configuration is validated as a whole before any work starts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .alphabet import ConfigError, build_alphabet
-from .channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
-from .codec import StimConfig, bit_partition, decode_frame, encode_frame
-from .detectors import DEFAULT_ML_CAP, MpParams, detect
-from .harness import SweepSpec, run_sweep, sweep_csv, trial_rng
+from .codec import StimConfig, decode_frame, encode_frame
+from .detectors import DEFAULT_ML_CAP, MpParams
+from .harness import SweepSpec, run_ber_point, run_sweep, sweep_csv
 from .ofdm import OfdmConfig
 from .rates import RateParams, improvement_curve, k_bounds, optimal_n, rate_curve
 
@@ -54,10 +54,10 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _merge(args: argparse.Namespace, keys: list[str]) -> dict:
+def _merge(args: argparse.Namespace) -> dict:
     """Config-file values overridden by any explicitly given flags."""
     merged = dict(load_config_file(args.config)) if getattr(args, "config", None) else {}
-    for key in keys:
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -187,45 +187,21 @@ def _golden_check() -> int:
 def cmd_roundtrip(args) -> int:
     if args.golden:
         return _golden_check()
-    values = _merge(args, ["nt", "nr", "n_slots", "k", "l_taps", "alphabet", "seed"])
-    cfg = _stim_config(values)
-    part = bit_partition(cfg)
-    detector = args.detector or values.get("detector", "2ssd")
-    seed = values.get("seed", 0)
-    sigma2 = snr_to_sigma2(args.snr, cfg.l_taps) if args.snr is not None else 0.0
-    mp = MpParams(
-        max_iterations=args.iters or values.get("iters", 10),
-        damping=args.damp if args.damp is not None else values.get("damp", 0.3),
-    )
-    errors = np.zeros(3, dtype=np.int64)
-    frame_errors = 0
-    for t in range(args.frames):
-        rng = trial_rng(seed, 0, t)
-        bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        frame = encode_frame(bits, cfg)
-        ch = draw_channel(rng, cfg)
-        y = transmit(frame, ch, sigma2, rng)
-        h = build_block_circulant(ch, cfg.n_slots)
-        res = detect(detector, y, h, sigma2, cfg, mp, args.ml_cap or DEFAULT_ML_CAP)
-        wrong = res.bits != bits
-        errors += (
-            int(wrong[: part.antenna_bits].sum()),
-            int(wrong[part.antenna_bits : part.antenna_bits + part.slot_bits].sum()),
-            int(wrong[part.antenna_bits + part.slot_bits :].sum()),
-        )
-        frame_errors += int(wrong.any())
-    total_bits = args.frames * part.total
+    values = _merge(args)
+    snr = math.inf if args.snr is None else args.snr
+    values.update(system="stim", snr_db=(snr,), min_frames=args.frames, max_frames=args.frames)
+    spec = _sweep_spec(values)
+    rec = run_ber_point(spec, snr, workers=values.get("workers", 1))
+    cfg = spec.cfg
     print(
         f"nt={cfg.n_t} nr={cfg.n_r} n_slots={cfg.n_slots} k={cfg.k} "
-        f"l_taps={cfg.l_taps} alphabet={cfg.alphabet.kind} seed={seed}"
+        f"l_taps={cfg.l_taps} alphabet={cfg.alphabet.kind} seed={spec.seed}"
     )
+    print(f"frames={rec.frames} detector={spec.detector} snr_db={snr}")
     print(
-        f"frames={args.frames} detector={detector} "
-        f"snr_db={'inf' if args.snr is None else args.snr}"
-    )
-    print(
-        f"bit_errors antenna={errors[0]} slot={errors[1]} symbol={errors[2]} "
-        f"total={errors.sum()}/{total_bits} frame_errors={frame_errors}"
+        f"bit_errors antenna={rec.bit_errors_antenna} slot={rec.bit_errors_slot} "
+        f"symbol={rec.bit_errors_symbol} total={rec.bit_errors_total}/{rec.bits_total} "
+        f"frame_errors={rec.frame_errors}"
     )
     return 0
 
@@ -235,13 +211,7 @@ def cmd_roundtrip(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ber(args) -> int:
-    keys = [
-        "system", "detector", "nt", "nr", "n_slots", "k", "l_taps", "alphabet",
-        "snr_db", "seed", "iters", "damp", "out", "min_frames", "max_frames",
-        "min_bit_errors", "workers", "ml_cap",
-    ]
-    values = _merge(args, keys)
+def _sweep_spec(values: dict) -> SweepSpec:
     system = values.get("system", "stim")
     alphabet = build_alphabet(values.get("alphabet", "qam4"))
     if system == "stim":
@@ -256,7 +226,7 @@ def cmd_ber(args) -> int:
     snr_points = values.get("snr_db")
     if not snr_points:
         raise ConfigError("snr_db is required")
-    spec = SweepSpec(
+    return SweepSpec(
         system=system,
         detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
         cfg=cfg,
@@ -270,6 +240,11 @@ def cmd_ber(args) -> int:
         ),
         ml_cap=values.get("ml_cap", DEFAULT_ML_CAP),
     )
+
+
+def cmd_ber(args) -> int:
+    values = _merge(args)
+    spec = _sweep_spec(values)
     records = run_sweep(
         spec,
         out_path=values.get("out"),

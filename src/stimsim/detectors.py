@@ -48,15 +48,6 @@ class DetectionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def normalize_messages(raw: np.ndarray) -> np.ndarray:
-    """Scale a nonnegative vector to a pmf; all-zero input becomes uniform."""
-    raw = np.asarray(raw, dtype=float)
-    total = raw.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return np.full(raw.shape, 1.0 / raw.size)
-    return raw / total
-
-
 def _normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     """Rows of log weights -> rows of pmfs, guarding against total underflow."""
     m = np.max(logw, axis=-1, keepdims=True)
@@ -75,13 +66,11 @@ def _residual(y: np.ndarray, h: np.ndarray, sap, antennas, symbols, cfg: StimCon
     return float(np.sum(np.abs(y - h @ x) ** 2))
 
 
-def _finalize(y, h, sap, antennas, symbols, cfg, slot_scores, diagnostics) -> DetectionResult:
-    sap, repaired = repair_sap(np.asarray(sap), cfg, slot_scores)
+def _finalize(y, h, sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
+    """Bits and residual of a decision whose slot pattern is already encodable."""
     antennas = np.asarray(antennas)
     symbols = np.asarray(symbols)
     bits = decode_frame(sap, antennas, symbols, cfg)
-    diagnostics = dict(diagnostics)
-    diagnostics["sap_repaired"] = repaired or diagnostics.get("sap_repaired", False)
     diagnostics["final_residual"] = _residual(y, h, sap, antennas, symbols, cfg)
     return DetectionResult(bits, sap, antennas, symbols, diagnostics)
 
@@ -195,8 +184,8 @@ def ml_detect(y: np.ndarray, h: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_
     sap = cand.saps[rank]
     antennas = m_digits // cfg.alphabet.size
     symbols = cfg.alphabet.points[m_digits % cfg.alphabet.size]
-    diag = {"iterations_run": 0, "candidates": cand.n_candidates}
-    return _finalize(y, h, sap, antennas, symbols, cfg, None, diag)
+    diag = {"iterations_run": 0, "candidates": cand.n_candidates, "sap_repaired": False}
+    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
 
 
 def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
@@ -264,7 +253,7 @@ def mmse_detect(y: np.ndarray, h: np.ndarray, sigma2: float, cfg: StimConfig) ->
     pts = cfg.alphabet.points
     symbols = pts[np.argmin(np.abs(est[:, None] - pts[None, :]), axis=1)]
     diag = {"iterations_run": 0, "sap_repaired": repaired}
-    return _finalize(y, h, sap, antennas, symbols, cfg, scores, diag)
+    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +275,16 @@ def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
     suffix = [np.ones(1)]
     for j in range(n - 1, -1, -1):
         suffix.append(np.convolve(suffix[-1], q[j]))
-    u = np.empty((n, 2))
+    u = np.empty((n, 2))  # columns: slot l unused, used
     for l in range(n):
         phi = np.convolve(prefix[l], suffix[n - 1 - l])
-        used = phi[k - 1] if k - 1 < phi.size else 0.0
-        unused = phi[k] if k < phi.size else 0.0
-        u[l] = normalize_messages(np.array([unused, used]))
+        u[l, 0] = phi[k] if k < phi.size else 0.0
+        u[l, 1] = phi[k - 1] if k - 1 < phi.size else 0.0
+    # rows to pmfs; a row with no usable mass becomes uniform
+    total = u[:, 0] + u[:, 1]
+    ok = (total > 0.0) & np.isfinite(total)
+    u[ok] /= total[ok, None]
+    u[~ok] = 0.5
     return u
 
 
@@ -373,7 +366,7 @@ def ssd2_detect(
         "sap_repaired": repaired,
         "slot_posteriors": q.copy(),
     }
-    return _finalize(y, h, sap, antennas, symbols, cfg, q[:, 1], diag)
+    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +404,20 @@ def ssd3_detect(
     p_eff = g.reshape(n_obs, k, n_t)[:, :, ant_of] * pts[sym_of][None, None, :]
     p_abs2 = np.abs(p_eff) ** 2
 
-    pbar = np.full((k, n_obs, n_m), 1.0 / n_m)
-    iterations = 0
-    for _ in range(mp.max_iterations):
-        iterations += 1
+    def observation_messages(pbar):
+        """Log messages (n_obs, k, n_m) from the Gaussian moments of pbar."""
         me = np.einsum("lis,ils->il", pbar, p_eff)
         ve = (np.einsum("lis,ils->il", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
         mu = me.sum(axis=1, keepdims=True) - me
         s2 = (ve.sum(axis=1, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
-
         resid = y[:, None] - mu
-        log_msg = -(np.abs(resid[:, :, None] - p_eff) ** 2) / s2[:, :, None]
+        return -(np.abs(resid[:, :, None] - p_eff) ** 2) / s2[:, :, None]
+
+    pbar = np.full((k, n_obs, n_m), 1.0 / n_m)
+    iterations = 0
+    for _ in range(mp.max_iterations):
+        iterations += 1
+        log_msg = observation_messages(pbar)
         tot = log_msg.sum(axis=0)  # (k, n_m), inclusive over observations
         log_pnew = tot[:, None, :] - log_msg.transpose(1, 0, 2)
         pnew = _normalize_log_rows(log_pnew)
@@ -432,13 +428,8 @@ def ssd3_detect(
         if change < _CONVERGENCE_TOL:
             break
 
-    # final inclusive beliefs from moments of the final message state
-    me = np.einsum("lis,ils->il", pbar, p_eff)
-    ve = (np.einsum("lis,ils->il", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
-    mu = me.sum(axis=1, keepdims=True) - me
-    s2 = (ve.sum(axis=1, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
-    resid = y[:, None] - mu
-    tot = (-(np.abs(resid[:, :, None] - p_eff) ** 2) / s2[:, :, None]).sum(axis=0)
+    # final inclusive beliefs from the final message state
+    tot = observation_messages(pbar).sum(axis=0)
 
     w_hat = np.argmax(tot, axis=1)
     antennas = ant_of[w_hat]
@@ -448,7 +439,7 @@ def ssd3_detect(
         "sap_repaired": res2.diagnostics.get("sap_repaired", False),
         "stage2_iterations": res2.diagnostics.get("iterations_run", 0),
     }
-    return _finalize(y, h, slots, antennas, symbols, cfg, None, diag)
+    return _finalize(y, h, slots, antennas, symbols, cfg, diag)
 
 
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")

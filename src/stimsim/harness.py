@@ -50,6 +50,9 @@ class SweepSpec:
             raise ValueError("the OFDM baseline supports only ML detection")
         if not self.snr_points:
             raise ValueError("snr_points must be nonempty")
+        if len(set(self.snr_points)) != len(self.snr_points):
+            # the point index keys the RNG substream, so a repeat would replay it
+            raise ValueError(f"duplicate SNR points in {self.snr_points}")
         if not 0 < self.min_frames <= self.max_frames:
             raise ValueError("need 0 < min_frames <= max_frames")
 
@@ -100,8 +103,8 @@ def _run_trial(spec: SweepSpec, point_index: int, trial: int, sigma2: float):
         part = bit_partition(cfg)
         bits = rng.integers(0, 2, part.total, dtype=np.int8)
         frame = encode_frame(bits, cfg)
-        y = transmit(frame, ch, sigma2, rng)
         h = build_block_circulant(ch, cfg.n_slots)
+        y = transmit(frame, h, sigma2, rng)
         res = detect(spec.detector, y, h, sigma2, cfg, spec.mp, spec.ml_cap)
         wrong = res.bits != bits
         e_ant = int(wrong[: part.antenna_bits].sum())
@@ -132,6 +135,8 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerRecord
     Runs frames until min_bit_errors and min_frames are both met (checked at
     fixed batch boundaries) or max_frames is reached.
     """
+    if snr_db not in spec.snr_points:
+        raise ValueError(f"SNR {snr_db:g} dB is not in the sweep grid {spec.snr_points}")
     point_index = spec.snr_points.index(snr_db)
     sigma2 = snr_to_sigma2(snr_db, spec.cfg.l_taps)
     acc = np.zeros(4, dtype=np.int64)

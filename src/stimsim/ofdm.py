@@ -86,20 +86,3 @@ def ofdm_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: OfdmC
     for i, v in enumerate(idx):
         out[i * m : (i + 1) * m] = index_to_bits(int(v), m)
     return out
-
-
-def joint_ml_reference(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
-    """Exhaustive joint ML over all |alphabet|^N frames (oracle for tests)."""
-    n, m = cfg.n_slots, cfg.alphabet.m_bits
-    pts = cfg.alphabet.points
-    lam = np.fft.fft(ch.taps[:, :, 0], n=n, axis=0).T
-    freq_rx = np.fft.fft(y, axis=1, norm="ortho")
-    best_bits, best_val = None, np.inf
-    for v in range(pts.size**n):
-        digits = [(v // pts.size ** (n - 1 - i)) % pts.size for i in range(n)]
-        s = pts[digits]
-        val = float(np.sum(np.abs(freq_rx - lam * s[None, :]) ** 2))
-        if val < best_val:
-            best_val = val
-            best_bits = np.concatenate([index_to_bits(d, m) for d in digits])
-    return best_bits

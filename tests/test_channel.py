@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import circular_convolution_reference
 from stimsim.alphabet import ConfigError, build_alphabet
 from stimsim.channel import (
     ChannelRealization,
     build_block_circulant,
-    circular_convolution_reference,
     draw_channel,
     snr_to_sigma2,
     transmit,
@@ -87,7 +87,7 @@ def test_transmit_identity_channel():
     rng = np.random.default_rng(4)
     frame = random_frame(rng, cfg)
     ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
-    y = transmit(frame, ch, 0.0, rng)
+    y = transmit(frame, build_block_circulant(ch, 4), 0.0, rng)
     assert np.allclose(y, frame.b_mat[0])
 
 
@@ -97,7 +97,7 @@ def test_transmit_noiseless_equals_hx():
     for _ in range(20):
         frame = random_frame(rng, cfg)
         ch = draw_channel(rng, cfg)
-        y = transmit(frame, ch, 0.0, rng)
+        y = transmit(frame, build_block_circulant(ch, cfg.n_slots), 0.0, rng)
         assert np.abs(y - circular_convolution_reference(frame, ch)).max() < 1e-10
 
 
@@ -106,11 +106,11 @@ def test_noise_energy():
     cfg = make_cfg(n_t=1, n_r=2, n=8, k=8, l=1)
     sigma2 = 0.7
     frame = random_frame(rng, cfg)
-    ch = ChannelRealization(np.zeros((1, 2, 1), dtype=complex))  # noise only
+    h = np.zeros((8 * 2, 8), dtype=complex)  # noise only
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        y = transmit(frame, ch, sigma2, rng)
+        y = transmit(frame, h, sigma2, rng)
         total += np.sum(np.abs(y) ** 2)
     mean_energy = total / trials
     expected = 8 * 2 * sigma2
@@ -128,4 +128,4 @@ def test_transmit_dimension_mismatch():
     frame = random_frame(rng, make_cfg(n_t=2))
     ch = draw_channel(rng, StimConfig(1, 4, 8, 7, 2, QAM4))
     with pytest.raises(ValueError):
-        transmit(frame, ch, 0.0, rng)
+        transmit(frame, build_block_circulant(ch, 8), 0.0, rng)

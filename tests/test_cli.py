@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from stimsim.alphabet import ConfigError, build_alphabet
 from stimsim.cli import load_config_file, main
-from stimsim.alphabet import ConfigError
+from stimsim.codec import StimConfig
+from stimsim.harness import SweepSpec, run_ber_point
 
 
 def test_golden_roundtrip(capsys):
@@ -62,6 +64,22 @@ def test_roundtrip_noisy_reports_categories(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "bit_errors antenna=" in out
+
+
+def test_roundtrip_matches_harness(capsys):
+    rc = main(["roundtrip", "--n-slots", "8", "--k", "7", "--snr", "6", "--frames", "64",
+               "--detector", "mmse"])
+    assert rc == 0
+    spec = SweepSpec(system="stim", detector="mmse",
+                     cfg=StimConfig(2, 4, 8, 7, 2, build_alphabet("qam4")),
+                     snr_points=(6.0,), min_frames=64, max_frames=64, seed=0)
+    rec = run_ber_point(spec, 6.0)
+    assert rec.bit_errors_total > 0
+    assert (
+        f"bit_errors antenna={rec.bit_errors_antenna} slot={rec.bit_errors_slot} "
+        f"symbol={rec.bit_errors_symbol} total={rec.bit_errors_total}/{rec.bits_total} "
+        f"frame_errors={rec.frame_errors}"
+    ) in capsys.readouterr().out
 
 
 def test_ber_smoke(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import normalize_messages
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
 from stimsim.codec import StimConfig, bit_partition, encode_frame
@@ -10,7 +11,6 @@ from stimsim.detectors import (
     ml_detect,
     mmse_detect,
     mmse_stage,
-    normalize_messages,
     reduce_model,
     ssd2_detect,
     ssd3_detect,
@@ -30,7 +30,7 @@ def run_link(rng, cfg, snr_db):
     ch = draw_channel(rng, cfg)
     h = build_block_circulant(ch, cfg.n_slots)
     sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
-    y = transmit(frame, ch, sigma2, rng)
+    y = transmit(frame, h, sigma2, rng)
     return bits, frame, h, y, sigma2
 
 

@@ -54,8 +54,15 @@ def test_spec_validation():
         small_spec(system="ofdm", cfg=OfdmConfig(4, 8, 2, QAM4), detector="2ssd")
     with pytest.raises(ValueError):
         small_spec(snr_points=())
+    with pytest.raises(ValueError, match="duplicate"):
+        small_spec(snr_points=(6.0, 6.0))
     with pytest.raises(ValueError):
         small_spec(min_frames=600, max_frames=500)
+
+
+def test_snr_outside_grid_rejected():
+    with pytest.raises(ValueError, match=r"SNR 7 dB is not in the sweep grid \(8.0,\)"):
+        run_ber_point(small_spec(), 7.0)
 
 
 def test_high_snr_point_is_error_free():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import joint_ml_reference
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2
 from stimsim.ofdm import (
     OfdmConfig,
-    joint_ml_reference,
     ofdm_detect,
     ofdm_modulate,
     ofdm_transmit,
