@@ -28,7 +28,6 @@ from .detectors import (
     ml_detect,
     mmse_detect,
     mmse_stage,
-    reduce_model,
     ssd2_detect,
     ssd3_detect,
 )

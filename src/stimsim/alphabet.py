@@ -118,8 +118,3 @@ def demap_symbol(s: complex, a: Alphabet) -> np.ndarray:
     """Label of the nearest constellation point (ties go to the lowest label)."""
     idx = int(np.argmin(np.abs(a.points - s)))
     return index_to_bits(idx, a.m_bits)
-
-
-def nearest_index(s: complex, a: Alphabet) -> int:
-    """Index (= label value) of the nearest constellation point."""
-    return int(np.argmin(np.abs(a.points - s)))

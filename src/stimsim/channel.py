@@ -40,16 +40,21 @@ def draw_channel(rng: np.random.Generator, cfg) -> ChannelRealization:
     return ChannelRealization(taps)
 
 
+def band_index(n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where H's nonzero blocks sit: block row r holds tap l in block column
+    (r - l) mod N. Returns (rows (N, 1), cols (N, L)) for fancy indexing."""
+    rows = np.arange(n_slots)[:, None]
+    return rows, (rows - np.arange(l_taps)) % n_slots
+
+
 def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:
     """Equivalent (N n_r) x (N n_t) matrix: block (r, c) is tap (r-c) mod N."""
     l_taps, n_r, n_t = ch.taps.shape
     if n_slots < l_taps:
         raise ConfigError(f"need N >= L, got N={n_slots}, L={l_taps}")
     h = np.zeros((n_slots * n_r, n_slots * n_t), dtype=np.complex128)
-    for r in range(n_slots):
-        for l in range(l_taps):
-            c = (r - l) % n_slots
-            h[r * n_r : (r + 1) * n_r, c * n_t : (c + 1) * n_t] = ch.taps[l]
+    rows, cols = band_index(n_slots, l_taps)
+    h.reshape(n_slots, n_r, n_slots, n_t)[rows, :, cols, :] = ch.taps
     return h
 
 

@@ -187,6 +187,8 @@ def _golden_check() -> int:
 def cmd_roundtrip(args) -> int:
     if args.golden:
         return _golden_check()
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be >= 1, got {args.frames}")
     values = _merge(args)
     snr = math.inf if args.snr is None else args.snr
     values.update(system="stim", snr_db=(snr,), min_frames=args.frames, max_frames=args.frames)
@@ -244,6 +246,9 @@ def _sweep_spec(values: dict) -> SweepSpec:
 
 def cmd_ber(args) -> int:
     values = _merge(args)
+    lo, hi = values.get("min_frames", 1000), values.get("max_frames", 100_000)
+    if not 0 < lo <= hi:
+        raise ConfigError(f"need 0 < --min-frames <= --max-frames, got {lo} and {hi}")
     spec = _sweep_spec(values)
     records = run_sweep(
         spec,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits, nearest_index
+from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,16 @@ def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.n
     return rank_to_sap(rank % limit, n, k), True
 
 
+def _pack(bits: np.ndarray, count: int, width: int) -> np.ndarray:
+    """count consecutive width-bit big-endian fields -> their integer values."""
+    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
+
+
+def _unpack(values: np.ndarray, width: int) -> np.ndarray:
+    """Integer values -> their width-bit big-endian fields, concatenated."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int8).ravel()
+
+
 def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     """Encode a source bit vector into a STIM frame.
 
@@ -160,16 +170,8 @@ def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     sym_seg = bits[part.antenna_bits + part.slot_bits :]
 
     sap = rank_to_sap(bits_to_index(slot_seg), n, k)
-    if a_bits:
-        antennas = np.array(
-            [bits_to_index(ant_seg[i * a_bits : (i + 1) * a_bits]) for i in range(k)],
-            dtype=np.int64,
-        )
-    else:
-        antennas = np.zeros(k, dtype=np.int64)
-    symbols = np.array(
-        [cfg.alphabet.points[bits_to_index(sym_seg[i * m : (i + 1) * m])] for i in range(k)]
-    )
+    antennas = _pack(ant_seg, k, a_bits)
+    symbols = cfg.alphabet.points[_pack(sym_seg, k, m)]
 
     a_mat = np.zeros((n_t, n), dtype=np.int8)
     b_mat = np.zeros((n_t, n), dtype=np.complex128)
@@ -192,14 +194,11 @@ def decode_frame(sap, antennas, symbols, cfg: StimConfig, slot_scores=None) -> n
     m = cfg.alphabet.m_bits
     sap, _ = repair_sap(np.asarray(sap), cfg, slot_scores)
 
-    out = np.empty(part.total, dtype=np.int8)
-    pos = 0
-    for ant in np.asarray(antennas, dtype=np.int64):
-        out[pos : pos + a_bits] = index_to_bits(int(ant), a_bits)
-        pos += a_bits
-    out[pos : pos + part.slot_bits] = index_to_bits(sap_to_rank(sap, cfg.n_slots), part.slot_bits)
-    pos += part.slot_bits
-    for s in np.asarray(symbols):
-        out[pos : pos + m] = index_to_bits(nearest_index(complex(s), cfg.alphabet), m)
-        pos += m
-    return out
+    pts = cfg.alphabet.points
+    # nearest point per symbol; argmin keeps the lowest label on ties, as demap_symbol
+    sym_idx = np.argmin(np.abs(pts[None, :] - np.asarray(symbols)[:, None]), axis=1)
+    return np.concatenate([
+        _unpack(np.asarray(antennas, dtype=np.int64), a_bits),
+        index_to_bits(sap_to_rank(sap, cfg.n_slots), part.slot_bits),
+        _unpack(sym_idx, m),
+    ])

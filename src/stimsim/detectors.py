@@ -5,6 +5,14 @@ frames, a plain MMSE receiver, and the two- and three-stage message-passing
 detectors. The message-passing stages approximate slot-interference as
 Gaussian and run a damped, fixed-iteration schedule; all message arithmetic
 is done in the log domain and renormalized per message.
+
+MMSE, 2SSD and 3SSD take H to be the block-circulant matrix of
+``channel.build_block_circulant`` with ``cfg.l_taps`` taps. The MMSE stage
+solves per DFT frequency, and the message passing runs on the band only:
+block row r of H meets slot (r - l) mod N through tap l, so each slot has
+L n_r observation edges and one iteration costs O(N L n_r). An off-band
+observation sends a slot a message that is constant over its values, which
+normalization removes, so leaving those edges out changes no belief.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import band_index
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap
 
 DEFAULT_ML_CAP = 2**22
@@ -51,28 +60,38 @@ class DetectionResult:
 def _normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     """Rows of log weights -> rows of pmfs, guarding against total underflow."""
     m = np.max(logw, axis=-1, keepdims=True)
-    w = np.exp(logw - np.where(np.isfinite(m), m, 0.0))
-    total = w.sum(axis=-1, keepdims=True)
-    bad = ~np.isfinite(total[..., 0]) | (total[..., 0] <= 0.0)
-    if np.any(bad):
-        w[bad] = 1.0
-        total = w.sum(axis=-1, keepdims=True)
-    return w / total
+    # a row with a finite max sums to >= 1; any other row becomes uniform
+    finite = np.isfinite(m)
+    if finite.all():
+        w = np.exp(logw - m)
+    else:
+        w = np.exp(logw - np.where(finite, m, 0.0))
+        w[~finite[..., 0]] = 1.0
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _residual(y: np.ndarray, h: np.ndarray, sap, antennas, symbols, cfg: StimConfig) -> float:
-    x = np.zeros(cfg.n_slots * cfg.n_t, dtype=np.complex128)
-    x[np.asarray(sap) * cfg.n_t + np.asarray(antennas)] = np.asarray(symbols)
-    return float(np.sum(np.abs(y - h @ x) ** 2))
-
-
-def _finalize(y, h, sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
-    """Bits and residual of a decision whose slot pattern is already encodable."""
+def _finalize(sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
+    """Bits of a decision whose slot pattern is already encodable."""
     antennas = np.asarray(antennas)
     symbols = np.asarray(symbols)
     bits = decode_frame(sap, antennas, symbols, cfg)
-    diagnostics["final_residual"] = _residual(y, h, sap, antennas, symbols, cfg)
     return DetectionResult(bits, sap, antennas, symbols, diagnostics)
+
+
+def _band(h: np.ndarray, cfg: StimConfig):
+    """H as (block row, rx, block column, tx) plus the band's index arrays,
+    all (N, L) but rows (N, 1): block row r sees slot slot_of[r, l] =
+    (r - l) mod N through tap l, and slot s is seen through tap l at block
+    row obs_of[s, l] = (s + l) mod N."""
+    n = cfg.n_slots
+    rows, slot_of = band_index(n, cfg.l_taps)
+    obs_of = (rows + np.arange(cfg.l_taps)) % n
+    return h.reshape(n, cfg.n_r, n, cfg.n_t), rows, slot_of, obs_of
+
+
+def _slot_totals(per_edge: np.ndarray, obs_of: np.ndarray) -> np.ndarray:
+    """(block row, tap, ...) edge terms -> per-slot sums over each slot's edges."""
+    return per_edge[obs_of, np.arange(obs_of.shape[1])].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +204,7 @@ def ml_detect(y: np.ndarray, h: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_
     antennas = m_digits // cfg.alphabet.size
     symbols = cfg.alphabet.points[m_digits % cfg.alphabet.size]
     diag = {"iterations_run": 0, "candidates": cand.n_candidates, "sap_repaired": False}
-    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
@@ -221,22 +240,23 @@ def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
 def mmse_stage(y: np.ndarray, h: np.ndarray, sigma2: float, n_t: int):
     """MMSE estimate of the stacked transmit vector plus per-slot antenna picks.
 
-    Returns (x_hat, indices) where indices[i] is the antenna with the
-    largest-magnitude entry of slot i's subvector (ties to the lower index).
+    The DFT over slots block-diagonalizes the block-circulant H, so the
+    (N n_t)-square solve splits into N n_t-square solves, one per frequency,
+    on the transform of H's first block column (Falconer et al., IEEE
+    Commun. Mag. 2002). Returns (x_hat, indices) where indices[i] is the
+    antenna with the largest-magnitude entry of slot i's subvector (ties to
+    the lower index).
     """
-    gram = h.conj().T @ h
+    n = h.shape[1] // n_t
+    n_r = h.shape[0] // n
+    lam = np.fft.fft(h[:, :n_t].reshape(n, n_r, n_t), axis=0)
+    lam_h = lam.conj().transpose(0, 2, 1)
+    y_f = np.fft.fft(y.reshape(n, n_r), axis=0)
     reg = sigma2 if sigma2 > 0.0 else _ZF_EPS
-    x_hat = np.linalg.solve(gram + reg * np.eye(gram.shape[0]), h.conj().T @ y)
+    x_f = np.linalg.solve(lam_h @ lam + reg * np.eye(n_t), lam_h @ y_f[:, :, None])
+    x_hat = np.fft.ifft(x_f[:, :, 0], axis=0).reshape(-1)
     per_slot = np.abs(x_hat.reshape(-1, n_t))
     return x_hat, np.argmax(per_slot, axis=1)
-
-
-def reduce_model(h: np.ndarray, antenna_idx: np.ndarray, n_t: int) -> np.ndarray:
-    """Keep one column of H per slot: column i of the result is H's column
-    i * n_t + antenna_idx[i]."""
-    antenna_idx = np.asarray(antenna_idx)
-    cols = np.arange(antenna_idx.size) * n_t + antenna_idx
-    return h[:, cols]
 
 
 def mmse_detect(y: np.ndarray, h: np.ndarray, sigma2: float, cfg: StimConfig) -> DetectionResult:
@@ -253,7 +273,7 @@ def mmse_detect(y: np.ndarray, h: np.ndarray, sigma2: float, cfg: StimConfig) ->
     pts = cfg.alphabet.points
     symbols = pts[np.argmin(np.abs(est[:, None] - pts[None, :]), axis=1)]
     diag = {"iterations_run": 0, "sap_repaired": repaired}
-    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +284,32 @@ def mmse_detect(y: np.ndarray, h: np.ndarray, sigma2: float, cfg: StimConfig) ->
 def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
     """Constraint-node messages u_l from the activity posteriors q.
 
-    phi_l is the pmf of the number of used slots among all slots except l,
-    built by convolving the other slots' Bernoulli pmfs (prefix/suffix
-    products); u_l compares phi_l at k-1 (slot l used) and k (slot l unused).
+    phi_l is the pmf of the number of used slots among all slots except l:
+    the product of the count pmfs of the slots before l (prefix) and after l
+    (suffix). u_l compares phi_l at k-1 (slot l used) and k (slot l unused).
+    Both read the others' unused count, N-k (l used) or N-k-1 (l unused),
+    so the pmfs are kept over unused counts 0..N-k only.
     """
     n = q.shape[0]
-    prefix = [np.ones(1)]
+    d = n - k
+    # table[j, 0]: unused-count pmf of slots 0..j-1, table[j, 1]: of slots
+    # n-j..n-1. Count c sits in column c + 1; column 0 stays 0 (count -1).
+    table = np.zeros((n + 1, 2, d + 2))
+    table[0, :, 1] = 1.0
+    # one two-term update per slot: new[c] = old[c-1] q_unused + old[c] q_used
+    weights = np.stack([q, q[::-1]], axis=1)[..., None]
+    # pairs[j, side, c] views columns (c, c + 1) of table[j, side]
+    pairs = np.ndarray(
+        (n + 1, 2, d + 1, 2), table.dtype, table, 0, table.strides + (table.itemsize,)
+    )
+    new = table[:, :, 1:, None]
     for j in range(n):
-        prefix.append(np.convolve(prefix[-1], q[j]))
-    suffix = [np.ones(1)]
-    for j in range(n - 1, -1, -1):
-        suffix.append(np.convolve(suffix[-1], q[j]))
-    u = np.empty((n, 2))  # columns: slot l unused, used
-    for l in range(n):
-        phi = np.convolve(prefix[l], suffix[n - 1 - l])
-        u[l, 0] = phi[k] if k < phi.size else 0.0
-        u[l, 1] = phi[k - 1] if k - 1 < phi.size else 0.0
+        np.matmul(pairs[j], weights[j], out=new[j + 1])
+    prefix = table[:n, 0, 1:]
+    suffix = table[n - 1 :: -1, 1]  # slots after l
+    # u[l, c] = sum_a prefix[l, a] * suffix[l, count d - 1 - a + c], c = 1 if l is used
+    a = np.arange(d + 1)[:, None]
+    u = np.einsum("la,lac->lc", prefix, suffix[:, d - a + np.arange(2)])
     # rows to pmfs; a row with no usable mass becomes uniform
     total = u[:, 0] + u[:, 1]
     ok = (total > 0.0) & np.isfinite(total)
@@ -296,7 +326,8 @@ def ssd2_detect(
     mp: MpParams = MpParams(),
 ) -> DetectionResult:
     """Two-stage detector: MMSE antenna estimation, then message passing for
-    slot activity and symbols on the reduced one-column-per-slot model.
+    slot activity and symbols on the reduced one-column-per-slot model,
+    over the band's N L n_r observation edges.
 
     Layer 1 exchanges Gaussian-approximation messages between observations
     and the composite symbol variables z_l in alphabet+{0}; layer 2 enforces
@@ -307,8 +338,11 @@ def ssd2_detect(
     n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
     q_pts = cfg.alphabet.size
     _, ant_idx = mmse_stage(y, h, sigma2, n_t)
-    h_bar = reduce_model(h, ant_idx, n_t)
-    habs2 = np.abs(h_bar) ** 2
+    h4, rows, slot_of, obs_of = _band(h, cfg)
+    # edge (block row r, tap l, rx a): gain of slot (r - l) mod N's picked antenna
+    g = h4[rows, :, slot_of, ant_idx[slot_of]]
+    g_abs2 = np.abs(g) ** 2
+    y_blk = y.reshape(n, cfg.n_r)
 
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     vals_abs2 = np.abs(vals) ** 2
@@ -319,19 +353,21 @@ def ssd2_detect(
     iterations = 0
     for _ in range(mp.max_iterations):
         iterations += 1
-        # Gaussian moments of the interference seen by each (observation, slot)
+        # Gaussian moments of the interference seen on each edge
         mean_z = beliefs @ vals
         var_z = (beliefs @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
-        mu = (h_bar @ mean_z)[:, None] - h_bar * mean_z[None, :]
-        sig2 = ((habs2 @ var_z)[:, None] - habs2 * var_z[None, :] + sigma2).clip(min=_ZF_EPS)
+        m_e = g * mean_z[slot_of][:, :, None]
+        v_e = g_abs2 * var_z[slot_of][:, :, None]
+        mu = m_e.sum(axis=1, keepdims=True) - m_e
+        sig2 = (v_e.sum(axis=1, keepdims=True) - v_e + sigma2).clip(min=_ZF_EPS)
 
         # layer 1: observation-node messages over alphabet+{0}
-        resid = y[:, None] - mu
-        diff = resid[:, :, None] - h_bar[:, :, None] * vals[None, None, :]
-        log_v = -(np.abs(diff) ** 2) / sig2[:, :, None]
-        log_v -= log_v.max(axis=2, keepdims=True)
-        log_v -= np.log(np.exp(log_v).sum(axis=2, keepdims=True))
-        sv = log_v.sum(axis=0)
+        resid = y_blk[:, None, :] - mu
+        diff = resid[..., None] - g[..., None] * vals
+        log_v = -(np.abs(diff) ** 2) / sig2[..., None]
+        log_v -= log_v.max(axis=-1, keepdims=True)
+        log_v -= np.log(np.exp(log_v).sum(axis=-1, keepdims=True))
+        sv = _slot_totals(log_v.sum(axis=2), obs_of)
 
         # layer 2: count-constraint messages from the previous activity state
         u = _slot_count_messages(q, k)
@@ -366,7 +402,7 @@ def ssd2_detect(
         "sap_repaired": repaired,
         "slot_posteriors": q.copy(),
     }
-    return _finalize(y, h, sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -386,50 +422,62 @@ def ssd3_detect(
     k n_t columns of H for those slots.
 
     The candidate set holds all n_t * |alphabet| one-active-antenna vectors;
-    messages are per (variable, observation) edge with Gaussian-approximated
-    interference from the other used slots.
+    messages are per (variable, observation) edge of the band with
+    Gaussian-approximated interference from the other used slots. The band
+    spans all N slots, and the unused slots' edges carry zero gain.
     """
     res2 = ssd2_detect(y, h, sigma2, cfg, mp)
     slots = res2.sap
-    n_t, k = cfg.n_t, cfg.k
+    n, n_t = cfg.n_slots, cfg.n_t
     pts = cfg.alphabet.points
     q_pts = pts.size
-    n_obs = y.size
     n_m = n_t * q_pts
 
-    g = h[:, (slots[:, None] * n_t + np.arange(n_t)[None, :]).ravel()]
-    # effective scalar seen at observation i from slot j sending candidate s
+    h4, rows, slot_of, obs_of = _band(h, cfg)
+    used = np.zeros(n, dtype=bool)
+    used[slots] = True
+    edge_used = used[slot_of]
+    # effective scalar on edge (block row r, tap l, rx a) when slot
+    # (r - l) mod N sends candidate s; unused slots send nothing
     ant_of = np.repeat(np.arange(n_t), q_pts)
     sym_of = np.tile(np.arange(q_pts), n_t)
-    p_eff = g.reshape(n_obs, k, n_t)[:, :, ant_of] * pts[sym_of][None, None, :]
+    p_eff = h4[rows, :, slot_of, :][..., ant_of] * pts[sym_of] * edge_used[:, :, None, None]
     p_abs2 = np.abs(p_eff) ** 2
+    y_blk = y.reshape(n, cfg.n_r)
 
     def observation_messages(pbar):
-        """Log messages (n_obs, k, n_m) from the Gaussian moments of pbar."""
-        me = np.einsum("lis,ils->il", pbar, p_eff)
-        ve = (np.einsum("lis,ils->il", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
+        """Log messages (N, L, n_r, n_m) per edge from the Gaussian moments of pbar."""
+        me = np.einsum("rlas,rlas->rla", pbar, p_eff)
+        ve = (np.einsum("rlas,rlas->rla", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
         mu = me.sum(axis=1, keepdims=True) - me
         s2 = (ve.sum(axis=1, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
-        resid = y[:, None] - mu
-        return -(np.abs(resid[:, :, None] - p_eff) ** 2) / s2[:, :, None]
+        resid = y_blk[:, None, :] - mu
+        return -(np.abs(resid[..., None] - p_eff) ** 2) / s2[..., None]
 
-    pbar = np.full((k, n_obs, n_m), 1.0 / n_m)
+    pbar = np.full(p_eff.shape, 1.0 / n_m)
+    # Off the band (only when N > L) a used slot's edges hold its full
+    # belief: they move no message, but the full graph's stopping test
+    # watches them too.
+    off_band = np.full((cfg.k, n_m), 1.0 / n_m) if n > cfg.l_taps else None
     iterations = 0
     for _ in range(mp.max_iterations):
         iterations += 1
         log_msg = observation_messages(pbar)
-        tot = log_msg.sum(axis=0)  # (k, n_m), inclusive over observations
-        log_pnew = tot[:, None, :] - log_msg.transpose(1, 0, 2)
-        pnew = _normalize_log_rows(log_pnew)
+        tot = _slot_totals(log_msg.sum(axis=2), obs_of)  # (N, n_m), inclusive over edges
+        pnew = _normalize_log_rows(tot[slot_of][:, :, None, :] - log_msg)
 
         delta = mp.damping
-        change = np.abs(pnew - pbar).max() * delta
+        change = np.abs(pnew - pbar)[edge_used].max() * delta
         pbar = delta * pnew + (1.0 - delta) * pbar
+        if off_band is not None:
+            full = _normalize_log_rows(tot[slots])
+            change = max(change, np.abs(full - off_band).max() * delta)
+            off_band = delta * full + (1.0 - delta) * off_band
         if change < _CONVERGENCE_TOL:
             break
 
     # final inclusive beliefs from the final message state
-    tot = observation_messages(pbar).sum(axis=0)
+    tot = _slot_totals(observation_messages(pbar).sum(axis=2), obs_of)[slots]
 
     w_hat = np.argmax(tot, axis=1)
     antennas = ant_of[w_hat]
@@ -438,8 +486,9 @@ def ssd3_detect(
         "iterations_run": iterations,
         "sap_repaired": res2.diagnostics.get("sap_repaired", False),
         "stage2_iterations": res2.diagnostics.get("iterations_run", 0),
+        "beliefs": _normalize_log_rows(tot),
     }
-    return _finalize(y, h, slots, antennas, symbols, cfg, diag)
+    return _finalize(slots, antennas, symbols, cfg, diag)
 
 
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")

@@ -157,3 +157,17 @@ def test_ml_cap_guidance(capsys):
                "--detector", "ml"])
     assert rc == 1
     assert "2ssd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["roundtrip", "--n-slots", "8", "--k", "7", "--frames", "0"], "--frames"),
+    (["ber", "--n-slots", "8", "--k", "7", "--snr-db", "8",
+      "--min-frames", "0", "--max-frames", "0"], "--min-frames <= --max-frames"),
+    (["ber", "--n-slots", "8", "--k", "7", "--snr-db", "8",
+      "--min-frames", "64", "--max-frames", "32"], "--min-frames <= --max-frames"),
+])
+def test_frame_budget_errors_name_flags(argv, flags, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flags in err
+    assert "min_frames" not in err

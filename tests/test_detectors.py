@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from oracles import normalize_messages
+from oracles import (
+    convolution_count_messages,
+    dense_mmse_stage,
+    dense_ssd2_detect,
+    dense_ssd3_detect,
+    normalize_messages,
+    reduce_model,
+)
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
 from stimsim.codec import StimConfig, bit_partition, encode_frame
 from stimsim.detectors import (
     MpParams,
+    _slot_count_messages,
     detect,
     ml_detect,
     mmse_detect,
     mmse_stage,
-    reduce_model,
     ssd2_detect,
     ssd3_detect,
 )
@@ -79,11 +86,14 @@ def test_ml_beats_random_candidates():
     rng = np.random.default_rng(3)
     bits, _, h, y, _ = run_link(rng, FIG4, 6.0)
     res = ml_detect(y, h, FIG4)
+    x_ml = np.zeros(FIG4.n_slots * FIG4.n_t, dtype=complex)
+    x_ml[res.sap * FIG4.n_t + res.antennas] = res.symbols
+    residual = np.sum(np.abs(y - h @ x_ml) ** 2)
     part = bit_partition(FIG4)
     for _ in range(1000):
         cand = encode_frame(rng.integers(0, 2, part.total, dtype=np.int8), FIG4)
         x = cand.b_mat.T.reshape(-1)
-        assert res.diagnostics["final_residual"] <= np.sum(np.abs(y - h @ x) ** 2) + 1e-9
+        assert residual <= np.sum(np.abs(y - h @ x) ** 2) + 1e-9
 
 
 def test_ml_cap_refusal():
@@ -110,10 +120,12 @@ def test_per_slot_candidate_vectors_nt2_bpsk():
 
 
 def test_mmse_zero_forcing_limit():
+    # mmse_stage takes H to be block-circulant: with sigma2 = 0 it inverts it
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x_hat, _ = mmse_stage(h @ x, h, 0.0, n_t=1)
+    cfg = StimConfig(2, 2, 6, 5, 3, QAM4)
+    h = build_block_circulant(draw_channel(rng, cfg), cfg.n_slots)
+    x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    x_hat, _ = mmse_stage(h @ x, h, 0.0, n_t=2)
     assert np.abs(x_hat - x).max() < 1e-5
 
 
@@ -155,6 +167,93 @@ def test_reduce_model_support_identity():
     x = np.zeros(n * n_t, dtype=complex)
     x[np.arange(n) * n_t + idx] = z
     assert np.abs(reduce_model(h, idx, n_t) @ z - h @ x).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# banded and per-frequency paths vs the dense oracles
+# ---------------------------------------------------------------------------
+
+# (n_t, n_r, N, k, L): N = 8, 16, 32 with L = 2 and 4, n_t = 1 and 2
+ORACLE_CONFIGS = [
+    (2, 4, 8, 7, 2),
+    (1, 4, 8, 6, 4),
+    (2, 2, 16, 13, 4),
+    (1, 2, 16, 12, 2),
+    (2, 4, 32, 28, 4),
+    (1, 4, 32, 27, 2),
+]
+
+
+@pytest.mark.parametrize("shape", ORACLE_CONFIGS)
+def test_mmse_stage_matches_dense_solve(shape):
+    rng = np.random.default_rng(20)
+    cfg = StimConfig(*shape, QAM4)
+    for snr in (0.0, 10.0, 30.0):
+        _, _, h, y, s2 = run_link(rng, cfg, snr)
+        x_hat, idx = mmse_stage(y, h, s2, cfg.n_t)
+        x_ref, idx_ref = dense_mmse_stage(y, h, s2, cfg.n_t)
+        assert np.abs(x_hat - x_ref).max() < 1e-9
+        assert np.array_equal(idx, idx_ref)
+
+
+@pytest.mark.parametrize("shape", ORACLE_CONFIGS)
+def test_banded_mp_matches_dense(shape):
+    rng = np.random.default_rng(21)
+    cfg = StimConfig(*shape, QAM4)
+    for snr in (4.0, 8.0, 60.0):
+        for _ in range(2):
+            _, _, h, y, s2 = run_link(rng, cfg, snr)
+            res2, ref2 = ssd2_detect(y, h, s2, cfg), dense_ssd2_detect(y, h, s2, cfg)
+            res3, ref3 = ssd3_detect(y, h, s2, cfg), dense_ssd3_detect(y, h, s2, cfg)
+            for res, ref in ((res2, ref2), (res3, ref3)):
+                for name in ("bits", "sap", "antennas", "symbols"):
+                    assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+                assert res.diagnostics["iterations_run"] == ref.diagnostics["iterations_run"]
+            q, q_ref = res2.diagnostics["slot_posteriors"], ref2.diagnostics["slot_posteriors"]
+            assert np.abs(q - q_ref).max() < 1e-9
+            b, b_ref = res3.diagnostics["beliefs"], ref3.diagnostics["beliefs"]
+            assert np.abs(b - b_ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("shape,alphabet,mp,snr", [
+    ((2, 4, 16, 13, 2), QAM4, MpParams(max_iterations=40, damping=0.9), 20.0),
+    # two edges per slot: here the off-band beliefs can move the most
+    ((2, 1, 4, 2, 2), QAM4, MpParams(max_iterations=60, damping=0.3), 0.0),
+])
+def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
+    # the stopping test is reached within the cap, and it watches the
+    # off-band edges of the full graph as well as the band's
+    rng = np.random.default_rng(22)
+    cfg = StimConfig(*shape, alphabet)
+    stopped = 0
+    for _ in range(25):
+        _, _, h, y, s2 = run_link(rng, cfg, snr)
+        res, ref = ssd3_detect(y, h, s2, cfg, mp), dense_ssd3_detect(y, h, s2, cfg, mp)
+        assert res.diagnostics["iterations_run"] == ref.diagnostics["iterations_run"]
+        assert np.array_equal(res.bits, ref.bits)
+        stopped += res.diagnostics["iterations_run"] < mp.max_iterations
+    assert stopped > 0
+
+
+def test_count_messages_match_convolutions():
+    rng = np.random.default_rng(23)
+    for n, k in [(1, 1), (5, 5), (6, 5), (8, 7), (16, 3), (32, 28), (128, 114)]:
+        p = rng.uniform(0.0, 1.0, n)
+        q = np.stack([1.0 - p, p], axis=1)
+        assert np.abs(_slot_count_messages(q, k) - convolution_count_messages(q, k)).max() < 1e-12
+    # no mass anywhere (every slot surely unused, k >= 1): uniform fallback
+    q = np.tile([1.0, 0.0], (6, 1))
+    assert np.array_equal(_slot_count_messages(q, 3), convolution_count_messages(q, 3))
+
+
+@pytest.mark.parametrize("n_slots,k", [(64, 57), (128, 114)])
+def test_ssd3_noiseless_paper_scale(n_slots, k):
+    rng = np.random.default_rng(24)
+    cfg = StimConfig(2, 4, n_slots, k, 4, QAM4)
+    s2 = snr_to_sigma2(60.0, cfg.l_taps)
+    for _ in range(3):
+        bits, _, h, y, _ = run_link(rng, cfg, 60.0)
+        assert np.array_equal(ssd3_detect(y, h, s2, cfg).bits, bits)
 
 
 # ---------------------------------------------------------------------------
