@@ -106,6 +106,16 @@ def index_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
 
 
+def pack_bits(bits: np.ndarray, count: int, width: int) -> np.ndarray:
+    """count consecutive width-bit big-endian fields -> their integer values."""
+    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
+
+
+def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Integer values -> their width-bit big-endian fields, concatenated."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int8).ravel()
+
+
 def map_bits(bits: np.ndarray, a: Alphabet) -> complex:
     """Map an m_bits-long bit vector to its constellation point."""
     bits = np.asarray(bits)

@@ -41,10 +41,11 @@ def draw_channel(rng: np.random.Generator, cfg) -> ChannelRealization:
 
 
 def band_index(n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where H's nonzero blocks sit: block row r holds tap l in block column
-    (r - l) mod N. Returns (rows (N, 1), cols (N, L)) for fancy indexing."""
-    rows = np.arange(n_slots)[:, None]
-    return rows, (rows - np.arange(l_taps)) % n_slots
+    """Where H's nonzero blocks sit, as two (N, L) index arrays: block row r
+    holds tap l in block column slot_of[r, l] = (r - l) mod N, and block
+    column s holds tap l in block row obs_of[s, l] = (s + l) mod N."""
+    rows, taps = np.arange(n_slots)[:, None], np.arange(l_taps)
+    return (rows - taps) % n_slots, (rows + taps) % n_slots
 
 
 def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:
@@ -53,8 +54,8 @@ def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:
     if n_slots < l_taps:
         raise ConfigError(f"need N >= L, got N={n_slots}, L={l_taps}")
     h = np.zeros((n_slots * n_r, n_slots * n_t), dtype=np.complex128)
-    rows, cols = band_index(n_slots, l_taps)
-    h.reshape(n_slots, n_r, n_slots, n_t)[rows, :, cols, :] = ch.taps
+    slot_of, _ = band_index(n_slots, l_taps)
+    h.reshape(n_slots, n_r, n_slots, n_t)[np.arange(n_slots)[:, None], :, slot_of, :] = ch.taps
     return h
 
 
@@ -69,20 +70,27 @@ def snr_to_sigma2(snr_db: float, l_taps: int) -> float:
     return p_ch / 10.0 ** (snr_db / 10.0)
 
 
-def transmit(
-    frame: StimFrame, h: np.ndarray, sigma2: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Received vector y = H x + n of length N n_r.
+def apply_channel(ch: ChannelRealization, x: np.ndarray) -> np.ndarray:
+    """Noiseless circular convolution of the (N, n_t) slots x with the taps.
 
-    h is the frame's block-circulant matrix from build_block_circulant; x
-    stacks the data columns of the frame (the cyclic prefix turns the linear
-    channel convolution into the block-circulant product and is then
-    discarded).
+    Row r of the (N, n_r) result is sum_l taps[l] @ x[(r - l) mod N]: the
+    block-circulant product, read off the band without forming H.
     """
-    x = frame.b_mat.T.reshape(-1)
-    if h.shape[1] != x.size:
-        raise ValueError("channel matrix and frame sizes differ")
+    slot_of, _ = band_index(x.shape[0], ch.l_taps)
+    return np.einsum("lat,rlt->ra", ch.taps, x[slot_of])
+
+
+def transmit(
+    frame: StimFrame, ch: ChannelRealization, sigma2: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Received vector y = H x + n of length N n_r, x the frame's stacked data
+    columns (the cyclic prefix turns the linear channel convolution into the
+    block-circulant product and is then discarded)."""
+    x = frame.b_mat.T
+    if ch.taps.shape[2] != x.shape[1]:
+        raise ValueError(f"channel has {ch.taps.shape[2]} transmit antennas, frame {x.shape[1]}")
+    y = apply_channel(ch, x).reshape(-1)
     noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
     )
-    return h @ x + noise
+    return y + noise

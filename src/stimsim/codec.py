@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits
+from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits, pack_bits, unpack_bits
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,6 @@ def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.n
     return rank_to_sap(rank % limit, n, k), True
 
 
-def _pack(bits: np.ndarray, count: int, width: int) -> np.ndarray:
-    """count consecutive width-bit big-endian fields -> their integer values."""
-    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
-
-
-def _unpack(values: np.ndarray, width: int) -> np.ndarray:
-    """Integer values -> their width-bit big-endian fields, concatenated."""
-    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int8).ravel()
-
-
 def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     """Encode a source bit vector into a STIM frame.
 
@@ -170,8 +160,8 @@ def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     sym_seg = bits[part.antenna_bits + part.slot_bits :]
 
     sap = rank_to_sap(bits_to_index(slot_seg), n, k)
-    antennas = _pack(ant_seg, k, a_bits)
-    symbols = cfg.alphabet.points[_pack(sym_seg, k, m)]
+    antennas = pack_bits(ant_seg, k, a_bits)
+    symbols = cfg.alphabet.points[pack_bits(sym_seg, k, m)]
 
     a_mat = np.zeros((n_t, n), dtype=np.int8)
     b_mat = np.zeros((n_t, n), dtype=np.complex128)
@@ -182,7 +172,7 @@ def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     return StimFrame(a_mat, b_mat, x_mat, bits, sap, antennas, symbols)
 
 
-def decode_frame(sap, antennas, symbols, cfg: StimConfig, slot_scores=None) -> np.ndarray:
+def decode_frame(sap, antennas, symbols, cfg: StimConfig) -> np.ndarray:
     """Recover the source bits from detected (pattern, antennas, symbols).
 
     Exact inverse of encode_frame on valid inputs. A pattern outside the
@@ -192,13 +182,13 @@ def decode_frame(sap, antennas, symbols, cfg: StimConfig, slot_scores=None) -> n
     part = bit_partition(cfg)
     a_bits = cfg.antenna_bits_per_slot
     m = cfg.alphabet.m_bits
-    sap, _ = repair_sap(np.asarray(sap), cfg, slot_scores)
+    sap, _ = repair_sap(np.asarray(sap), cfg)
 
     pts = cfg.alphabet.points
     # nearest point per symbol; argmin keeps the lowest label on ties, as demap_symbol
     sym_idx = np.argmin(np.abs(pts[None, :] - np.asarray(symbols)[:, None]), axis=1)
     return np.concatenate([
-        _unpack(np.asarray(antennas, dtype=np.int64), a_bits),
+        unpack_bits(np.asarray(antennas, dtype=np.int64), a_bits),
         index_to_bits(sap_to_rank(sap, cfg.n_slots), part.slot_bits),
-        _unpack(sym_idx, m),
+        unpack_bits(sym_idx, m),
     ])

@@ -6,13 +6,13 @@ detectors. The message-passing stages approximate slot-interference as
 Gaussian and run a damped, fixed-iteration schedule; all message arithmetic
 is done in the log domain and renormalized per message.
 
-MMSE, 2SSD and 3SSD take H to be the block-circulant matrix of
-``channel.build_block_circulant`` with ``cfg.l_taps`` taps. The MMSE stage
-solves per DFT frequency, and the message passing runs on the band only:
-block row r of H meets slot (r - l) mod N through tap l, so each slot has
-L n_r observation edges and one iteration costs O(N L n_r). An off-band
-observation sends a slot a message that is constant over its values, which
-normalization removes, so leaving those edges out changes no belief.
+Detectors take the channel as its ``cfg.l_taps`` taps; only ML forms the
+block-circulant H. The MMSE stage solves per DFT frequency, and the message
+passing runs on the band only: block row r of H meets slot (r - l) mod N
+through tap l, so each slot has L n_r observation edges and one iteration
+costs O(N L n_r). An off-band observation sends a slot a message that is
+constant over its values, which normalization removes, so leaving those
+edges out changes no belief.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import band_index
+from .channel import ChannelRealization, band_index, build_block_circulant
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap
 
 DEFAULT_ML_CAP = 2**22
@@ -78,15 +78,12 @@ def _finalize(sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
     return DetectionResult(bits, sap, antennas, symbols, diagnostics)
 
 
-def _band(h: np.ndarray, cfg: StimConfig):
-    """H as (block row, rx, block column, tx) plus the band's index arrays,
-    all (N, L) but rows (N, 1): block row r sees slot slot_of[r, l] =
-    (r - l) mod N through tap l, and slot s is seen through tap l at block
-    row obs_of[s, l] = (s + l) mod N."""
-    n = cfg.n_slots
-    rows, slot_of = band_index(n, cfg.l_taps)
-    obs_of = (rows + np.arange(cfg.l_taps)) % n
-    return h.reshape(n, cfg.n_r, n, cfg.n_t), rows, slot_of, obs_of
+def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> None:
+    """Reject a channel or received vector whose shape does not fit cfg."""
+    taps, size = (cfg.l_taps, cfg.n_r, cfg.n_t), cfg.n_slots * cfg.n_r
+    if ch.taps.shape != taps or y.size != size:
+        raise ValueError(f"channel taps {ch.taps.shape} and y {y.shape} do not fit the "
+                         f"config, which needs taps {taps} and y ({size},)")
 
 
 def _slot_totals(per_edge: np.ndarray, obs_of: np.ndarray) -> np.ndarray:
@@ -158,7 +155,7 @@ def _half_terms(w, w_conj, g_half, c_half):
     return quad - 2.0 * lin
 
 
-def ml_detect(y: np.ndarray, h: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
+def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
     """Exhaustive minimum-distance detection over all encodable frames.
 
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
@@ -167,6 +164,7 @@ def ml_detect(y: np.ndarray, h: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_
     candidate metric separable up to one cross matrix Re(W_A^H G_AB W_B),
     computed as a dense product over all half-combinations at once.
     """
+    _check_channel(y, ch, cfg)
     total = bit_partition(cfg).total
     if 2**total > cap:
         raise ValueError(
@@ -175,6 +173,7 @@ def ml_detect(y: np.ndarray, h: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_
         )
     cand = _ml_candidates(cfg)
     n_t = cfg.n_t
+    h = build_block_circulant(ch, cfg.n_slots)
     gram = h.conj().T @ h
     c = h.conj().T @ y
     split = cand.k_a * n_t
@@ -237,19 +236,18 @@ def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
 # ---------------------------------------------------------------------------
 
 
-def mmse_stage(y: np.ndarray, h: np.ndarray, sigma2: float, n_t: int):
+def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     """MMSE estimate of the stacked transmit vector plus per-slot antenna picks.
 
     The DFT over slots block-diagonalizes the block-circulant H, so the
     (N n_t)-square solve splits into N n_t-square solves, one per frequency,
-    on the transform of H's first block column (Falconer et al., IEEE
-    Commun. Mag. 2002). Returns (x_hat, indices) where indices[i] is the
-    antenna with the largest-magnitude entry of slot i's subvector (ties to
-    the lower index).
+    on the N-point transform of the taps (Falconer et al., IEEE Commun. Mag.
+    2002). Returns (x_hat, indices) where indices[i] is the antenna with the
+    largest-magnitude entry of slot i's subvector (ties to the lower index).
     """
-    n = h.shape[1] // n_t
-    n_r = h.shape[0] // n
-    lam = np.fft.fft(h[:, :n_t].reshape(n, n_r, n_t), axis=0)
+    _, n_r, n_t = ch.taps.shape
+    n = y.size // n_r
+    lam = np.fft.fft(ch.taps, n=n, axis=0)
     lam_h = lam.conj().transpose(0, 2, 1)
     y_f = np.fft.fft(y.reshape(n, n_r), axis=0)
     reg = sigma2 if sigma2 > 0.0 else _ZF_EPS
@@ -259,10 +257,11 @@ def mmse_stage(y: np.ndarray, h: np.ndarray, sigma2: float, n_t: int):
     return x_hat, np.argmax(per_slot, axis=1)
 
 
-def mmse_detect(y: np.ndarray, h: np.ndarray, sigma2: float, cfg: StimConfig) -> DetectionResult:
+def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimConfig) -> DetectionResult:
     """Plain MMSE receiver: k most-energetic slots are declared used, the
     antenna pick and nearest constellation point are read per used slot."""
-    x_hat, ant_idx = mmse_stage(y, h, sigma2, cfg.n_t)
+    _check_channel(y, ch, cfg)
+    x_hat, ant_idx = mmse_stage(y, ch, sigma2)
     per_slot = np.abs(x_hat.reshape(cfg.n_slots, cfg.n_t))
     scores = per_slot.max(axis=1)
     order = np.argsort(-scores, kind="stable")
@@ -320,7 +319,7 @@ def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
 
 def ssd2_detect(
     y: np.ndarray,
-    h: np.ndarray,
+    ch: ChannelRealization,
     sigma2: float,
     cfg: StimConfig,
     mp: MpParams = MpParams(),
@@ -335,12 +334,13 @@ def ssd2_detect(
     moments use the composite per-slot belief (activity prior times the
     product of observation messages) rather than per-edge beliefs.
     """
-    n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
+    _check_channel(y, ch, cfg)
+    n, k = cfg.n_slots, cfg.k
     q_pts = cfg.alphabet.size
-    _, ant_idx = mmse_stage(y, h, sigma2, n_t)
-    h4, rows, slot_of, obs_of = _band(h, cfg)
+    _, ant_idx = mmse_stage(y, ch, sigma2)
+    slot_of, obs_of = band_index(n, cfg.l_taps)
     # edge (block row r, tap l, rx a): gain of slot (r - l) mod N's picked antenna
-    g = h4[rows, :, slot_of, ant_idx[slot_of]]
+    g = ch.taps[np.arange(cfg.l_taps), :, ant_idx[slot_of]]
     g_abs2 = np.abs(g) ** 2
     y_blk = y.reshape(n, cfg.n_r)
 
@@ -412,7 +412,7 @@ def ssd2_detect(
 
 def ssd3_detect(
     y: np.ndarray,
-    h: np.ndarray,
+    ch: ChannelRealization,
     sigma2: float,
     cfg: StimConfig,
     mp: MpParams = MpParams(),
@@ -426,14 +426,14 @@ def ssd3_detect(
     Gaussian-approximated interference from the other used slots. The band
     spans all N slots, and the unused slots' edges carry zero gain.
     """
-    res2 = ssd2_detect(y, h, sigma2, cfg, mp)
+    res2 = ssd2_detect(y, ch, sigma2, cfg, mp)
     slots = res2.sap
     n, n_t = cfg.n_slots, cfg.n_t
     pts = cfg.alphabet.points
     q_pts = pts.size
     n_m = n_t * q_pts
 
-    h4, rows, slot_of, obs_of = _band(h, cfg)
+    slot_of, obs_of = band_index(n, cfg.l_taps)
     used = np.zeros(n, dtype=bool)
     used[slots] = True
     edge_used = used[slot_of]
@@ -441,7 +441,7 @@ def ssd3_detect(
     # (r - l) mod N sends candidate s; unused slots send nothing
     ant_of = np.repeat(np.arange(n_t), q_pts)
     sym_of = np.tile(np.arange(q_pts), n_t)
-    p_eff = h4[rows, :, slot_of, :][..., ant_of] * pts[sym_of] * edge_used[:, :, None, None]
+    p_eff = ch.taps[..., ant_of] * pts[sym_of] * edge_used[:, :, None, None]
     p_abs2 = np.abs(p_eff) ** 2
     y_blk = y.reshape(n, cfg.n_r)
 
@@ -494,14 +494,14 @@ def ssd3_detect(
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")
 
 
-def detect(name: str, y, h, sigma2, cfg, mp: MpParams = MpParams(), ml_cap: int = DEFAULT_ML_CAP):
+def detect(name: str, y, ch, sigma2, cfg, mp: MpParams = MpParams(), ml_cap: int = DEFAULT_ML_CAP):
     """Dispatch by detector name ("ml" | "mmse" | "2ssd" | "3ssd")."""
     if name == "ml":
-        return ml_detect(y, h, cfg, cap=ml_cap)
+        return ml_detect(y, ch, cfg, cap=ml_cap)
     if name == "mmse":
-        return mmse_detect(y, h, sigma2, cfg)
+        return mmse_detect(y, ch, sigma2, cfg)
     if name == "2ssd":
-        return ssd2_detect(y, h, sigma2, cfg, mp)
+        return ssd2_detect(y, ch, sigma2, cfg, mp)
     if name == "3ssd":
-        return ssd3_detect(y, h, sigma2, cfg, mp)
+        return ssd3_detect(y, ch, sigma2, cfg, mp)
     raise ValueError(f"unknown detector {name!r}")

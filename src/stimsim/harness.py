@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
+from .channel import draw_channel, snr_to_sigma2, transmit
 from .codec import StimConfig, bit_partition, encode_frame
 from .detectors import DEFAULT_ML_CAP, DETECTORS, MpParams, detect
 from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
@@ -103,9 +103,8 @@ def _run_trial(spec: SweepSpec, point_index: int, trial: int, sigma2: float):
         part = bit_partition(cfg)
         bits = rng.integers(0, 2, part.total, dtype=np.int8)
         frame = encode_frame(bits, cfg)
-        h = build_block_circulant(ch, cfg.n_slots)
-        y = transmit(frame, h, sigma2, rng)
-        res = detect(spec.detector, y, h, sigma2, cfg, spec.mp, spec.ml_cap)
+        y = transmit(frame, ch, sigma2, rng)
+        res = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap)
         wrong = res.bits != bits
         e_ant = int(wrong[: part.antenna_bits].sum())
         e_slot = int(wrong[part.antenna_bits : part.antenna_bits + part.slot_bits].sum())

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits
-from .channel import ChannelRealization
+from .alphabet import Alphabet, ConfigError, pack_bits, unpack_bits
+from .channel import ChannelRealization, apply_channel
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ def ofdm_modulate(bits, cfg: OfdmConfig) -> np.ndarray:
     n = cfg.n_slots
     if bits.size != n * m:
         raise ValueError(f"expected {n * m} bits, got {bits.size}")
-    idx = [bits_to_index(bits[i * m : (i + 1) * m]) for i in range(n)]
-    freq = cfg.alphabet.points[idx]
+    freq = cfg.alphabet.points[pack_bits(bits, n, m)]
     time = np.fft.ifft(freq, norm="ortho")
     return np.concatenate([time[n - cfg.l_taps + 1 :], time])
 
@@ -56,17 +55,13 @@ def ofdm_transmit(
 ) -> np.ndarray:
     """Push a CP-extended block through the multipath channel.
 
-    Returns the (n_r, N) received samples after CP removal: per-antenna
-    linear convolution with the taps, keeping samples L-1 .. N+L-2.
+    Returns the (n_r, N) received samples after CP removal: the circular
+    convolution of the block's last N samples with the taps.
     """
-    l_taps, n_r, n_t = ch.taps.shape
+    l_taps, _, n_t = ch.taps.shape
     if n_t != 1:
         raise ValueError("OFDM baseline is single-transmit-antenna")
-    n = block.size - (l_taps - 1)
-    y = np.empty((n_r, n), dtype=np.complex128)
-    for r in range(n_r):
-        full = np.convolve(block, ch.taps[:, r, 0])
-        y[r] = full[l_taps - 1 : l_taps - 1 + n]
+    y = apply_channel(ch, block[l_taps - 1 :, None]).T
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     )
@@ -80,9 +75,4 @@ def ofdm_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: OfdmC
     lam = np.fft.fft(ch.taps[:, :, 0], n=n, axis=0).T  # (n_r, N) frequency response
     pts = cfg.alphabet.points
     metric = np.abs(freq_rx[:, :, None] - lam[:, :, None] * pts[None, None, :]) ** 2
-    idx = np.argmin(metric.sum(axis=0), axis=1)
-    m = cfg.alphabet.m_bits
-    out = np.empty(n * m, dtype=np.int8)
-    for i, v in enumerate(idx):
-        out[i * m : (i + 1) * m] = index_to_bits(int(v), m)
-    return out
+    return unpack_bits(np.argmin(metric.sum(axis=0), axis=1), cfg.alphabet.m_bits)

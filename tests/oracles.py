@@ -40,6 +40,17 @@ def circular_convolution_reference(frame: StimFrame, ch: ChannelRealization) -> 
     return y.reshape(-1)
 
 
+def linear_convolution_ofdm_reference(block: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+    """Noiseless OFDM receive samples, (n_r, N): per-antenna linear convolution
+    of the CP-extended block with the taps, keeping samples L-1 .. N+L-2."""
+    l_taps, n_r, _ = ch.taps.shape
+    n = block.size - (l_taps - 1)
+    y = np.empty((n_r, n), dtype=np.complex128)
+    for r in range(n_r):
+        y[r] = np.convolve(block, ch.taps[:, r, 0])[l_taps - 1 : l_taps - 1 + n]
+    return y
+
+
 def joint_ml_reference(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
     """Exhaustive joint ML over all |alphabet|^N OFDM frames."""
     n, m = cfg.n_slots, cfg.alphabet.m_bits

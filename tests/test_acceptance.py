@@ -260,8 +260,8 @@ def test_c09_exact_posterior_oracle():
         frame = encode_frame(bits, cfg)
         ch = draw_channel(rng, cfg)
         h = build_block_circulant(ch, cfg.n_slots)
-        y = transmit(frame, h, sigma2, rng)
-        res = ssd2_detect(y, h, sigma2, cfg)
+        y = transmit(frame, ch, sigma2, rng)
+        res = ssd2_detect(y, ch, sigma2, cfg)
         q_mp = res.diagnostics["slot_posteriors"]
         tv_sum += 0.5 * np.abs(q_mp - exact_posterior(y, h)).sum(axis=1).mean()
     mean_tv = tv_sum / trials

@@ -69,7 +69,10 @@ def test_block_circulant_requires_n_ge_l():
         build_block_circulant(ch, 1)
 
 
-@pytest.mark.parametrize("n,l,n_t,n_r", [(4, 2, 2, 2), (8, 3, 2, 4), (16, 4, 4, 2), (5, 1, 1, 1)])
+@pytest.mark.parametrize("n,l,n_t,n_r", [
+    (4, 2, 2, 2), (8, 3, 2, 4), (16, 4, 4, 2), (5, 1, 1, 1),
+    (6, 3, 1, 2), (4, 4, 2, 2), (128, 4, 2, 4),
+])
 def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
     rng = np.random.default_rng(3)
     cfg = StimConfig(n_t, n_r, n, max(1, n - 1), l, QAM4)
@@ -80,6 +83,10 @@ def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
         x = frame.b_mat.T.reshape(-1)
         ref = circular_convolution_reference(frame, ch)
         assert np.abs(h @ x - ref).max() < 1e-10
+        # the band product that transmit uses agrees with both
+        y = transmit(frame, ch, 0.0, rng)
+        assert np.abs(y - h @ x).max() < 1e-12
+        assert np.abs(y - ref).max() < 1e-12
 
 
 def test_transmit_identity_channel():
@@ -87,7 +94,7 @@ def test_transmit_identity_channel():
     rng = np.random.default_rng(4)
     frame = random_frame(rng, cfg)
     ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
-    y = transmit(frame, build_block_circulant(ch, 4), 0.0, rng)
+    y = transmit(frame, ch, 0.0, rng)
     assert np.allclose(y, frame.b_mat[0])
 
 
@@ -97,7 +104,7 @@ def test_transmit_noiseless_equals_hx():
     for _ in range(20):
         frame = random_frame(rng, cfg)
         ch = draw_channel(rng, cfg)
-        y = transmit(frame, build_block_circulant(ch, cfg.n_slots), 0.0, rng)
+        y = transmit(frame, ch, 0.0, rng)
         assert np.abs(y - circular_convolution_reference(frame, ch)).max() < 1e-10
 
 
@@ -106,11 +113,11 @@ def test_noise_energy():
     cfg = make_cfg(n_t=1, n_r=2, n=8, k=8, l=1)
     sigma2 = 0.7
     frame = random_frame(rng, cfg)
-    h = np.zeros((8 * 2, 8), dtype=complex)  # noise only
+    ch = ChannelRealization(np.zeros((1, 2, 1), dtype=complex))  # noise only
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        y = transmit(frame, h, sigma2, rng)
+        y = transmit(frame, ch, sigma2, rng)
         total += np.sum(np.abs(y) ** 2)
     mean_energy = total / trials
     expected = 8 * 2 * sigma2
@@ -128,4 +135,4 @@ def test_transmit_dimension_mismatch():
     frame = random_frame(rng, make_cfg(n_t=2))
     ch = draw_channel(rng, StimConfig(1, 4, 8, 7, 2, QAM4))
     with pytest.raises(ValueError):
-        transmit(frame, build_block_circulant(ch, 8), 0.0, rng)
+        transmit(frame, ch, 0.0, rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,16 @@ from oracles import (
     reduce_model,
 )
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
+from stimsim.channel import (
+    ChannelRealization,
+    build_block_circulant,
+    draw_channel,
+    snr_to_sigma2,
+    transmit,
+)
 from stimsim.codec import StimConfig, bit_partition, encode_frame
 from stimsim.detectors import (
+    DETECTORS,
     MpParams,
     _slot_count_messages,
     detect,
@@ -35,10 +44,9 @@ def run_link(rng, cfg, snr_db):
     bits = rng.integers(0, 2, part.total, dtype=np.int8)
     frame = encode_frame(bits, cfg)
     ch = draw_channel(rng, cfg)
-    h = build_block_circulant(ch, cfg.n_slots)
     sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
-    y = transmit(frame, h, sigma2, rng)
-    return bits, frame, h, y, sigma2
+    y = transmit(frame, ch, sigma2, rng)
+    return bits, frame, ch, y, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +79,22 @@ def test_normalize_log_linear_agreement():
 def test_ml_noiseless_recovery():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        bits, _, h, y, _ = run_link(rng, FIG4, None)
-        assert np.array_equal(ml_detect(y, h, FIG4).bits, bits)
+        bits, _, ch, y, _ = run_link(rng, FIG4, None)
+        assert np.array_equal(ml_detect(y, ch, FIG4).bits, bits)
 
 
 def test_ml_candidate_count_fig4():
     rng = np.random.default_rng(2)
-    _, _, h, y, _ = run_link(rng, FIG4, 10.0)
-    res = ml_detect(y, h, FIG4)
+    _, _, ch, y, _ = run_link(rng, FIG4, 10.0)
+    res = ml_detect(y, ch, FIG4)
     assert res.diagnostics["candidates"] == 2**17
 
 
 def test_ml_beats_random_candidates():
     rng = np.random.default_rng(3)
-    bits, _, h, y, _ = run_link(rng, FIG4, 6.0)
-    res = ml_detect(y, h, FIG4)
+    bits, _, ch, y, _ = run_link(rng, FIG4, 6.0)
+    res = ml_detect(y, ch, FIG4)
+    h = build_block_circulant(ch, FIG4.n_slots)
     x_ml = np.zeros(FIG4.n_slots * FIG4.n_t, dtype=complex)
     x_ml[res.sap * FIG4.n_t + res.antennas] = res.symbols
     residual = np.sum(np.abs(y - h @ x_ml) ** 2)
@@ -98,9 +107,9 @@ def test_ml_beats_random_candidates():
 
 def test_ml_cap_refusal():
     rng = np.random.default_rng(4)
-    _, _, h, y, _ = run_link(rng, FIG5, 10.0)
+    _, _, ch, y, _ = run_link(rng, FIG5, 10.0)
     with pytest.raises(ValueError, match="2ssd"):
-        ml_detect(y, h, FIG5, cap=2**22)
+        ml_detect(y, ch, FIG5, cap=2**22)
 
 
 def test_per_slot_candidate_vectors_nt2_bpsk():
@@ -123,17 +132,18 @@ def test_mmse_zero_forcing_limit():
     # mmse_stage takes H to be block-circulant: with sigma2 = 0 it inverts it
     rng = np.random.default_rng(5)
     cfg = StimConfig(2, 2, 6, 5, 3, QAM4)
-    h = build_block_circulant(draw_channel(rng, cfg), cfg.n_slots)
+    ch = draw_channel(rng, cfg)
+    h = build_block_circulant(ch, cfg.n_slots)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    x_hat, _ = mmse_stage(h @ x, h, 0.0, n_t=2)
+    x_hat, _ = mmse_stage(h @ x, ch, 0.0)
     assert np.abs(x_hat - x).max() < 1e-5
 
 
 def test_mmse_single_antenna_indices():
     rng = np.random.default_rng(6)
     cfg = StimConfig(1, 2, 4, 3, 2, QAM4)
-    _, _, h, y, s2 = run_link(rng, cfg, 10.0)
-    _, idx = mmse_stage(y, h, s2, n_t=1)
+    _, _, ch, y, s2 = run_link(rng, cfg, 10.0)
+    _, idx = mmse_stage(y, ch, s2)
     assert np.array_equal(idx, np.zeros(4, dtype=int))
 
 
@@ -141,8 +151,8 @@ def test_mmse_antenna_accuracy_high_snr():
     rng = np.random.default_rng(7)
     correct = total = 0
     for _ in range(200):
-        bits, frame, h, y, s2 = run_link(rng, FIG5, 30.0)
-        _, idx = mmse_stage(y, h, s2, FIG5.n_t)
+        bits, frame, ch, y, s2 = run_link(rng, FIG5, 30.0)
+        _, idx = mmse_stage(y, ch, s2)
         correct += int(np.sum(idx[frame.sap] == frame.antennas))
         total += frame.sap.size
     assert correct / total > 0.95
@@ -189,8 +199,9 @@ def test_mmse_stage_matches_dense_solve(shape):
     rng = np.random.default_rng(20)
     cfg = StimConfig(*shape, QAM4)
     for snr in (0.0, 10.0, 30.0):
-        _, _, h, y, s2 = run_link(rng, cfg, snr)
-        x_hat, idx = mmse_stage(y, h, s2, cfg.n_t)
+        _, _, ch, y, s2 = run_link(rng, cfg, snr)
+        x_hat, idx = mmse_stage(y, ch, s2)
+        h = build_block_circulant(ch, cfg.n_slots)
         x_ref, idx_ref = dense_mmse_stage(y, h, s2, cfg.n_t)
         assert np.abs(x_hat - x_ref).max() < 1e-9
         assert np.array_equal(idx, idx_ref)
@@ -202,9 +213,10 @@ def test_banded_mp_matches_dense(shape):
     cfg = StimConfig(*shape, QAM4)
     for snr in (4.0, 8.0, 60.0):
         for _ in range(2):
-            _, _, h, y, s2 = run_link(rng, cfg, snr)
-            res2, ref2 = ssd2_detect(y, h, s2, cfg), dense_ssd2_detect(y, h, s2, cfg)
-            res3, ref3 = ssd3_detect(y, h, s2, cfg), dense_ssd3_detect(y, h, s2, cfg)
+            _, _, ch, y, s2 = run_link(rng, cfg, snr)
+            h = build_block_circulant(ch, cfg.n_slots)
+            res2, ref2 = ssd2_detect(y, ch, s2, cfg), dense_ssd2_detect(y, h, s2, cfg)
+            res3, ref3 = ssd3_detect(y, ch, s2, cfg), dense_ssd3_detect(y, h, s2, cfg)
             for res, ref in ((res2, ref2), (res3, ref3)):
                 for name in ("bits", "sap", "antennas", "symbols"):
                     assert np.array_equal(getattr(res, name), getattr(ref, name)), name
@@ -227,8 +239,9 @@ def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
     cfg = StimConfig(*shape, alphabet)
     stopped = 0
     for _ in range(25):
-        _, _, h, y, s2 = run_link(rng, cfg, snr)
-        res, ref = ssd3_detect(y, h, s2, cfg, mp), dense_ssd3_detect(y, h, s2, cfg, mp)
+        _, _, ch, y, s2 = run_link(rng, cfg, snr)
+        h = build_block_circulant(ch, cfg.n_slots)
+        res, ref = ssd3_detect(y, ch, s2, cfg, mp), dense_ssd3_detect(y, h, s2, cfg, mp)
         assert res.diagnostics["iterations_run"] == ref.diagnostics["iterations_run"]
         assert np.array_equal(res.bits, ref.bits)
         stopped += res.diagnostics["iterations_run"] < mp.max_iterations
@@ -252,8 +265,8 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
     cfg = StimConfig(2, 4, n_slots, k, 4, QAM4)
     s2 = snr_to_sigma2(60.0, cfg.l_taps)
     for _ in range(3):
-        bits, _, h, y, _ = run_link(rng, cfg, 60.0)
-        assert np.array_equal(ssd3_detect(y, h, s2, cfg).bits, bits)
+        bits, _, ch, y, _ = run_link(rng, cfg, 60.0)
+        assert np.array_equal(ssd3_detect(y, ch, s2, cfg).bits, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +274,11 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
 # ---------------------------------------------------------------------------
 
 
-def reference_ssd2_posteriors(y, h, sigma2, cfg, iters, damp):
+def reference_ssd2_posteriors(y, ch, sigma2, cfg, iters, damp):
     """Unvectorized transcription of the two-stage message equations."""
     n, k = cfg.n_slots, cfg.k
-    _, ant = mmse_stage(y, h, sigma2, cfg.n_t)
-    hb = reduce_model(h, ant, cfg.n_t)
+    _, ant = mmse_stage(y, ch, sigma2)
+    hb = reduce_model(build_block_circulant(ch, n), ant, cfg.n_t)
     n_obs = y.size
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     nv = vals.size
@@ -308,17 +321,17 @@ def test_ssd2_matches_loop_reference(damp):
     rng = np.random.default_rng(10)
     cfg = StimConfig(2, 2, 4, 3, 2, QAM4)
     for _ in range(5):
-        bits, _, h, y, s2 = run_link(rng, cfg, 9.0)
-        res = ssd2_detect(y, h, s2, cfg, MpParams(max_iterations=3, damping=damp))
-        q_ref = reference_ssd2_posteriors(y, h, s2, cfg, 3, damp)
+        bits, _, ch, y, s2 = run_link(rng, cfg, 9.0)
+        res = ssd2_detect(y, ch, s2, cfg, MpParams(max_iterations=3, damping=damp))
+        q_ref = reference_ssd2_posteriors(y, ch, s2, cfg, 3, damp)
         assert np.abs(res.diagnostics["slot_posteriors"] - q_ref).max() < 1e-9
 
 
 def test_ssd2_posteriors_are_pmfs():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        _, _, h, y, s2 = run_link(rng, FIG5, 6.0)
-        q = ssd2_detect(y, h, s2, FIG5).diagnostics["slot_posteriors"]
+        _, _, ch, y, s2 = run_link(rng, FIG5, 6.0)
+        q = ssd2_detect(y, ch, s2, FIG5).diagnostics["slot_posteriors"]
         assert np.all(q >= 0)
         assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -327,8 +340,8 @@ def test_ssd2_noiseless_consistency():
     rng = np.random.default_rng(12)
     s2 = snr_to_sigma2(60.0, 2)
     for _ in range(25):
-        bits, _, h, y, _ = run_link(rng, FIG5, 60.0)
-        assert np.array_equal(ssd2_detect(y, h, s2, FIG5).bits, bits)
+        bits, _, ch, y, _ = run_link(rng, FIG5, 60.0)
+        assert np.array_equal(ssd2_detect(y, ch, s2, FIG5).bits, bits)
 
 
 def test_ssd2_internal_consistency():
@@ -336,8 +349,8 @@ def test_ssd2_internal_consistency():
 
     rng = np.random.default_rng(13)
     for _ in range(10):
-        _, _, h, y, s2 = run_link(rng, FIG5, 5.0)
-        res = ssd2_detect(y, h, s2, FIG5)
+        _, _, ch, y, s2 = run_link(rng, FIG5, 5.0)
+        res = ssd2_detect(y, ch, s2, FIG5)
         assert np.array_equal(decode_frame(res.sap, res.antennas, res.symbols, FIG5), res.bits)
 
 
@@ -350,8 +363,8 @@ def test_ssd3_noiseless_consistency():
     rng = np.random.default_rng(14)
     s2 = snr_to_sigma2(60.0, 2)
     for _ in range(25):
-        bits, _, h, y, _ = run_link(rng, FIG5, 60.0)
-        assert np.array_equal(ssd3_detect(y, h, s2, FIG5).bits, bits)
+        bits, _, ch, y, _ = run_link(rng, FIG5, 60.0)
+        assert np.array_equal(ssd3_detect(y, ch, s2, FIG5).bits, bits)
 
 
 def test_ssd3_single_slot_matched_filter():
@@ -361,10 +374,10 @@ def test_ssd3_single_slot_matched_filter():
     cfg = StimConfig(2, 8, 2, 1, 2, QAM4)
     pts = cfg.alphabet.points
     for _ in range(25):
-        bits, _, h, y, s2 = run_link(rng, cfg, 6.0)
-        res = ssd3_detect(y, h, s2, cfg)
+        bits, _, ch, y, s2 = run_link(rng, cfg, 6.0)
+        res = ssd3_detect(y, ch, s2, cfg)
         slot = int(res.sap[0])
-        g = h[:, slot * 2 : slot * 2 + 2]
+        g = build_block_circulant(ch, cfg.n_slots)[:, slot * 2 : slot * 2 + 2]
         best = None
         for t in range(2):
             for m in range(4):
@@ -381,9 +394,9 @@ def test_ssd3_not_worse_than_ssd2():
     rng = np.random.default_rng(16)
     e2 = e3 = bits_seen = 0
     for _ in range(800):
-        bits, _, h, y, s2 = run_link(rng, FIG5, 8.0)
-        e2 += int((ssd2_detect(y, h, s2, FIG5).bits != bits).sum())
-        e3 += int((ssd3_detect(y, h, s2, FIG5).bits != bits).sum())
+        bits, _, ch, y, s2 = run_link(rng, FIG5, 8.0)
+        e2 += int((ssd2_detect(y, ch, s2, FIG5).bits != bits).sum())
+        e3 += int((ssd3_detect(y, ch, s2, FIG5).bits != bits).sum())
         bits_seen += bits.size
     p2, p3 = e2 / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((p2 * (1 - p2) + p3 * (1 - p3)) / bits_seen)
@@ -394,9 +407,9 @@ def test_ml_not_worse_than_ssd3():
     rng = np.random.default_rng(17)
     em = e3 = bits_seen = 0
     for _ in range(1200):
-        bits, _, h, y, s2 = run_link(rng, FIG4, 8.0)
-        em += int((ml_detect(y, h, FIG4).bits != bits).sum())
-        e3 += int((ssd3_detect(y, h, s2, FIG4).bits != bits).sum())
+        bits, _, ch, y, s2 = run_link(rng, FIG4, 8.0)
+        em += int((ml_detect(y, ch, FIG4).bits != bits).sum())
+        e3 += int((ssd3_detect(y, ch, s2, FIG4).bits != bits).sum())
         bits_seen += bits.size
     pm, p3 = em / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((pm * (1 - pm) + p3 * (1 - p3)) / bits_seen)
@@ -412,19 +425,37 @@ def test_mmse_detect_high_snr():
     rng = np.random.default_rng(18)
     errs = 0
     for _ in range(50):
-        bits, _, h, y, s2 = run_link(rng, FIG5, 40.0)
-        errs += int((mmse_detect(y, h, s2, FIG5).bits != bits).sum())
+        bits, _, ch, y, s2 = run_link(rng, FIG5, 40.0)
+        errs += int((mmse_detect(y, ch, s2, FIG5).bits != bits).sum())
     assert errs == 0
 
 
 def test_detect_dispatch():
     rng = np.random.default_rng(19)
-    bits, _, h, y, s2 = run_link(rng, FIG4, 30.0)
+    bits, _, ch, y, s2 = run_link(rng, FIG4, 30.0)
     for name in ("ml", "mmse", "2ssd", "3ssd"):
-        res = detect(name, y, h, s2, FIG4)
+        res = detect(name, y, ch, s2, FIG4)
         assert res.bits.size == bits.size
     with pytest.raises(ValueError):
-        detect("zf", y, h, s2, FIG4)
+        detect("zf", y, ch, s2, FIG4)
+
+
+def test_detectors_reject_taps_that_do_not_fit_the_config():
+    # one tap more than cfg.l_taps: no detector may use some of them silently
+    rng = np.random.default_rng(25)
+    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
+    longer = ChannelRealization(np.concatenate([ch.taps, ch.taps[:1]]))
+    for name in DETECTORS:
+        with pytest.raises(ValueError, match=re.escape("(3, 4, 2)") + ".*" + re.escape("(2, 4, 2)")):
+            detect(name, y, longer, s2, FIG5)
+
+
+def test_detectors_reject_y_that_does_not_fit_the_config():
+    rng = np.random.default_rng(26)
+    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
+    for name in DETECTORS:
+        with pytest.raises(ValueError, match=re.escape("(31,)") + ".*" + re.escape("(32,)")):
+            detect(name, y[:-1], ch, s2, FIG5)
 
 
 def test_damping_validation():

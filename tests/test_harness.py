@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stimsim import channel, detectors
 from stimsim.alphabet import build_alphabet
 from stimsim.codec import StimConfig
 from stimsim.harness import (
@@ -129,6 +130,22 @@ def test_ofdm_system_runs():
     assert rec.bit_errors_antenna == 0
     assert rec.bit_errors_slot == 0
     assert rec.bits_total == 128 * 24
+
+
+def test_only_ml_forms_the_dense_channel_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense H formed")
+
+    monkeypatch.setattr(channel, "build_block_circulant", refuse)
+    monkeypatch.setattr(detectors, "build_block_circulant", refuse)
+    for detector in ("mmse", "2ssd", "3ssd"):
+        spec = small_spec(detector=detector, min_frames=8, max_frames=8)
+        assert run_ber_point(spec, 8.0).frames == 8
+    spec = SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 8, 2, build_alphabet("qam8")),
+                     snr_points=(8.0,), min_frames=8, max_frames=8)
+    assert run_ber_point(spec, 8.0).frames == 8
+    with pytest.raises(AssertionError, match="dense H"):
+        run_ber_point(small_spec(detector="ml", cfg=StimConfig(2, 4, 6, 5, 2, QAM4)), 8.0)
 
 
 def test_csv_format(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import joint_ml_reference
+from oracles import joint_ml_reference, linear_convolution_ofdm_reference
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2
 from stimsim.ofdm import (
@@ -70,6 +70,18 @@ def test_cp_diagonalization():
         lhs = np.fft.fft(y, axis=1, norm="ortho")
         rhs = lam * np.fft.fft(data, norm="ortho")[None, :]
         assert np.abs(lhs - rhs).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,l,n_r", [(8, 3, 2), (6, 2, 4), (4, 4, 1), (5, 1, 3)])
+def test_transmit_matches_linear_convolution(n, l, n_r):
+    # CP removal leaves the circular convolution that transmit computes directly
+    rng = np.random.default_rng(5)
+    cfg = OfdmConfig(n_r, n, l, QAM8)
+    for _ in range(10):
+        block = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
+        ch = draw_channel(rng, cfg)
+        y = ofdm_transmit(block, ch, 0.0, rng)
+        assert np.abs(y - linear_convolution_ofdm_reference(block, ch)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,alphabet", [(3, QAM4), (4, build_alphabet("bpsk"))])
