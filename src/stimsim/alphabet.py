@@ -112,8 +112,10 @@ def pack_bits(bits: np.ndarray, count: int, width: int) -> np.ndarray:
 
 
 def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Integer values -> their width-bit big-endian fields, concatenated."""
-    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int8).ravel()
+    """Integer values -> their width-bit big-endian fields, concatenated along
+    the last axis."""
+    fields = (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
+    return fields.astype(np.int8).reshape(values.shape[:-1] + (-1,))
 
 
 def map_bits(bits: np.ndarray, a: Alphabet) -> complex:

@@ -9,6 +9,7 @@ acting on the stacked data columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,11 +19,11 @@ from .codec import StimFrame
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    taps: np.ndarray  # (L, n_r, n_t)
+    taps: np.ndarray  # (L, n_r, n_t), or (B, L, n_r, n_t) for a batch of frames
 
     @property
     def l_taps(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-3]
 
 
 def tap_powers(l_taps: int) -> np.ndarray:
@@ -40,12 +41,19 @@ def draw_channel(rng: np.random.Generator, cfg) -> ChannelRealization:
     return ChannelRealization(taps)
 
 
+@lru_cache(maxsize=None)
 def band_index(n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
     """Where H's nonzero blocks sit, as two (N, L) index arrays: block row r
     holds tap l in block column slot_of[r, l] = (r - l) mod N, and block
-    column s holds tap l in block row obs_of[s, l] = (s + l) mod N."""
+    column s holds tap l in block row obs_of[s, l] = (s + l) mod N.
+
+    The maps are computed once per (N, L) and shared, so they are read-only.
+    """
     rows, taps = np.arange(n_slots)[:, None], np.arange(l_taps)
-    return (rows - taps) % n_slots, (rows + taps) % n_slots
+    maps = (rows - taps) % n_slots, (rows + taps) % n_slots
+    for m in maps:
+        m.setflags(write=False)
+    return maps
 
 
 def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:

@@ -65,11 +65,10 @@ def bit_partition(cfg: StimConfig) -> BitPartition:
 
 @dataclass(frozen=True)
 class StimFrame:
-    """One encoded frame: activation matrix, signal matrix, CP-extended matrix."""
+    """One encoded frame: activation matrix and signal matrix."""
 
     a_mat: np.ndarray  # (n_t, N) 0/1
     b_mat: np.ndarray  # (n_t, N) complex
-    x_mat: np.ndarray  # (n_t, N + L - 1) complex, columns 0..L-2 are the CP
     bits: np.ndarray  # the full source bit vector
     sap: np.ndarray  # sorted used-slot indices, 0-based
     antennas: np.ndarray  # active antenna per used slot, 0-based
@@ -151,7 +150,7 @@ def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     part = bit_partition(cfg)
     if bits.size != part.total:
         raise ValueError(f"expected {part.total} bits, got {bits.size}")
-    n, k, n_t, l = cfg.n_slots, cfg.k, cfg.n_t, cfg.l_taps
+    n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
     a_bits = cfg.antenna_bits_per_slot
     m = cfg.alphabet.m_bits
 
@@ -167,9 +166,14 @@ def encode_frame(bits, cfg: StimConfig) -> StimFrame:
     b_mat = np.zeros((n_t, n), dtype=np.complex128)
     a_mat[antennas, sap] = 1
     b_mat[antennas, sap] = symbols
-    # cyclic prefix: the last L-1 data columns are prepended
-    x_mat = np.concatenate([b_mat[:, n - l + 1 :], b_mat], axis=1)
-    return StimFrame(a_mat, b_mat, x_mat, bits, sap, antennas, symbols)
+    return StimFrame(a_mat, b_mat, bits, sap, antennas, symbols)
+
+
+def with_cyclic_prefix(b_mat: np.ndarray, l_taps: int) -> np.ndarray:
+    """The transmitted (n_t, N + L - 1) matrix: the last L - 1 data columns
+    of b_mat prepended as the cyclic prefix."""
+    n = b_mat.shape[1]
+    return np.concatenate([b_mat[:, n - l_taps + 1 :], b_mat], axis=1)
 
 
 def decode_frame(sap, antennas, symbols, cfg: StimConfig) -> np.ndarray:

@@ -13,6 +13,17 @@ through tap l, so each slot has L n_r observation edges and one iteration
 costs O(N L n_r). An off-band observation sends a slot a message that is
 constant over its values, which normalization removes, so leaving those
 edges out changes no belief.
+
+Every detector runs on a batch of frames stacked on a leading axis: y of
+shape (B, N n_r) with taps of shape (B, L, n_r, n_t), one realization per
+frame. A single frame, y of shape (N n_r,) with taps (L, n_r, n_t), is the
+batch of one: the axis is added, the same code runs, and the axis is
+dropped again. No arithmetic crosses frames, so a frame's result does not
+depend on the batch it is in. Message passing stops per frame: a frame
+whose messages have settled keeps its state while the others iterate.
+``iterations_run`` counts the iterations of the call's loop (the largest
+per-frame count) and ``frame_iterations`` each frame's own; every other
+per-frame diagnostic carries the batch axis. ML searches frame by frame.
 """
 
 from __future__ import annotations
@@ -58,37 +69,55 @@ class DetectionResult:
 
 
 def _normalize_log_rows(logw: np.ndarray) -> np.ndarray:
-    """Rows of log weights -> rows of pmfs, guarding against total underflow."""
+    """Rows of log weights -> rows of pmfs, in place (logw is overwritten),
+    guarding against total underflow."""
     m = np.max(logw, axis=-1, keepdims=True)
     # a row with a finite max sums to >= 1; any other row becomes uniform
     finite = np.isfinite(m)
-    if finite.all():
-        w = np.exp(logw - m)
-    else:
-        w = np.exp(logw - np.where(finite, m, 0.0))
+    w = np.exp(np.subtract(logw, np.where(finite, m, 0.0), out=logw), out=logw)
+    if not finite.all():
         w[~finite[..., 0]] = 1.0
-    return w / w.sum(axis=-1, keepdims=True)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
-def _finalize(sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
-    """Bits of a decision whose slot pattern is already encodable."""
-    antennas = np.asarray(antennas)
-    symbols = np.asarray(symbols)
-    bits = decode_frame(sap, antennas, symbols, cfg)
+def _as_batch(y: np.ndarray, ch: ChannelRealization):
+    """(y, ch, single): one frame becomes a batch of one, a batch stays as is."""
+    if y.ndim == 1:
+        return y[None], ChannelRealization(ch.taps[None]), True
+    return y, ch, False
+
+
+def _finalize(sap, antennas, symbols, cfg, diagnostics, single) -> DetectionResult:
+    """Bits of a batch of decisions whose slot patterns are already encodable;
+    a single frame's result loses the frame axis again."""
+    bits = np.stack([decode_frame(*frame, cfg) for frame in zip(sap, antennas, symbols)])
+    if single:
+        diagnostics = {k: v[0] if isinstance(v, np.ndarray) else v for k, v in diagnostics.items()}
+        return DetectionResult(bits[0], sap[0], antennas[0], symbols[0], diagnostics)
     return DetectionResult(bits, sap, antennas, symbols, diagnostics)
 
 
+def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
+    """repair_sap per frame: (B, k) patterns -> encodable patterns, (B,) flags."""
+    fixed = [repair_sap(s, cfg, sc) for s, sc in zip(sap, scores)]
+    return np.stack([f[0] for f in fixed]), np.array([f[1] for f in fixed])
+
+
 def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> None:
-    """Reject a channel or received vector whose shape does not fit cfg."""
+    """Reject a batch whose channels or received vectors do not fit cfg."""
     taps, size = (cfg.l_taps, cfg.n_r, cfg.n_t), cfg.n_slots * cfg.n_r
-    if ch.taps.shape != taps or y.size != size:
-        raise ValueError(f"channel taps {ch.taps.shape} and y {y.shape} do not fit the "
-                         f"config, which needs taps {taps} and y ({size},)")
+    if ch.taps.shape[1:] != taps or y.shape[1:] != (size,):
+        raise ValueError(f"channel taps {ch.taps.shape[1:]} and y {y.shape[1:]} do not fit the "
+                         f"config, which needs taps {taps} and y ({size},) per frame")
+    if ch.taps.shape[0] != y.shape[0]:
+        raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
 
 
 def _slot_totals(per_edge: np.ndarray, obs_of: np.ndarray) -> np.ndarray:
-    """(block row, tap, ...) edge terms -> per-slot sums over each slot's edges."""
-    return per_edge[obs_of, np.arange(obs_of.shape[1])].sum(axis=1)
+    """(frame, block row, tap, ...) edge terms -> per-slot sums over each
+    slot's edges."""
+    return per_edge[:, obs_of, np.arange(obs_of.shape[1])].sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +191,10 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
     G = H^H H and c = H^H y. For each slot pattern the active columns form
     a k n_t submodel; splitting the used slots into halves A/B makes the
     candidate metric separable up to one cross matrix Re(W_A^H G_AB W_B),
-    computed as a dense product over all half-combinations at once.
+    computed as a dense product over all half-combinations at once. The
+    search is per frame, so a batch is searched frame by frame.
     """
+    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
     total = bit_partition(cfg).total
     if 2**total > cap:
@@ -172,6 +203,15 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     cand = _ml_candidates(cfg)
+    picks = [_ml_search(y_f, ChannelRealization(taps), cfg, cand) for y_f, taps in zip(y, ch.taps)]
+    sap, antennas, symbols = (np.stack(a) for a in zip(*picks))
+    diag = {"iterations_run": 0, "candidates": cand.n_candidates,
+            "sap_repaired": np.zeros(len(y), dtype=bool)}
+    return _finalize(sap, antennas, symbols, cfg, diag, single)
+
+
+def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _MlCandidates):
+    """(sap, antennas, symbols) of one frame's minimum-distance candidate."""
     n_t = cfg.n_t
     h = build_block_circulant(ch, cfg.n_slots)
     gram = h.conj().T @ h
@@ -199,11 +239,9 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
     rank, flat = _lowest_bit_candidate(ties, cand, cfg)
     ia, ib = divmod(flat, cand.w_b.shape[0])
     m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]])
-    sap = cand.saps[rank]
     antennas = m_digits // cfg.alphabet.size
     symbols = cfg.alphabet.points[m_digits % cfg.alphabet.size]
-    diag = {"iterations_run": 0, "candidates": cand.n_candidates, "sap_repaired": False}
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return cand.saps[rank], antennas, symbols
 
 
 def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
@@ -242,37 +280,40 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     The DFT over slots block-diagonalizes the block-circulant H, so the
     (N n_t)-square solve splits into N n_t-square solves, one per frequency,
     on the N-point transform of the taps (Falconer et al., IEEE Commun. Mag.
-    2002). Returns (x_hat, indices) where indices[i] is the antenna with the
-    largest-magnitude entry of slot i's subvector (ties to the lower index).
+    2002). Returns (x_hat, indices) where indices[..., i] is the antenna with
+    the largest-magnitude entry of slot i's subvector (ties to the lower
+    index); a batch gives (B, N n_t) and (B, N).
     """
-    _, n_r, n_t = ch.taps.shape
-    n = y.size // n_r
-    lam = np.fft.fft(ch.taps, n=n, axis=0)
-    lam_h = lam.conj().transpose(0, 2, 1)
-    y_f = np.fft.fft(y.reshape(n, n_r), axis=0)
+    y, ch, single = _as_batch(y, ch)
+    b, _, n_r, n_t = ch.taps.shape
+    n = y.shape[1] // n_r
+    lam = np.fft.fft(ch.taps, n=n, axis=1)
+    lam_h = lam.conj().swapaxes(-1, -2)
+    y_f = np.fft.fft(y.reshape(b, n, n_r), axis=1)
     reg = sigma2 if sigma2 > 0.0 else _ZF_EPS
-    x_f = np.linalg.solve(lam_h @ lam + reg * np.eye(n_t), lam_h @ y_f[:, :, None])
-    x_hat = np.fft.ifft(x_f[:, :, 0], axis=0).reshape(-1)
-    per_slot = np.abs(x_hat.reshape(-1, n_t))
-    return x_hat, np.argmax(per_slot, axis=1)
+    x_f = np.linalg.solve(lam_h @ lam + reg * np.eye(n_t), lam_h @ y_f[..., None])
+    x_hat = np.fft.ifft(x_f[..., 0], axis=1).reshape(b, -1)
+    ant_idx = np.argmax(np.abs(x_hat.reshape(b, n, n_t)), axis=-1)
+    return (x_hat[0], ant_idx[0]) if single else (x_hat, ant_idx)
 
 
 def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimConfig) -> DetectionResult:
     """Plain MMSE receiver: k most-energetic slots are declared used, the
     antenna pick and nearest constellation point are read per used slot."""
+    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
     x_hat, ant_idx = mmse_stage(y, ch, sigma2)
-    per_slot = np.abs(x_hat.reshape(cfg.n_slots, cfg.n_t))
-    scores = per_slot.max(axis=1)
-    order = np.argsort(-scores, kind="stable")
-    sap = np.sort(order[: cfg.k])
-    sap, repaired = repair_sap(sap, cfg, scores)
-    antennas = ant_idx[sap]
-    est = x_hat.reshape(cfg.n_slots, cfg.n_t)[sap, antennas]
+    x_slots = x_hat.reshape(len(y), cfg.n_slots, cfg.n_t)
+    scores = np.abs(x_slots).max(axis=-1)
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    sap = np.sort(order[:, : cfg.k], axis=-1)
+    sap, repaired = _repair_each(sap, cfg, scores)
+    antennas = np.take_along_axis(ant_idx, sap, axis=1)
+    est = x_slots[np.arange(len(y))[:, None], sap, antennas]
     pts = cfg.alphabet.points
-    symbols = pts[np.argmin(np.abs(est[:, None] - pts[None, :]), axis=1)]
+    symbols = pts[np.argmin(np.abs(est[..., None] - pts), axis=-1)]
     diag = {"iterations_run": 0, "sap_repaired": repaired}
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, diag, single)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +322,7 @@ def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimC
 
 
 def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
-    """Constraint-node messages u_l from the activity posteriors q.
+    """Constraint-node messages u_l from the (B, N, 2) activity posteriors q.
 
     phi_l is the pmf of the number of used slots among all slots except l:
     the product of the count pmfs of the slots before l (prefix) and after l
@@ -289,32 +330,42 @@ def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
     Both read the others' unused count, N-k (l used) or N-k-1 (l unused),
     so the pmfs are kept over unused counts 0..N-k only.
     """
-    n = q.shape[0]
+    b, n = q.shape[:2]
     d = n - k
-    # table[j, 0]: unused-count pmf of slots 0..j-1, table[j, 1]: of slots
-    # n-j..n-1. Count c sits in column c + 1; column 0 stays 0 (count -1).
-    table = np.zeros((n + 1, 2, d + 2))
-    table[0, :, 1] = 1.0
+    # table[:, j, 0]: unused-count pmf of slots 0..j-1, table[:, j, 1]: of
+    # slots n-j..n-1. Count c sits in column c + 1; column 0 stays 0 (count -1).
+    table = np.zeros((b, n + 1, 2, d + 2))
+    table[:, 0, :, 1] = 1.0
     # one two-term update per slot: new[c] = old[c-1] q_unused + old[c] q_used
-    weights = np.stack([q, q[::-1]], axis=1)[..., None]
-    # pairs[j, side, c] views columns (c, c + 1) of table[j, side]
+    weights = np.stack([q, q[:, ::-1]], axis=2)[..., None]
+    # pairs[:, j, side, c] views columns (c, c + 1) of table[:, j, side]
     pairs = np.ndarray(
-        (n + 1, 2, d + 1, 2), table.dtype, table, 0, table.strides + (table.itemsize,)
+        (b, n + 1, 2, d + 1, 2), table.dtype, table, 0, table.strides + (table.itemsize,)
     )
-    new = table[:, :, 1:, None]
-    for j in range(n):
-        np.matmul(pairs[j], weights[j], out=new[j + 1])
-    prefix = table[:n, 0, 1:]
-    suffix = table[n - 1 :: -1, 1]  # slots after l
+    new = table[:, 1:, :, 1:, None]
+    for step in zip(pairs.swapaxes(0, 1), weights.swapaxes(0, 1), new.swapaxes(0, 1)):
+        np.matmul(*step[:2], out=step[2])
+    prefix = table[:, :n, 0, 1:]
+    suffix = table[:, n - 1 :: -1, 1]  # slots after l
     # u[l, c] = sum_a prefix[l, a] * suffix[l, count d - 1 - a + c], c = 1 if l is used
     a = np.arange(d + 1)[:, None]
-    u = np.einsum("la,lac->lc", prefix, suffix[:, d - a + np.arange(2)])
+    u = np.einsum("bla,blac->blc", prefix, suffix[:, :, d - a + np.arange(2)])
     # rows to pmfs; a row with no usable mass becomes uniform
-    total = u[:, 0] + u[:, 1]
+    total = u[..., 0] + u[..., 1]
     ok = (total > 0.0) & np.isfinite(total)
     u[ok] /= total[ok, None]
     u[~ok] = 0.5
     return u
+
+
+def _damped(old, new, delta, active):
+    """delta new + (1 - delta) old, computed in new's buffer, for the frames
+    still iterating; stopped frames keep their old state."""
+    new *= delta
+    new += (1.0 - delta) * old
+    if not active.all():
+        np.copyto(new, old, where=~active.reshape(active.shape + (1,) * (old.ndim - 1)))
+    return new
 
 
 def ssd2_detect(
@@ -334,75 +385,83 @@ def ssd2_detect(
     moments use the composite per-slot belief (activity prior times the
     product of observation messages) rather than per-edge beliefs.
     """
+    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
-    n, k = cfg.n_slots, cfg.k
+    b, n, k = len(y), cfg.n_slots, cfg.k
     q_pts = cfg.alphabet.size
     _, ant_idx = mmse_stage(y, ch, sigma2)
     slot_of, obs_of = band_index(n, cfg.l_taps)
-    # edge (block row r, tap l, rx a): gain of slot (r - l) mod N's picked antenna
-    g = ch.taps[np.arange(cfg.l_taps), :, ant_idx[slot_of]]
+    # edge (frame, block row r, tap l, rx a): gain of slot (r - l) mod N's picked antenna
+    g = ch.taps[np.arange(b)[:, None, None], np.arange(cfg.l_taps), :, ant_idx[:, slot_of]]
     g_abs2 = np.abs(g) ** 2
-    y_blk = y.reshape(n, cfg.n_r)
+    y_blk = y.reshape(b, n, 1, cfg.n_r)
 
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     vals_abs2 = np.abs(vals) ** 2
+    g_vals = g[..., None] * vals
 
-    beliefs = np.full((n, q_pts + 1), 1.0 / (q_pts + 1))
-    q = np.tile([1.0 - k / n, k / n], (n, 1))
-    sv = np.zeros((n, q_pts + 1))
-    iterations = 0
+    beliefs = np.full((b, n, q_pts + 1), 1.0 / (q_pts + 1))
+    q = np.tile([1.0 - k / n, k / n], (b, n, 1))
+    sv = np.zeros((b, n, q_pts + 1))
+    active = np.ones(b, dtype=bool)
+    iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
-        iterations += 1
         # Gaussian moments of the interference seen on each edge
         mean_z = beliefs @ vals
         var_z = (beliefs @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
-        m_e = g * mean_z[slot_of][:, :, None]
-        v_e = g_abs2 * var_z[slot_of][:, :, None]
-        mu = m_e.sum(axis=1, keepdims=True) - m_e
-        sig2 = (v_e.sum(axis=1, keepdims=True) - v_e + sigma2).clip(min=_ZF_EPS)
+        m_e = g * mean_z[:, slot_of][..., None]
+        v_e = g_abs2 * var_z[:, slot_of][..., None]
+        mu = m_e.sum(axis=2, keepdims=True) - m_e
+        sig2 = (v_e.sum(axis=2, keepdims=True) - v_e + sigma2).clip(min=_ZF_EPS)
 
         # layer 1: observation-node messages over alphabet+{0}
-        resid = y_blk[:, None, :] - mu
-        diff = resid[..., None] - g[..., None] * vals
-        log_v = -(np.abs(diff) ** 2) / sig2[..., None]
+        log_v = np.abs((y_blk - mu)[..., None] - g_vals)
+        np.square(log_v, out=log_v)
+        log_v /= sig2[..., None]
+        np.negative(log_v, out=log_v)
         log_v -= log_v.max(axis=-1, keepdims=True)
         log_v -= np.log(np.exp(log_v).sum(axis=-1, keepdims=True))
-        sv = _slot_totals(log_v.sum(axis=2), obs_of)
+        sv_new = _slot_totals(log_v.sum(axis=3), obs_of)
 
         # layer 2: count-constraint messages from the previous activity state
         u = _slot_count_messages(q, k)
 
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
-        log_b = sv.copy()
-        log_b[:, 0] += log_u[:, 0]
-        log_b[:, 1:] += log_u[:, 1:2]
+        log_b = sv_new.copy()
+        log_b[..., 0] += log_u[..., 0]
+        log_b[..., 1:] += log_u[..., 1:2]
         beliefs_new = _normalize_log_rows(log_b)
 
-        m = sv[:, 1:].max(axis=1)
-        log_q1 = m + np.log(np.exp(sv[:, 1:] - m[:, None]).sum(axis=1))
-        q_new = _normalize_log_rows(np.stack([sv[:, 0], log_q1], axis=1))
+        m = sv_new[..., 1:].max(axis=-1)
+        log_q1 = m + np.log(np.exp(sv_new[..., 1:] - m[..., None]).sum(axis=-1))
+        q_new = _normalize_log_rows(np.stack([sv_new[..., 0], log_q1], axis=-1))
 
         delta = mp.damping
-        change = max(
-            np.abs(beliefs_new - beliefs).max(), np.abs(q_new - q).max()
+        change = np.maximum(
+            np.abs(beliefs_new - beliefs).max(axis=(1, 2)), np.abs(q_new - q).max(axis=(1, 2))
         ) * delta
-        beliefs = delta * beliefs_new + (1.0 - delta) * beliefs
-        q = delta * q_new + (1.0 - delta) * q
-        if change < _CONVERGENCE_TOL:
+        beliefs = _damped(beliefs, beliefs_new, delta, active)
+        q = _damped(q, q_new, delta, active)
+        np.copyto(sv, sv_new, where=active[:, None, None])
+        iterations += active
+        active &= ~(change < _CONVERGENCE_TOL)
+        if not active.any():
             break
 
-    order = np.argsort(-q[:, 1], kind="stable")
-    sap = np.sort(order[:k])
-    sap, repaired = repair_sap(sap, cfg, q[:, 1])
-    antennas = ant_idx[sap]
-    symbols = cfg.alphabet.points[np.argmax(sv[sap, 1:], axis=1)]
+    order = np.argsort(-q[..., 1], axis=-1, kind="stable")
+    sap = np.sort(order[:, :k], axis=-1)
+    sap, repaired = _repair_each(sap, cfg, q[..., 1])
+    antennas = np.take_along_axis(ant_idx, sap, axis=1)
+    sv_used = np.take_along_axis(sv, sap[..., None], axis=1)
+    symbols = cfg.alphabet.points[np.argmax(sv_used[..., 1:], axis=-1)]
     diag = {
-        "iterations_run": iterations,
+        "iterations_run": int(iterations.max()),
+        "frame_iterations": iterations,
         "sap_repaired": repaired,
-        "slot_posteriors": q.copy(),
+        "slot_posteriors": q,
     }
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, diag, single)
 
 
 # ---------------------------------------------------------------------------
@@ -424,71 +483,83 @@ def ssd3_detect(
     The candidate set holds all n_t * |alphabet| one-active-antenna vectors;
     messages are per (variable, observation) edge of the band with
     Gaussian-approximated interference from the other used slots. The band
-    spans all N slots, and the unused slots' edges carry zero gain.
+    spans all N slots, and the unused slots' edges carry no interference.
     """
+    y, ch, single = _as_batch(y, ch)
     res2 = ssd2_detect(y, ch, sigma2, cfg, mp)
     slots = res2.sap
-    n, n_t = cfg.n_slots, cfg.n_t
+    b, n, n_t = len(y), cfg.n_slots, cfg.n_t
     pts = cfg.alphabet.points
     q_pts = pts.size
     n_m = n_t * q_pts
 
     slot_of, obs_of = band_index(n, cfg.l_taps)
-    used = np.zeros(n, dtype=bool)
-    used[slots] = True
-    edge_used = used[slot_of]
-    # effective scalar on edge (block row r, tap l, rx a) when slot
-    # (r - l) mod N sends candidate s; unused slots send nothing
+    frame = np.arange(b)[:, None]
+    used = np.zeros((b, n), dtype=bool)
+    used[frame, slots] = True
+    edge_used = used[:, slot_of, None]  # (B, N, L, 1)
+    # effective scalar on an edge of tap l, rx a when its slot sends candidate s
     ant_of = np.repeat(np.arange(n_t), q_pts)
     sym_of = np.tile(np.arange(q_pts), n_t)
-    p_eff = ch.taps[..., ant_of] * pts[sym_of] * edge_used[:, :, None, None]
+    p_eff = ch.taps[:, None, ..., ant_of] * pts[sym_of]  # (B, 1, L, n_r, n_m)
     p_abs2 = np.abs(p_eff) ** 2
-    y_blk = y.reshape(n, cfg.n_r)
+    y_blk = y.reshape(b, n, 1, cfg.n_r)
 
     def observation_messages(pbar):
-        """Log messages (N, L, n_r, n_m) per edge from the Gaussian moments of pbar."""
-        me = np.einsum("rlas,rlas->rla", pbar, p_eff)
-        ve = (np.einsum("rlas,rlas->rla", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
-        mu = me.sum(axis=1, keepdims=True) - me
-        s2 = (ve.sum(axis=1, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
-        resid = y_blk[:, None, :] - mu
-        return -(np.abs(resid[..., None] - p_eff) ** 2) / s2[..., None]
+        """Log messages (B, N, L, n_r, n_m) per edge from the Gaussian moments of
+        pbar. Unused slots send nothing; the messages on their edges are never read."""
+        me = np.einsum("...s,...s->...", pbar, p_eff)
+        ve = (np.einsum("...s,...s->...", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
+        np.copyto(me, 0.0, where=~edge_used)
+        np.copyto(ve, 0.0, where=~edge_used)
+        mu = me.sum(axis=2, keepdims=True) - me
+        s2 = (ve.sum(axis=2, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
+        msg = np.abs((y_blk - mu)[..., None] - p_eff)
+        np.square(msg, out=msg)
+        msg /= s2[..., None]
+        return np.negative(msg, out=msg)
 
-    pbar = np.full(p_eff.shape, 1.0 / n_m)
+    pbar = np.full((b, n) + p_eff.shape[2:], 1.0 / n_m)
     # Off the band (only when N > L) a used slot's edges hold its full
     # belief: they move no message, but the full graph's stopping test
     # watches them too.
-    off_band = np.full((cfg.k, n_m), 1.0 / n_m) if n > cfg.l_taps else None
-    iterations = 0
+    off_band = np.full((b, cfg.k, n_m), 1.0 / n_m) if n > cfg.l_taps else None
+    active = np.ones(b, dtype=bool)
+    iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
-        iterations += 1
         log_msg = observation_messages(pbar)
-        tot = _slot_totals(log_msg.sum(axis=2), obs_of)  # (N, n_m), inclusive over edges
-        pnew = _normalize_log_rows(tot[slot_of][:, :, None, :] - log_msg)
+        tot = _slot_totals(log_msg.sum(axis=3), obs_of)  # (B, N, n_m), inclusive over edges
+        pnew = _normalize_log_rows(tot[:, slot_of, None, :] - log_msg)
+        del log_msg  # the edge tensors are the memory peak: drop each one early
 
         delta = mp.damping
-        change = np.abs(pnew - pbar)[edge_used].max() * delta
-        pbar = delta * pnew + (1.0 - delta) * pbar
+        # the largest move on a used slot's edges (every frame has one)
+        change = np.abs(pnew - pbar).max(axis=(1, 2, 3, 4), where=edge_used[..., None],
+                                         initial=0.0) * delta
+        pbar = _damped(pbar, pnew, delta, active)
         if off_band is not None:
-            full = _normalize_log_rows(tot[slots])
-            change = max(change, np.abs(full - off_band).max() * delta)
-            off_band = delta * full + (1.0 - delta) * off_band
-        if change < _CONVERGENCE_TOL:
+            full = _normalize_log_rows(tot[frame, slots])
+            change = np.maximum(change, np.abs(full - off_band).max(axis=(1, 2)) * delta)
+            off_band = _damped(off_band, full, delta, active)
+        iterations += active
+        active &= ~(change < _CONVERGENCE_TOL)
+        if not active.any():
             break
 
     # final inclusive beliefs from the final message state
-    tot = _slot_totals(observation_messages(pbar).sum(axis=2), obs_of)[slots]
+    tot = _slot_totals(observation_messages(pbar).sum(axis=3), obs_of)[frame, slots]
 
-    w_hat = np.argmax(tot, axis=1)
+    w_hat = np.argmax(tot, axis=-1)
     antennas = ant_of[w_hat]
     symbols = pts[sym_of[w_hat]]
     diag = {
-        "iterations_run": iterations,
-        "sap_repaired": res2.diagnostics.get("sap_repaired", False),
-        "stage2_iterations": res2.diagnostics.get("iterations_run", 0),
+        "iterations_run": int(iterations.max()),
+        "frame_iterations": iterations,
+        "sap_repaired": res2.diagnostics["sap_repaired"],
+        "stage2_iterations": res2.diagnostics["frame_iterations"],
         "beliefs": _normalize_log_rows(tot),
     }
-    return _finalize(slots, antennas, symbols, cfg, diag)
+    return _finalize(slots, antennas, symbols, cfg, diag, single)
 
 
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")

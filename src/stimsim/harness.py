@@ -4,7 +4,9 @@ Every trial owns a counter-based RNG substream keyed by (seed, SNR point
 index, trial index), so per-trial results never depend on scheduling and
 aggregate counts are identical for any worker count. Trials execute in
 fixed-size batches; the stopping rule is evaluated only at batch boundaries,
-which keeps the stopping decision worker-independent too.
+which keeps the stopping decision worker-independent too. Within a batch,
+each trial is drawn on its own and detection runs on stacked chunks of
+trials, one detector call per chunk.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import draw_channel, snr_to_sigma2, transmit
+from .channel import ChannelRealization, draw_channel, snr_to_sigma2, transmit
 from .codec import StimConfig, bit_partition, encode_frame
 from .detectors import DEFAULT_ML_CAP, DETECTORS, MpParams, detect
 from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
@@ -94,37 +96,53 @@ def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Genera
     )
 
 
-def _run_trial(spec: SweepSpec, point_index: int, trial: int, sigma2: float):
-    """One frame: returns (antenna, slot, symbol, frame) error counts."""
+def _chunk_frames(cfg: StimConfig | OfdmConfig) -> int:
+    """Frames per stacked detect call: about 2^14 (edge, candidate) terms,
+    so small configs share the numpy calls and large ones run one by one."""
+    terms = cfg.n_slots * cfg.l_taps * cfg.n_r * cfg.n_t * cfg.alphabet.size
+    return max(1, 2**14 // terms)
+
+
+def _draw_trial(spec: SweepSpec, point_index: int, trial: int, sigma2: float):
+    """One trial from its own substream: (bits sent, y received, channel taps)."""
     rng = trial_rng(spec.seed, point_index, trial)
     cfg = spec.cfg
     ch = draw_channel(rng, cfg)
     if spec.system == "stim":
-        part = bit_partition(cfg)
-        bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        frame = encode_frame(bits, cfg)
-        y = transmit(frame, ch, sigma2, rng)
-        res = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap)
-        wrong = res.bits != bits
-        e_ant = int(wrong[: part.antenna_bits].sum())
-        e_slot = int(wrong[part.antenna_bits : part.antenna_bits + part.slot_bits].sum())
-        e_sym = int(wrong[part.antenna_bits + part.slot_bits :].sum())
+        bits = rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8)
+        y = transmit(encode_frame(bits, cfg), ch, sigma2, rng)
     else:
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        block = ofdm_modulate(bits, cfg)
-        y = ofdm_transmit(block, ch, sigma2, rng)
-        out = ofdm_detect(y, ch, sigma2, cfg)
-        e_ant = e_slot = 0
-        e_sym = int((out != bits).sum())
-    total = e_ant + e_slot + e_sym
-    return e_ant, e_slot, e_sym, int(total > 0)
+        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, rng)
+    return bits, y, ch.taps
 
 
 def _run_trial_range(args):
+    """(antenna, slot, symbol, frame) error counts of trials [lo, hi).
+
+    Each trial is drawn on its own; detection runs on stacked chunks of
+    _chunk_frames trials. No arithmetic crosses frames, so a trial's counts
+    do not depend on the chunk it lands in.
+    """
     spec, point_index, lo, hi, sigma2 = args
+    cfg = spec.cfg
+    if spec.system == "stim":
+        part = bit_partition(cfg)
+        bounds = [part.antenna_bits, part.antenna_bits + part.slot_bits]
+    else:
+        bounds = [0, 0]  # every OFDM bit is a symbol bit
     acc = np.zeros(4, dtype=np.int64)
-    for t in range(lo, hi):
-        acc += _run_trial(spec, point_index, t, sigma2)
+    step = _chunk_frames(cfg)
+    for start in range(lo, hi, step):
+        trials = [_draw_trial(spec, point_index, t, sigma2) for t in range(start, min(start + step, hi))]
+        bits, y, taps = (np.stack(a) for a in zip(*trials))
+        ch = ChannelRealization(taps)
+        if spec.system == "stim":
+            detected = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap).bits
+        else:
+            detected = ofdm_detect(y, ch, cfg)
+        wrong = detected != bits
+        acc += [seg.sum() for seg in np.split(wrong, bounds, axis=1)] + [wrong.any(axis=1).sum()]
     return acc
 
 

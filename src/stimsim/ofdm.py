@@ -68,11 +68,19 @@ def ofdm_transmit(
     return y + noise
 
 
-def ofdm_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: OfdmConfig) -> np.ndarray:
-    """Per-subcarrier ML over the diagonalized channel, demapped to bits."""
-    n = cfg.n_slots
-    freq_rx = np.fft.fft(y, axis=1, norm="ortho")  # (n_r, N)
-    lam = np.fft.fft(ch.taps[:, :, 0], n=n, axis=0).T  # (n_r, N) frequency response
+def ofdm_detect(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
+    """Per-subcarrier ML over the diagonalized channel, demapped to bits.
+
+    Takes one frame, y of shape (n_r, N) with taps (L, n_r, 1), or a batch,
+    y of shape (B, n_r, N) with taps (B, L, n_r, 1); a batch gives (B, bits).
+    """
+    single = y.ndim == 2
+    taps = ch.taps[None] if single else ch.taps
+    y = y[None] if single else y
+    freq_rx = np.fft.fft(y, axis=-1, norm="ortho")  # (B, n_r, N)
+    # (B, n_r, N) frequency response
+    lam = np.fft.fft(taps[..., 0], n=cfg.n_slots, axis=1).swapaxes(1, 2)
     pts = cfg.alphabet.points
-    metric = np.abs(freq_rx[:, :, None] - lam[:, :, None] * pts[None, None, :]) ** 2
-    return unpack_bits(np.argmin(metric.sum(axis=0), axis=1), cfg.alphabet.m_bits)
+    metric = np.abs(freq_rx[..., None] - lam[..., None] * pts) ** 2
+    bits = unpack_bits(np.argmin(metric.sum(axis=1), axis=-1), cfg.alphabet.m_bits)
+    return bits[0] if single else bits

@@ -5,6 +5,7 @@ from oracles import circular_convolution_reference
 from stimsim.alphabet import ConfigError, build_alphabet
 from stimsim.channel import (
     ChannelRealization,
+    band_index,
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
@@ -60,6 +61,15 @@ def test_scalar_circulant_structure():
     h = build_block_circulant(ChannelRealization(taps), 3)
     expected = np.array([[2, 0, 5], [5, 2, 0], [0, 5, 2]], dtype=complex)
     assert np.array_equal(h, expected)
+
+
+def test_band_index_is_shared_and_read_only():
+    slot_of, obs_of = band_index(8, 2)
+    assert band_index(8, 2)[0] is slot_of
+    for m in (slot_of, obs_of):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5
+    assert np.array_equal(slot_of[:, 1], (np.arange(8) - 1) % 8)
 
 
 def test_block_circulant_requires_n_ge_l():

@@ -13,6 +13,7 @@ from stimsim.codec import (
     rank_to_sap,
     repair_sap,
     sap_to_rank,
+    with_cyclic_prefix,
 )
 
 QAM4 = build_alphabet("qam4")
@@ -119,8 +120,9 @@ def test_cyclic_prefix_property():
     rng = np.random.default_rng(4)
     for _ in range(20):
         frame = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c)
-        assert np.array_equal(frame.x_mat[:, : c.l_taps - 1], frame.b_mat[:, -(c.l_taps - 1) :])
-        assert np.array_equal(frame.x_mat[:, c.l_taps - 1 :], frame.b_mat)
+        x_mat = with_cyclic_prefix(frame.b_mat, c.l_taps)
+        assert np.array_equal(x_mat[:, : c.l_taps - 1], frame.b_mat[:, -(c.l_taps - 1) :])
+        assert np.array_equal(x_mat[:, c.l_taps - 1 :], frame.b_mat)
 
 
 def test_encode_wrong_length():

@@ -248,15 +248,78 @@ def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
     assert stopped > 0
 
 
+# ---------------------------------------------------------------------------
+# a batch of frames gives each frame its own single-frame result
+# ---------------------------------------------------------------------------
+
+
+def stacked(chs):
+    return ChannelRealization(np.stack([ch.taps for ch in chs]))
+
+
+def frame_of(res, i):
+    """Frame i of a batch result, shaped like a single-frame result."""
+    diag = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in res.diagnostics.items()}
+    return res.bits[i], res.sap[i], res.antennas[i], res.symbols[i], diag
+
+
+# (detector, config, mp, SNR): small configs whose frames (at this cap) some
+# stop early and some run to the cap, as in the early-stop test above
+MIXED_BATCHES = [
+    ("2ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=50, damping=0.3), 0.0),
+    ("3ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=36, damping=0.3), 0.0),
+    ("3ssd", (2, 4, 16, 13, 2), MpParams(max_iterations=8, damping=0.9), 20.0),
+    ("mmse", (2, 4, 8, 7, 2), MpParams(), 6.0),
+    ("ml", (2, 4, 6, 5, 2), MpParams(), 6.0),
+]
+
+
+@pytest.mark.parametrize("name,shape,mp,snr", MIXED_BATCHES)
+def test_batch_matches_single_frames(name, shape, mp, snr):
+    rng = np.random.default_rng(27)
+    cfg = StimConfig(*shape, QAM4)
+    links = [run_link(rng, cfg, snr) for _ in range(12)]
+    s2 = links[0][4]
+    ys, chs = [link[3] for link in links], [link[2] for link in links]
+    batch = detect(name, np.stack(ys), stacked(chs), s2, cfg, mp)
+    singles = [detect(name, y, ch, s2, cfg, mp) for y, ch in zip(ys, chs)]
+    for i, one in enumerate(singles):
+        bits, sap, antennas, symbols, diag = frame_of(batch, i)
+        for got, want in ((bits, one.bits), (sap, one.sap), (antennas, one.antennas),
+                          (symbols, one.symbols)):
+            assert np.array_equal(got, want)
+        assert diag.keys() == one.diagnostics.keys()
+        for key, want in one.diagnostics.items():
+            if key != "iterations_run":  # the batch call's loop count
+                assert np.array_equal(diag[key], want), key
+    if name in ("2ssd", "3ssd"):
+        counts = [int(one.diagnostics["frame_iterations"]) for one in singles]
+        assert 0 < counts.count(mp.max_iterations) < len(counts), counts  # a mixed batch
+        assert batch.diagnostics["iterations_run"] == max(counts)
+        assert all(one.diagnostics["iterations_run"] == c for one, c in zip(singles, counts))
+    if name == "mmse":
+        x_hat, idx = mmse_stage(np.stack(ys), stacked(chs), s2)
+        for i, (y, ch) in enumerate(zip(ys, chs)):
+            x_one, idx_one = mmse_stage(y, ch, s2)
+            assert np.array_equal(x_hat[i], x_one) and np.array_equal(idx[i], idx_one)
+
+
+def test_batch_rejects_channels_that_do_not_match_its_frames():
+    rng = np.random.default_rng(28)
+    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
+    with pytest.raises(ValueError, match="2 channels for 3 frames"):
+        detect("mmse", np.stack([y] * 3), stacked([ch] * 2), s2, FIG5)
+
+
 def test_count_messages_match_convolutions():
     rng = np.random.default_rng(23)
     for n, k in [(1, 1), (5, 5), (6, 5), (8, 7), (16, 3), (32, 28), (128, 114)]:
         p = rng.uniform(0.0, 1.0, n)
         q = np.stack([1.0 - p, p], axis=1)
-        assert np.abs(_slot_count_messages(q, k) - convolution_count_messages(q, k)).max() < 1e-12
+        assert np.abs(_slot_count_messages(q[None], k)[0] - convolution_count_messages(q, k)).max() < 1e-12
     # no mass anywhere (every slot surely unused, k >= 1): uniform fallback
     q = np.tile([1.0, 0.0], (6, 1))
-    assert np.array_equal(_slot_count_messages(q, 3), convolution_count_messages(q, 3))
+    assert np.array_equal(_slot_count_messages(q[None], 3)[0], convolution_count_messages(q, 3))
 
 
 @pytest.mark.parametrize("n_slots,k", [(64, 57), (128, 114)])

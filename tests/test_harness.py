@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stimsim import channel, detectors
+from stimsim import channel, detectors, harness
 from stimsim.alphabet import build_alphabet
 from stimsim.codec import StimConfig
 from stimsim.harness import (
@@ -86,6 +86,19 @@ def test_worker_count_independence():
     serial = run_ber_point(spec, 8.0, workers=1)
     parallel = run_ber_point(spec, 8.0, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    specs = [
+        small_spec(detector="3ssd", snr_points=(4.0, 8.0), min_frames=70, max_frames=70),
+        small_spec(detector="mmse", snr_points=(6.0,), min_frames=300, max_frames=300),
+        SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 6, 2, build_alphabet("qam8")),
+                  snr_points=(4.0,), min_frames=90, max_frames=90),
+    ]
+    default = [run_sweep(spec) for spec in specs]
+    monkeypatch.setattr(harness, "_chunk_frames", lambda cfg: chunk)
+    assert [run_sweep(spec) for spec in specs] == default
 
 
 def test_category_accounting():

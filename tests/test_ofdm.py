@@ -43,7 +43,7 @@ def test_modulate_demodulate_identity_channel():
     for _ in range(20):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, rng)
-        assert np.array_equal(ofdm_detect(y, ch, 0.0, cfg), bits)
+        assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
 def test_noiseless_recovery_multipath():
@@ -53,7 +53,7 @@ def test_noiseless_recovery_multipath():
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         ch = draw_channel(rng, cfg)
         y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, rng)
-        assert np.array_equal(ofdm_detect(y, ch, 0.0, cfg), bits)
+        assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
 def test_cp_diagonalization():
@@ -93,4 +93,20 @@ def test_per_subcarrier_equals_joint_ml(n, alphabet):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         ch = draw_channel(rng, cfg)
         y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, rng)
-        assert np.array_equal(ofdm_detect(y, ch, s2, cfg), joint_ml_reference(y, ch, cfg))
+        assert np.array_equal(ofdm_detect(y, ch, cfg), joint_ml_reference(y, ch, cfg))
+
+
+def test_batch_matches_single_frames():
+    rng = np.random.default_rng(5)
+    cfg = OfdmConfig(4, 6, 2, build_alphabet("qam8"))
+    s2 = snr_to_sigma2(4.0, cfg.l_taps)
+    ys, chs = [], []
+    for _ in range(12):
+        ch = draw_channel(rng, cfg)
+        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
+        ys.append(ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, rng))
+        chs.append(ch)
+    batch = ofdm_detect(np.stack(ys), ChannelRealization(np.stack([c.taps for c in chs])), cfg)
+    assert batch.shape == (12, cfg.bits_per_frame)
+    for i, (y, ch) in enumerate(zip(ys, chs)):
+        assert np.array_equal(batch[i], ofdm_detect(y, ch, cfg))
