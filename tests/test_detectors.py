@@ -263,8 +263,8 @@ def frame_of(res, i):
     return res.bits[i], res.sap[i], res.antennas[i], res.symbols[i], diag
 
 
-# (detector, config, mp, SNR): small configs whose frames (at this cap) some
-# stop early and some run to the cap, as in the early-stop test above
+# (detector, config, mp, SNR): the early-stop configs above, with caps at
+# which some frames stop early and the others run to the cap
 MIXED_BATCHES = [
     ("2ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=50, damping=0.3), 0.0),
     ("3ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=36, damping=0.3), 0.0),
