@@ -3,7 +3,7 @@ single-carrier systems over frequency-selective Rayleigh fading."""
 
 __version__ = "0.1.0"
 
-from .alphabet import Alphabet, build_alphabet, demap_symbol, map_bits
+from .alphabet import Alphabet, build_alphabet
 from .channel import (
     ChannelRealization,
     build_block_circulant,
@@ -14,7 +14,6 @@ from .channel import (
 from .codec import (
     BitPartition,
     StimConfig,
-    StimFrame,
     bit_partition,
     decode_frame,
     encode_frame,
@@ -36,7 +35,6 @@ from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
 from .rates import (
     KBounds,
     RateParams,
-    brute_force_optimal_n,
     k_bounds,
     ofdm_rate,
     optimal_n,

@@ -93,22 +93,10 @@ def build_alphabet(kind: str, normalize: bool = True) -> Alphabet:
     )
 
 
-def bits_to_index(bits: np.ndarray) -> int:
-    """Pack a big-endian 0/1 vector into an integer."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def index_to_bits(value: int, width: int) -> np.ndarray:
-    """Unpack an integer into a big-endian 0/1 vector of the given width."""
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
-
-
 def pack_bits(bits: np.ndarray, count: int, width: int) -> np.ndarray:
-    """count consecutive width-bit big-endian fields -> their integer values."""
-    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
+    """count consecutive width-bit big-endian fields along the last axis ->
+    their integer values, shape bits.shape[:-1] + (count,)."""
+    return bits.reshape(bits.shape[:-1] + (count, width)) @ (1 << np.arange(width - 1, -1, -1))
 
 
 def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
@@ -116,17 +104,3 @@ def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
     the last axis."""
     fields = (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
     return fields.astype(np.int8).reshape(values.shape[:-1] + (-1,))
-
-
-def map_bits(bits: np.ndarray, a: Alphabet) -> complex:
-    """Map an m_bits-long bit vector to its constellation point."""
-    bits = np.asarray(bits)
-    if bits.size != a.m_bits:
-        raise ValueError(f"expected {a.m_bits} bits, got {bits.size}")
-    return complex(a.points[bits_to_index(bits)])
-
-
-def demap_symbol(s: complex, a: Alphabet) -> np.ndarray:
-    """Label of the nearest constellation point (ties go to the lowest label)."""
-    idx = int(np.argmin(np.abs(a.points - s)))
-    return index_to_bits(idx, a.m_bits)

@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .alphabet import ConfigError
-from .codec import StimFrame
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,19 @@ def tap_powers(l_taps: int) -> np.ndarray:
     return np.exp(-np.arange(l_taps, dtype=float))
 
 
+@lru_cache(maxsize=None)
+def _tap_scales(l_taps: int) -> np.ndarray:
+    """Standard deviation of each tap's real and imaginary parts, shaped
+    (L, 1, 1); shared, so read-only."""
+    scale = np.sqrt(tap_powers(l_taps) / 2.0)[:, None, None]
+    scale.setflags(write=False)
+    return scale
+
+
 def draw_channel(rng: np.random.Generator, cfg) -> ChannelRealization:
     """Draw one quasi-static realization for any config with n_t/n_r/l_taps."""
     n_t, n_r, l_taps = cfg.n_t, cfg.n_r, cfg.l_taps
-    scale = np.sqrt(tap_powers(l_taps) / 2.0)[:, None, None]
-    taps = scale * (
+    taps = _tap_scales(l_taps) * (
         rng.standard_normal((l_taps, n_r, n_t)) + 1j * rng.standard_normal((l_taps, n_r, n_t))
     )
     return ChannelRealization(taps)
@@ -79,26 +86,34 @@ def snr_to_sigma2(snr_db: float, l_taps: int) -> float:
 
 
 def apply_channel(ch: ChannelRealization, x: np.ndarray) -> np.ndarray:
-    """Noiseless circular convolution of the (N, n_t) slots x with the taps.
+    """Noiseless circular convolution of the (N, n_t) slots x with the taps;
+    (B, N, n_t) slots with (B, L, n_r, n_t) taps give (B, N, n_r).
 
     Row r of the (N, n_r) result is sum_l taps[l] @ x[(r - l) mod N]: the
     block-circulant product, read off the band without forming H.
     """
-    slot_of, _ = band_index(x.shape[0], ch.l_taps)
-    return np.einsum("lat,rlt->ra", ch.taps, x[slot_of])
+    slot_of, _ = band_index(x.shape[-2], ch.l_taps)
+    return np.einsum("...lat,...rlt->...ra", ch.taps, x[..., slot_of, :])
+
+
+def awgn(sigma2: float, normals: np.ndarray) -> np.ndarray:
+    """Circularly-symmetric complex noise of variance sigma2 from standard
+    normals of shape (..., 2, n): the real parts, then the imaginary ones."""
+    return np.sqrt(sigma2 / 2.0) * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
 def transmit(
-    frame: StimFrame, ch: ChannelRealization, sigma2: float, rng: np.random.Generator
+    x: np.ndarray, ch: ChannelRealization, sigma2: float, normals: np.ndarray
 ) -> np.ndarray:
-    """Received vector y = H x + n of length N n_r, x the frame's stacked data
-    columns (the cyclic prefix turns the linear channel convolution into the
-    block-circulant product and is then discarded)."""
-    x = frame.b_mat.T
-    if ch.taps.shape[2] != x.shape[1]:
-        raise ValueError(f"channel has {ch.taps.shape[2]} transmit antennas, frame {x.shape[1]}")
-    y = apply_channel(ch, x).reshape(-1)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
-    )
-    return y + noise
+    """Received vector y = H x + n of length N n_r for the (N, n_t) transmit
+    slots x (the cyclic prefix turns the linear channel convolution into the
+    block-circulant product and is then discarded).
+
+    The noise comes from ``normals``, shape (2, N n_r) (see awgn). A chunk,
+    x of shape (B, N, n_t) with taps (B, L, n_r, n_t) and normals
+    (B, 2, N n_r), gives (B, N n_r) from one band product.
+    """
+    if ch.taps.shape[-1] != x.shape[-1]:
+        raise ValueError(f"channel has {ch.taps.shape[-1]} transmit antennas, frame {x.shape[-1]}")
+    y = apply_channel(ch, x)
+    return y.reshape(y.shape[:-2] + (-1,)) + awgn(sigma2, normals)

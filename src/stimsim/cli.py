@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from .alphabet import ConfigError, build_alphabet
-from .codec import StimConfig, decode_frame, encode_frame, with_cyclic_prefix
+from .codec import StimConfig, decode_frame, encode_frame, slot_fields, with_cyclic_prefix
 from .detectors import DEFAULT_ML_CAP, MpParams
-from .harness import SweepSpec, run_ber_point, run_sweep, sweep_csv
+from .harness import SEED_LIMIT, SweepSpec, run_ber_point, run_sweep, sweep_csv
 from .ofdm import OfdmConfig
 from .rates import RateParams, improvement_curve, k_bounds, optimal_n, rate_curve
 
@@ -167,18 +167,19 @@ def _golden_check() -> int:
         n_t=2, n_r=4, n_slots=8, k=7, l_taps=2,
         alphabet=build_alphabet("qam4", normalize=False),
     )
-    frame = encode_frame(GOLDEN_BITS, cfg)
-    x_mat = with_cyclic_prefix(frame.b_mat, cfg.l_taps)
+    slots = encode_frame(GOLDEN_BITS, cfg)
+    a_mat = (slots.T != 0).astype(np.int8)
+    x_mat = with_cyclic_prefix(slots.T, cfg.l_taps)
     ok = (
-        np.array_equal(frame.a_mat, GOLDEN_A)
-        and np.array_equal(frame.b_mat, GOLDEN_B)
+        np.array_equal(a_mat, GOLDEN_A)
+        and np.array_equal(slots.T, GOLDEN_B)
         and np.array_equal(x_mat, GOLDEN_X)
-        and np.array_equal(decode_frame(frame.sap, frame.antennas, frame.symbols, cfg), GOLDEN_BITS)
+        and np.array_equal(decode_frame(*slot_fields(slots, cfg.k), cfg), GOLDEN_BITS)
     )
     print("A =")
-    print(_fmt_matrix(frame.a_mat))
+    print(_fmt_matrix(a_mat))
     print("B =")
-    print(_fmt_matrix(frame.b_mat))
+    print(_fmt_matrix(slots.T))
     print("X =")
     print(_fmt_matrix(x_mat))
     print("golden worked example:", "PASS" if ok else "FAIL")
@@ -229,6 +230,9 @@ def _sweep_spec(values: dict) -> SweepSpec:
     snr_points = values.get("snr_db")
     if not snr_points:
         raise ConfigError("snr_db is required")
+    seed = values.get("seed", 0)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2**128), got {seed}")
     return SweepSpec(
         system=system,
         detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
@@ -237,7 +241,7 @@ def _sweep_spec(values: dict) -> SweepSpec:
         min_frames=values.get("min_frames", 1000),
         max_frames=values.get("max_frames", 100_000),
         min_bit_errors=values.get("min_bit_errors", 100),
-        seed=values.get("seed", 0),
+        seed=seed,
         mp=MpParams(
             max_iterations=values.get("iters", 10), damping=values.get("damp", 0.3)
         ),

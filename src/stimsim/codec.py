@@ -6,6 +6,10 @@ selecting the slot activation pattern), and symbol bits (m per used slot).
 Slot activation patterns are ordered lexicographically over sorted used-slot
 index lists, so the slot bits are the combinadic rank of the pattern.
 
+Encoding and decoding take a chunk of frames stacked on a leading axis; a
+single frame is the chunk of one, with the axis dropped again. Only
+unranking walks frame by frame.
+
 Slots and antennas are 0-based throughout.
 """
 
@@ -13,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .alphabet import Alphabet, ConfigError, bits_to_index, index_to_bits, pack_bits, unpack_bits
+from .alphabet import Alphabet, ConfigError, pack_bits, unpack_bits
 
 
 @dataclass(frozen=True)
@@ -63,18 +68,6 @@ def bit_partition(cfg: StimConfig) -> BitPartition:
     return BitPartition(cfg.k * a, slot_bits, cfg.k * cfg.alphabet.m_bits)
 
 
-@dataclass(frozen=True)
-class StimFrame:
-    """One encoded frame: activation matrix and signal matrix."""
-
-    a_mat: np.ndarray  # (n_t, N) 0/1
-    b_mat: np.ndarray  # (n_t, N) complex
-    bits: np.ndarray  # the full source bit vector
-    sap: np.ndarray  # sorted used-slot indices, 0-based
-    antennas: np.ndarray  # active antenna per used slot, 0-based
-    symbols: np.ndarray  # constellation point per used slot
-
-
 def rank_to_sap(rank: int, n: int, k: int) -> np.ndarray:
     """The rank-th k-subset of {0..n-1} in lexicographic order."""
     if not 0 <= rank < math.comb(n, k):
@@ -94,17 +87,37 @@ def rank_to_sap(rank: int, n: int, k: int) -> np.ndarray:
     return subset
 
 
-def sap_to_rank(sap: np.ndarray, n: int) -> int:
-    """Lexicographic rank of a sorted k-subset of {0..n-1}; inverse of rank_to_sap."""
+@lru_cache(maxsize=None)
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """Binomials for ranking k-subsets of {0..n-1}: table[j, e] = C(j + e - 1, j)
+    for e >= 1 and 0 for e = 0, over j = 0..k and e = 0..n-k+1, so that
+    table[k, n-k+1] = C(n, k) and no entry exceeds it.
+
+    Built by Pascal's rule, C(j + e - 1, j) = C(j + e - 2, j - 1) + C(j + e - 2, j):
+    each row is the running sum of the one above. The entries are int64 when
+    C(n, k) < 2^63 and Python integers otherwise. Shared, so read-only.
+    """
+    dtype = np.int64 if math.comb(n, k) < 2**63 else object
+    table = np.ones((k + 1, n - k + 2), dtype=dtype)
+    table[:, 0] = 0
+    for j in range(1, k + 1):
+        np.cumsum(table[j - 1], out=table[j])
+    table.setflags(write=False)
+    return table
+
+
+def sap_to_rank(sap: np.ndarray, n: int):
+    """Lexicographic rank of a sorted k-subset of {0..n-1}; inverse of rank_to_sap.
+
+    A (B, k) chunk of subsets gives (B,) ranks. With c_i the i-th used slot,
+    rank = C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i), read from _rank_table:
+    its dtype is that of the ranks.
+    """
     sap = np.asarray(sap)
-    k = sap.size
-    rank = 0
-    prev = -1
-    for i, c in enumerate(sap):
-        for x in range(prev + 1, int(c)):
-            rank += math.comb(n - x - 1, k - i - 1)
-        prev = int(c)
-    return rank
+    k = sap.shape[-1]
+    table = _rank_table(n, k)
+    i = np.arange(k)
+    return table[k, -1] - 1 - table[k - i, n - k - (sap - i)].sum(axis=-1)
 
 
 def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.ndarray, bool]:
@@ -135,38 +148,51 @@ def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.n
             cand = np.array(sorted(current), dtype=np.int64)
             if sap_to_rank(cand, n) < limit:
                 return cand, True
-    return rank_to_sap(rank % limit, n, k), True
+    return rank_to_sap(int(rank) % limit, n, k), True
 
 
-def encode_frame(bits, cfg: StimConfig) -> StimFrame:
-    """Encode a source bit vector into a STIM frame.
+def encode_frame(bits, cfg: StimConfig) -> np.ndarray:
+    """Encode a source bit vector into the frame's (N, n_t) transmit slots;
+    a (B, bits) chunk gives (B, N, n_t).
 
     Antenna bits are consumed per used slot in increasing slot order (bit
     value v activating antenna v), slot bits select the activation pattern by
     combinadic rank, and symbol bits fill the used slots in increasing slot
-    order.
+    order. Row s of a frame's slots is zero for an unused slot and holds the
+    slot's symbol at its active antenna otherwise.
     """
     bits = np.asarray(bits, dtype=np.int8)
     part = bit_partition(cfg)
-    if bits.size != part.total:
-        raise ValueError(f"expected {part.total} bits, got {bits.size}")
-    n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
-    a_bits = cfg.antenna_bits_per_slot
-    m = cfg.alphabet.m_bits
+    if bits.shape[-1] != part.total:
+        raise ValueError(f"expected {part.total} bits, got {bits.shape[-1]}")
+    single = bits.ndim == 1
+    bits = bits.reshape(-1, part.total)
+    n, k = cfg.n_slots, cfg.k
+    ant_seg, slot_seg, sym_seg = np.split(
+        bits, [part.antenna_bits, part.antenna_bits + part.slot_bits], axis=1
+    )
+    # place values in the rank table's dtype, so wide slot segments stay exact
+    places = np.array([1 << i for i in range(part.slot_bits - 1, -1, -1)],
+                      dtype=_rank_table(n, k).dtype)
+    sap = np.stack([rank_to_sap(int(r), n, k) for r in slot_seg @ places])
+    antennas = pack_bits(ant_seg, k, cfg.antenna_bits_per_slot)
+    x = np.zeros((len(bits), n, cfg.n_t), dtype=np.complex128)
+    x[np.arange(len(bits))[:, None], sap, antennas] = cfg.alphabet.points[
+        pack_bits(sym_seg, k, cfg.alphabet.m_bits)
+    ]
+    return x[0] if single else x
 
-    ant_seg = bits[: part.antenna_bits]
-    slot_seg = bits[part.antenna_bits : part.antenna_bits + part.slot_bits]
-    sym_seg = bits[part.antenna_bits + part.slot_bits :]
 
-    sap = rank_to_sap(bits_to_index(slot_seg), n, k)
-    antennas = pack_bits(ant_seg, k, a_bits)
-    symbols = cfg.alphabet.points[pack_bits(sym_seg, k, m)]
-
-    a_mat = np.zeros((n_t, n), dtype=np.int8)
-    b_mat = np.zeros((n_t, n), dtype=np.complex128)
-    a_mat[antennas, sap] = 1
-    b_mat[antennas, sap] = symbols
-    return StimFrame(a_mat, b_mat, bits, sap, antennas, symbols)
+def slot_fields(x: np.ndarray, k: int):
+    """(sap, antennas, symbols) that (N, n_t) transmit slots carry, or
+    (B, k) arrays of each for (B, N, n_t) slots: the inverse of encode_frame's
+    placement, for decode_frame."""
+    used = (x != 0).any(axis=-1)
+    sap = np.nonzero(used)[-1].reshape(used.shape[:-1] + (k,))
+    active = np.take_along_axis(x, sap[..., None], axis=-2)
+    antennas = np.argmax(active != 0, axis=-1)
+    symbols = np.take_along_axis(active, antennas[..., None], axis=-1)[..., 0]
+    return sap, antennas, symbols
 
 
 def with_cyclic_prefix(b_mat: np.ndarray, l_taps: int) -> np.ndarray:
@@ -177,22 +203,21 @@ def with_cyclic_prefix(b_mat: np.ndarray, l_taps: int) -> np.ndarray:
 
 
 def decode_frame(sap, antennas, symbols, cfg: StimConfig) -> np.ndarray:
-    """Recover the source bits from detected (pattern, antennas, symbols).
+    """Recover the source bits from detected (pattern, antennas, symbols);
+    (B, k) chunks of each give (B, bits).
 
     Exact inverse of encode_frame on valid inputs. A pattern outside the
-    encodable rank range is repaired first (see repair_sap); it is never an
-    error.
+    encodable rank range decodes as rank mod 2^slot_bits, the pattern
+    repair_sap falls back to without scores; it is never an error.
     """
     part = bit_partition(cfg)
-    a_bits = cfg.antenna_bits_per_slot
-    m = cfg.alphabet.m_bits
-    sap, _ = repair_sap(np.asarray(sap), cfg)
-
+    # a trailing axis of one keeps even a single frame's rank an array
+    ranks = sap_to_rank(np.asarray(sap)[..., None, :], cfg.n_slots) % (1 << part.slot_bits)
     pts = cfg.alphabet.points
-    # nearest point per symbol; argmin keeps the lowest label on ties, as demap_symbol
-    sym_idx = np.argmin(np.abs(pts[None, :] - np.asarray(symbols)[:, None]), axis=1)
+    # nearest point per symbol; argmin keeps the lowest label on ties
+    sym_idx = np.argmin(np.abs(np.asarray(symbols)[..., None] - pts), axis=-1)
     return np.concatenate([
-        unpack_bits(np.asarray(antennas, dtype=np.int64), a_bits),
-        index_to_bits(sap_to_rank(sap, cfg.n_slots), part.slot_bits),
-        unpack_bits(sym_idx, m),
-    ])
+        unpack_bits(np.asarray(antennas, dtype=np.int64), cfg.antenna_bits_per_slot),
+        unpack_bits(ranks, part.slot_bits),
+        unpack_bits(sym_idx, cfg.alphabet.m_bits),
+    ], axis=-1)

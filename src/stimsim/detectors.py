@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, band_index, build_block_circulant
-from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap
+from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
 DEFAULT_ML_CAP = 2**22
 
@@ -91,7 +91,7 @@ def _as_batch(y: np.ndarray, ch: ChannelRealization):
 def _finalize(sap, antennas, symbols, cfg, diagnostics, single) -> DetectionResult:
     """Bits of a batch of decisions whose slot patterns are already encodable;
     a single frame's result loses the frame axis again."""
-    bits = np.stack([decode_frame(*frame, cfg) for frame in zip(sap, antennas, symbols)])
+    bits = decode_frame(sap, antennas, symbols, cfg)
     if single:
         diagnostics = {k: v[0] if isinstance(v, np.ndarray) else v for k, v in diagnostics.items()}
         return DetectionResult(bits[0], sap[0], antennas[0], symbols[0], diagnostics)
@@ -99,9 +99,14 @@ def _finalize(sap, antennas, symbols, cfg, diagnostics, single) -> DetectionResu
 
 
 def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
-    """repair_sap per frame: (B, k) patterns -> encodable patterns, (B,) flags."""
-    fixed = [repair_sap(s, cfg, sc) for s, sc in zip(sap, scores)]
-    return np.stack([f[0] for f in fixed]), np.array([f[1] for f in fixed])
+    """(B, k) patterns -> encodable patterns, (B,) repair flags. The ranks of
+    the whole batch are checked at once; repair_sap runs on the frames whose
+    pattern is out of range, with their scores."""
+    repaired = sap_to_rank(sap, cfg.n_slots) >= 1 << bit_partition(cfg).slot_bits
+    sap = sap.copy()
+    for i in np.flatnonzero(repaired):
+        sap[i] = repair_sap(sap[i], cfg, scores[i])[0]
+    return sap, repaired
 
 
 def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> None:

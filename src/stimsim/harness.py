@@ -5,14 +5,18 @@ index, trial index), so per-trial results never depend on scheduling and
 aggregate counts are identical for any worker count. Trials execute in
 fixed-size batches; the stopping rule is evaluated only at batch boundaries,
 which keeps the stopping decision worker-independent too. Within a batch,
-each trial is drawn on its own and detection runs on stacked chunks of
-trials, one detector call per chunk.
+each trial makes its random draws from its own substream; everything after
+the draws (encode, transmit, detect, decode, count) runs on stacked chunks
+of trials, one call per chunk.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .detectors import DEFAULT_ML_CAP, DETECTORS, MpParams, detect
 from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
 
 BATCH_FRAMES = 256
+
+# Philox takes a 128-bit key: the seed
+SEED_LIMIT = 2**128
 
 CSV_HEADER = (
     "snr_db,frames,bits_total,bit_errors_total,bit_errors_antenna,"
@@ -57,6 +64,8 @@ class SweepSpec:
             raise ValueError(f"duplicate SNR points in {self.snr_points}")
         if not 0 < self.min_frames <= self.max_frames:
             raise ValueError("need 0 < min_frames <= max_frames")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
     @property
     def bits_per_frame(self) -> int:
@@ -88,44 +97,57 @@ class BerRecord:
         )
 
 
+# the one Philox that trial_rng resets for every trial, and its state template
+_PHILOX = np.random.Philox(key=0)
+_TRIAL_GENERATOR = np.random.Generator(_PHILOX)
+_PHILOX_STATE = _PHILOX.state
+
+
 def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Generator:
     """Counter-based substream: Philox keyed by seed with the (point, trial)
-    pair placed in the high counter words."""
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=[0, 0, point_index, trial_index])
-    )
+    pair placed in the high counter words.
+
+    The stream is that of ``Generator(Philox(key=seed, counter=[0, 0,
+    point_index, trial_index]))``, but no generator is built: the call resets
+    the counter, key and buffer of one Philox per process. The returned
+    generator is therefore shared, and valid only until the next call.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    state = _PHILOX_STATE["state"]
+    state["counter"][2:] = point_index, trial_index
+    state["key"][:] = seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64
+    _PHILOX.state = _PHILOX_STATE  # also empties the output buffer
+    return _TRIAL_GENERATOR
 
 
 def _chunk_frames(cfg: StimConfig | OfdmConfig) -> int:
-    """Frames per stacked detect call: about 2^14 (edge, candidate) terms,
+    """Frames per chunk: about 2^14 (edge, candidate) terms per detect call,
     so small configs share the numpy calls and large ones run one by one."""
     terms = cfg.n_slots * cfg.l_taps * cfg.n_r * cfg.n_t * cfg.alphabet.size
     return max(1, 2**14 // terms)
 
 
-def _draw_trial(spec: SweepSpec, point_index: int, trial: int, sigma2: float):
-    """One trial from its own substream: (bits sent, y received, channel taps)."""
+def _draw_trial(spec: SweepSpec, point_index: int, trial: int, n_bits: int):
+    """One trial's draws from its own substream, in a fixed order: channel
+    taps, bits, then the real and imaginary standard normals of the noise."""
     rng = trial_rng(spec.seed, point_index, trial)
     cfg = spec.cfg
-    ch = draw_channel(rng, cfg)
-    if spec.system == "stim":
-        bits = rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8)
-        y = transmit(encode_frame(bits, cfg), ch, sigma2, rng)
-    else:
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, rng)
-    return bits, y, ch.taps
+    taps = draw_channel(rng, cfg).taps
+    bits = rng.integers(0, 2, n_bits, dtype=np.int8)
+    return taps, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
 
 
 def _run_trial_range(args):
     """(antenna, slot, symbol, frame) error counts of trials [lo, hi).
 
-    Each trial is drawn on its own; detection runs on stacked chunks of
-    _chunk_frames trials. No arithmetic crosses frames, so a trial's counts
-    do not depend on the chunk it lands in.
+    Each trial draws from its own substream; the arithmetic after the draws
+    runs on stacked chunks of _chunk_frames trials. No arithmetic crosses
+    frames, so a trial's counts do not depend on the chunk it lands in.
     """
     spec, point_index, lo, hi, sigma2 = args
     cfg = spec.cfg
+    n_bits = spec.bits_per_frame
     if spec.system == "stim":
         part = bit_partition(cfg)
         bounds = [part.antenna_bits, part.antenna_bits + part.slot_bits]
@@ -134,16 +156,42 @@ def _run_trial_range(args):
     acc = np.zeros(4, dtype=np.int64)
     step = _chunk_frames(cfg)
     for start in range(lo, hi, step):
-        trials = [_draw_trial(spec, point_index, t, sigma2) for t in range(start, min(start + step, hi))]
-        bits, y, taps = (np.stack(a) for a in zip(*trials))
+        draws = [_draw_trial(spec, point_index, t, n_bits) for t in range(start, min(start + step, hi))]
+        taps, bits, normals = (np.stack(a) for a in zip(*draws))
         ch = ChannelRealization(taps)
         if spec.system == "stim":
+            y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
             detected = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap).bits
         else:
+            y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, normals)
             detected = ofdm_detect(y, ch, cfg)
         wrong = detected != bits
         acc += [seg.sum() for seg in np.split(wrong, bounds, axis=1)] + [wrong.any(axis=1).sum()]
     return acc
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if it exports its thread controls; None
+    where numpy links another BLAS (MKL, Accelerate)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            setter = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one BLAS thread per worker, so that a pool of
+    w workers runs w threads rather than w times the BLAS default."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerRecord:
@@ -158,7 +206,10 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerRecord
     sigma2 = snr_to_sigma2(snr_db, spec.cfg.l_taps)
     acc = np.zeros(4, dtype=np.int64)
     frames = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        _openblas()  # resolved here, so a forked worker only makes the call
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
     try:
         while frames < spec.max_frames:
             hi = min(frames + BATCH_FRAMES, spec.max_frames)

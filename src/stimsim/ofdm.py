@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Alphabet, ConfigError, pack_bits, unpack_bits
-from .channel import ChannelRealization, apply_channel
+from .channel import ChannelRealization, apply_channel, awgn
 
 
 @dataclass(frozen=True)
@@ -39,33 +39,34 @@ class OfdmConfig:
 
 
 def ofdm_modulate(bits, cfg: OfdmConfig) -> np.ndarray:
-    """Map bits to N subcarrier symbols and emit the CP-extended time block."""
+    """Map bits to N subcarrier symbols and emit the CP-extended time block;
+    a (B, bits) chunk gives (B, N + L - 1) blocks."""
     bits = np.asarray(bits, dtype=np.int8)
     m = cfg.alphabet.m_bits
     n = cfg.n_slots
-    if bits.size != n * m:
-        raise ValueError(f"expected {n * m} bits, got {bits.size}")
+    if bits.shape[-1] != n * m:
+        raise ValueError(f"expected {n * m} bits, got {bits.shape[-1]}")
     freq = cfg.alphabet.points[pack_bits(bits, n, m)]
-    time = np.fft.ifft(freq, norm="ortho")
-    return np.concatenate([time[n - cfg.l_taps + 1 :], time])
+    time = np.fft.ifft(freq, axis=-1, norm="ortho")
+    return np.concatenate([time[..., n - cfg.l_taps + 1 :], time], axis=-1)
 
 
 def ofdm_transmit(
-    block: np.ndarray, ch: ChannelRealization, sigma2: float, rng: np.random.Generator
+    block: np.ndarray, ch: ChannelRealization, sigma2: float, normals: np.ndarray
 ) -> np.ndarray:
     """Push a CP-extended block through the multipath channel.
 
     Returns the (n_r, N) received samples after CP removal: the circular
-    convolution of the block's last N samples with the taps.
+    convolution of the block's last N samples with the taps, plus noise from
+    ``normals`` of shape (2, n_r N) (see channel.awgn). A chunk of (B, N + L - 1)
+    blocks with taps (B, L, n_r, 1) and normals (B, 2, n_r N) gives
+    (B, n_r, N).
     """
-    l_taps, _, n_t = ch.taps.shape
+    l_taps, _, n_t = ch.taps.shape[-3:]
     if n_t != 1:
         raise ValueError("OFDM baseline is single-transmit-antenna")
-    y = apply_channel(ch, block[l_taps - 1 :, None]).T
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    )
-    return y + noise
+    y = apply_channel(ch, block[..., l_taps - 1 :, None]).swapaxes(-1, -2)
+    return y + awgn(sigma2, normals).reshape(y.shape)
 
 
 def ofdm_detect(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:

@@ -113,17 +113,6 @@ def optimal_n(params: RateParams) -> int:
     return math.ceil(params.c_const * 2.0**1.4427)
 
 
-def brute_force_optimal_n(params: RateParams, n_max: int = 512) -> int:
-    """Argmax of the analytic rate improvement over N in [2, n_max] with k = N-1."""
-    best_n, best_ri = 2, -math.inf
-    for n in range(2, n_max + 1):
-        p = RateParams(n, params.l_taps, params.n_t, params.alphabet_size)
-        ri = rate_improvement(p, n - 1, analytic=True)
-        if ri > best_ri:
-            best_n, best_ri = n, ri
-    return best_n
-
-
 def rate_curve(params: RateParams, k_range=None) -> list[tuple[int, float]]:
     """Tabulate the operational STIM rate over k for CSV emission."""
     if k_range is None:

@@ -1,11 +1,13 @@
 """Exact, slow reference implementations that the tests compare the
 simulator's fast paths against."""
 
+import math
+
 import numpy as np
 
-from stimsim.alphabet import index_to_bits
+from stimsim.alphabet import Alphabet
 from stimsim.channel import ChannelRealization
-from stimsim.codec import StimFrame, decode_frame, repair_sap
+from stimsim.codec import decode_frame, repair_sap
 from stimsim.detectors import (
     _CONVERGENCE_TOL,
     _ZF_EPS,
@@ -14,6 +16,45 @@ from stimsim.detectors import (
     _normalize_log_rows,
 )
 from stimsim.ofdm import OfdmConfig
+from stimsim.rates import RateParams, rate_improvement
+
+
+def bits_to_index(bits: np.ndarray) -> int:
+    """Pack a big-endian 0/1 vector into an integer."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    return value
+
+
+def index_to_bits(value: int, width: int) -> np.ndarray:
+    """Unpack an integer into a big-endian 0/1 vector of the given width."""
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
+
+
+def map_bits(bits: np.ndarray, a: Alphabet) -> complex:
+    """Map an m_bits-long bit vector to its constellation point."""
+    bits = np.asarray(bits)
+    if bits.size != a.m_bits:
+        raise ValueError(f"expected {a.m_bits} bits, got {bits.size}")
+    return complex(a.points[bits_to_index(bits)])
+
+
+def demap_symbol(s: complex, a: Alphabet) -> np.ndarray:
+    """Label of the nearest constellation point (ties go to the lowest label)."""
+    idx = int(np.argmin(np.abs(a.points - s)))
+    return index_to_bits(idx, a.m_bits)
+
+
+def brute_force_optimal_n(params: RateParams, n_max: int = 512) -> int:
+    """Argmax of the analytic rate improvement over N in [2, n_max] with k = N-1."""
+    best_n, best_ri = 2, -math.inf
+    for n in range(2, n_max + 1):
+        p = RateParams(n, params.l_taps, params.n_t, params.alphabet_size)
+        ri = rate_improvement(p, n - 1, analytic=True)
+        if ri > best_ri:
+            best_n, best_ri = n, ri
+    return best_n
 
 
 def normalize_messages(raw: np.ndarray) -> np.ndarray:
@@ -25,18 +66,18 @@ def normalize_messages(raw: np.ndarray) -> np.ndarray:
     return raw / total
 
 
-def circular_convolution_reference(frame: StimFrame, ch: ChannelRealization) -> np.ndarray:
-    """Per-antenna circular convolution of the data columns with the taps.
+def circular_convolution_reference(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+    """Per-antenna circular convolution of the (N, n_t) transmit slots with the taps.
 
     Independent oracle for the block-circulant product: entry (slot j, rx r)
-    is sum_l sum_i taps[l, r, i] * B[i, (j - l) mod N].
+    is sum_l sum_i taps[l, r, i] * x[(j - l) mod N, i].
     """
     l_taps, n_r, n_t = ch.taps.shape
-    n = frame.b_mat.shape[1]
+    n = x.shape[0]
     y = np.zeros((n, n_r), dtype=np.complex128)
     for j in range(n):
         for l in range(l_taps):
-            y[j] += ch.taps[l] @ frame.b_mat[:, (j - l) % n]
+            y[j] += ch.taps[l] @ x[(j - l) % n]
     return y.reshape(-1)
 
 

@@ -10,8 +10,9 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 
-from oracles import circular_convolution_reference
+from oracles import brute_force_optimal_n, circular_convolution_reference
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
 from stimsim.cli import main
@@ -21,7 +22,6 @@ from stimsim.harness import SweepSpec, run_ber_point, run_sweep, sweep_csv
 from stimsim.ofdm import OfdmConfig
 from stimsim.rates import (
     RateParams,
-    brute_force_optimal_n,
     k_bounds,
     ofdm_rate,
     optimal_n,
@@ -121,17 +121,16 @@ def test_c05_channel_oracle():
     for i in range(100):
         n, l, n_t, n_r = shapes[i % len(shapes)]
         cfg = StimConfig(n_t, n_r, n, n - 1 if n > 1 else 1, l, QAM4)
-        frame = encode_frame(
-            rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg
-        )
+        x = encode_frame(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg)
         ch = draw_channel(rng, cfg)
         h = build_block_circulant(ch, n)
-        err = np.abs(h @ frame.b_mat.T.reshape(-1) - circular_convolution_reference(frame, ch)).max()
+        err = np.abs(h @ x.reshape(-1) - circular_convolution_reference(x, ch)).max()
         worst = max(worst, err)
     assert worst < 1e-10
     report(5, "channel oracle", f"max |Hx - circconv| = {worst:.2e} over 100 pairs")
 
 
+@pytest.mark.slow
 def test_c06_noiseless_consistency():
     results = []
     for detector, cap in [("ml", 2**24), ("2ssd", 2**22), ("3ssd", 2**22)]:
@@ -153,6 +152,7 @@ def test_c06_noiseless_consistency():
     report(6, "noiseless consistency", "0 bit errors x 100 frames for " + "/".join(results))
 
 
+@pytest.mark.slow
 def test_c07_fig4_ml_gap():
     stim_spec = SweepSpec(
         system="stim",
@@ -185,6 +185,7 @@ def test_c07_fig4_ml_gap():
     )
 
 
+@pytest.mark.slow
 def test_c08_fig5_orderings():
     grids = {
         "2ssd": tuple(float(s) for s in range(5, 14)),
@@ -240,10 +241,9 @@ def test_c09_exact_posterior_oracle():
     def exact_posterior(y, h):
         logps, saps = [], []
         for bits in product((0, 1), repeat=part.total):
-            frame = encode_frame(np.array(bits, dtype=np.int8), cfg)
-            x = frame.b_mat.T.reshape(-1)
-            logps.append(-np.sum(np.abs(y - h @ x) ** 2) / sigma2)
-            saps.append(set(frame.sap))
+            slots = encode_frame(np.array(bits, dtype=np.int8), cfg)
+            logps.append(-np.sum(np.abs(y - h @ slots.reshape(-1)) ** 2) / sigma2)
+            saps.append(set(np.flatnonzero(slots.any(axis=1))))
         logps = np.array(logps)
         p = np.exp(logps - logps.max())
         p /= p.sum()
@@ -257,10 +257,10 @@ def test_c09_exact_posterior_oracle():
     trials = 1000
     for _ in range(trials):
         bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        frame = encode_frame(bits, cfg)
+        x = encode_frame(bits, cfg)
         ch = draw_channel(rng, cfg)
         h = build_block_circulant(ch, cfg.n_slots)
-        y = transmit(frame, ch, sigma2, rng)
+        y = transmit(x, ch, sigma2, rng.standard_normal((2, cfg.n_slots * cfg.n_r)))
         res = ssd2_detect(y, ch, sigma2, cfg)
         q_mp = res.diagnostics["slot_posteriors"]
         tv_sum += 0.5 * np.abs(q_mp - exact_posterior(y, h)).sum(axis=1).mean()

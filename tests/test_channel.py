@@ -24,6 +24,10 @@ def random_frame(rng, cfg):
     return encode_frame(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg)
 
 
+def normals(rng, cfg):
+    return rng.standard_normal((2, cfg.n_slots * cfg.n_r))
+
+
 def test_tap_variances_follow_pdp():
     rng = np.random.default_rng(0)
     cfg = make_cfg(n_t=2, n_r=2, l=3)
@@ -87,14 +91,14 @@ def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
     rng = np.random.default_rng(3)
     cfg = StimConfig(n_t, n_r, n, max(1, n - 1), l, QAM4)
     for _ in range(25):
-        frame = random_frame(rng, cfg)
+        slots = random_frame(rng, cfg)
         ch = draw_channel(rng, cfg)
         h = build_block_circulant(ch, n)
-        x = frame.b_mat.T.reshape(-1)
-        ref = circular_convolution_reference(frame, ch)
+        x = slots.reshape(-1)
+        ref = circular_convolution_reference(slots, ch)
         assert np.abs(h @ x - ref).max() < 1e-10
         # the band product that transmit uses agrees with both
-        y = transmit(frame, ch, 0.0, rng)
+        y = transmit(slots, ch, 0.0, normals(rng, cfg))
         assert np.abs(y - h @ x).max() < 1e-12
         assert np.abs(y - ref).max() < 1e-12
 
@@ -102,32 +106,32 @@ def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
 def test_transmit_identity_channel():
     cfg = StimConfig(1, 1, 4, 4, 1, QAM4)
     rng = np.random.default_rng(4)
-    frame = random_frame(rng, cfg)
+    slots = random_frame(rng, cfg)
     ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
-    y = transmit(frame, ch, 0.0, rng)
-    assert np.allclose(y, frame.b_mat[0])
+    y = transmit(slots, ch, 0.0, normals(rng, cfg))
+    assert np.allclose(y, slots[:, 0])
 
 
 def test_transmit_noiseless_equals_hx():
     rng = np.random.default_rng(5)
     cfg = make_cfg()
     for _ in range(20):
-        frame = random_frame(rng, cfg)
+        slots = random_frame(rng, cfg)
         ch = draw_channel(rng, cfg)
-        y = transmit(frame, ch, 0.0, rng)
-        assert np.abs(y - circular_convolution_reference(frame, ch)).max() < 1e-10
+        y = transmit(slots, ch, 0.0, normals(rng, cfg))
+        assert np.abs(y - circular_convolution_reference(slots, ch)).max() < 1e-10
 
 
 def test_noise_energy():
     rng = np.random.default_rng(6)
     cfg = make_cfg(n_t=1, n_r=2, n=8, k=8, l=1)
     sigma2 = 0.7
-    frame = random_frame(rng, cfg)
+    slots = random_frame(rng, cfg)
     ch = ChannelRealization(np.zeros((1, 2, 1), dtype=complex))  # noise only
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        y = transmit(frame, ch, sigma2, rng)
+        y = transmit(slots, ch, sigma2, normals(rng, cfg))
         total += np.sum(np.abs(y) ** 2)
     mean_energy = total / trials
     expected = 8 * 2 * sigma2
@@ -142,7 +146,22 @@ def test_snr_to_sigma2():
 
 def test_transmit_dimension_mismatch():
     rng = np.random.default_rng(7)
-    frame = random_frame(rng, make_cfg(n_t=2))
+    slots = random_frame(rng, make_cfg(n_t=2))
     ch = draw_channel(rng, StimConfig(1, 4, 8, 7, 2, QAM4))
     with pytest.raises(ValueError):
-        transmit(frame, ch, 0.0, rng)
+        transmit(slots, ch, 0.0, normals(rng, make_cfg()))
+
+
+@pytest.mark.parametrize("n,l,n_t,n_r", [(8, 2, 2, 4), (6, 2, 2, 4), (32, 4, 2, 4), (5, 3, 4, 1)])
+def test_chunk_transmit_equals_per_frame(n, l, n_t, n_r):
+    rng = np.random.default_rng(8)
+    cfg = StimConfig(n_t, n_r, n, n - 1, l, QAM4)
+    bits = rng.integers(0, 2, (9, bit_partition(cfg).total), dtype=np.int8)
+    taps = np.stack([draw_channel(rng, cfg).taps for _ in bits])
+    noise = rng.standard_normal((9, 2, n * n_r))
+    sigma2 = snr_to_sigma2(6.0, l)
+    chunk = transmit(encode_frame(bits, cfg), ChannelRealization(taps), sigma2, noise)
+    assert chunk.shape == (9, n * n_r)
+    for i in range(9):
+        one = transmit(encode_frame(bits[i], cfg), ChannelRealization(taps[i]), sigma2, noise[i])
+        assert np.array_equal(chunk[i], one)

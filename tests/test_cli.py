@@ -171,3 +171,10 @@ def test_frame_budget_errors_name_flags(argv, flags, capsys):
     err = capsys.readouterr().err
     assert flags in err
     assert "min_frames" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
+def test_seed_out_of_range_names_the_flag(command, seed, capsys):
+    assert main(command + ["--n-slots", "8", "--k", "7", "--seed", seed]) == 1
+    assert f"--seed must be in [0, 2**128), got {seed}" in capsys.readouterr().err

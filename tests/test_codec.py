@@ -13,6 +13,7 @@ from stimsim.codec import (
     rank_to_sap,
     repair_sap,
     sap_to_rank,
+    slot_fields,
     with_cyclic_prefix,
 )
 
@@ -78,6 +79,49 @@ def test_rank_roundtrip_exhaustive(n, k):
         assert sap_to_rank(subset, n) == r
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_chunk_ranks_match_lexicographic_order(n):
+    # sap_to_rank on a (B, k) chunk of every k-subset, for every k <= n <= 10
+    for k in range(1, n + 1):
+        ranks = sap_to_rank(np.array(lex_subsets(n, k)), n)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, np.arange(math.comb(n, k)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chunk_encode_places_every_rank(n):
+    # one chunk of frames whose slot bits run through every encodable rank
+    for k in range(1, n + 1):
+        c = cfg(n=n, k=k, l=1)
+        part = bit_partition(c)
+        ranks = np.arange(1 << part.slot_bits)
+        bits = np.random.default_rng(n).integers(0, 2, (ranks.size, part.total), dtype=np.int8)
+        shifts = np.arange(part.slot_bits - 1, -1, -1)
+        bits[:, part.antenna_bits : part.antenna_bits + part.slot_bits] = (ranks[:, None] >> shifts) & 1
+        fields = slot_fields(encode_frame(bits, c), k)
+        assert np.array_equal(fields[0], [rank_to_sap(int(r), n, k) for r in ranks])
+        assert np.array_equal(decode_frame(*fields, c), bits)
+
+
+@pytest.mark.parametrize("k,dtype", [(114, np.int64), (64, object)])
+def test_paper_scale_ranks_and_roundtrip(k, dtype):
+    # C(128, 114) < 2^63 ranks in int64; C(128, 64) >= 2^63 in Python integers
+    c = cfg(n=128, k=k, l=4)
+    part = bit_partition(c)
+    rng = np.random.default_rng(k)
+    want = [int.from_bytes(rng.bytes(16), "big") >> (128 - part.slot_bits) for _ in range(20)]
+    ranks = sap_to_rank(np.stack([rank_to_sap(r, 128, k) for r in want]), 128)
+    assert ranks.dtype == dtype
+    assert ranks.tolist() == want
+    bits = rng.integers(0, 2, (20, part.total), dtype=np.int8)
+    slots = encode_frame(bits, c)
+    assert slots.shape == (20, 128, 2)
+    assert np.array_equal(decode_frame(*slot_fields(slots, k), c), bits)
+    for i in range(3):
+        assert np.array_equal(encode_frame(bits[i], c), slots[i])
+        assert np.array_equal(decode_frame(*slot_fields(slots[i], k), c), bits[i])
+
+
 def test_first_element_excluded_rank_bound():
     # subsets not containing slot 0 rank at or above C(n-1, k-1)
     for n, k in [(8, 3), (10, 4)]:
@@ -98,31 +142,31 @@ def test_rank_out_of_range():
 
 def test_all_zero_bits():
     c = cfg()
-    frame = encode_frame(np.zeros(24, dtype=np.int8), c)
-    assert np.array_equal(frame.sap, np.arange(7))
-    assert np.array_equal(frame.antennas, np.zeros(7))
-    assert np.all(frame.symbols == QAM4.points[0])
+    sap, antennas, symbols = slot_fields(encode_frame(np.zeros(24, dtype=np.int8), c), c.k)
+    assert np.array_equal(sap, np.arange(7))
+    assert np.array_equal(antennas, np.zeros(7))
+    assert np.all(symbols == QAM4.points[0])
 
 
 def test_activation_matrix_weights():
     c = cfg()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        frame = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c)
-        weights = frame.a_mat.sum(axis=0)
+        slots = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c)
+        assert slots.shape == (c.n_slots, c.n_t)
+        weights = (slots != 0).sum(axis=1)
         assert np.all((weights == 0) | (weights == 1))
         assert weights.sum() == c.k
-        assert np.array_equal(frame.b_mat != 0, frame.a_mat.astype(bool))
 
 
 def test_cyclic_prefix_property():
     c = cfg(l=3)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        frame = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c)
-        x_mat = with_cyclic_prefix(frame.b_mat, c.l_taps)
-        assert np.array_equal(x_mat[:, : c.l_taps - 1], frame.b_mat[:, -(c.l_taps - 1) :])
-        assert np.array_equal(x_mat[:, c.l_taps - 1 :], frame.b_mat)
+        b_mat = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c).T
+        x_mat = with_cyclic_prefix(b_mat, c.l_taps)
+        assert np.array_equal(x_mat[:, : c.l_taps - 1], b_mat[:, -(c.l_taps - 1) :])
+        assert np.array_equal(x_mat[:, c.l_taps - 1 :], b_mat)
 
 
 def test_encode_wrong_length():
@@ -145,8 +189,8 @@ def test_encode_decode_roundtrip(c):
     part = bit_partition(c)
     for _ in range(400):
         bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        frame = encode_frame(bits, c)
-        assert np.array_equal(decode_frame(frame.sap, frame.antennas, frame.symbols, c), bits)
+        fields = slot_fields(encode_frame(bits, c), c.k)
+        assert np.array_equal(decode_frame(*fields, c), bits)
 
 
 def test_encodable_frame_count_small():
@@ -156,8 +200,8 @@ def test_encodable_frame_count_small():
     seen = set()
     for v in range(2**part.total):
         bits = np.array([(v >> (part.total - 1 - i)) & 1 for i in range(part.total)], dtype=np.int8)
-        frame = encode_frame(bits, c)
-        seen.add((tuple(frame.sap), tuple(frame.antennas), tuple(np.round(frame.symbols, 9))))
+        sap, antennas, symbols = slot_fields(encode_frame(bits, c), c.k)
+        seen.add((tuple(sap), tuple(antennas), tuple(np.round(symbols, 9))))
     assert len(seen) == 2**part.total
 
 
@@ -192,6 +236,18 @@ def test_repair_fallback_without_scores():
     sap, repaired = repair_sap(bad, c)
     assert repaired
     assert sap_to_rank(sap, 6) == sap_to_rank(bad, 6) % 4
+
+
+def test_chunk_decode_repairs_like_single_frames():
+    c = cfg(n=6, k=5)
+    saps = np.array(lex_subsets(6, 5))  # ranks 0..5, of which 4 and 5 are not encodable
+    antennas = np.zeros((6, 5), dtype=int)
+    symbols = QAM4.points[np.arange(30).reshape(6, 5) % 4]
+    chunk = decode_frame(saps, antennas, symbols, c)
+    for i in range(6):
+        fixed, _ = repair_sap(saps[i], c)
+        assert np.array_equal(chunk[i], decode_frame(saps[i], antennas[i], symbols[i], c))
+        assert np.array_equal(chunk[i], decode_frame(fixed, antennas[i], symbols[i], c))
 
 
 def test_decode_repairs_invalid_pattern():

@@ -19,10 +19,12 @@ from stimsim.channel import (
     snr_to_sigma2,
     transmit,
 )
-from stimsim.codec import StimConfig, bit_partition, encode_frame
+from stimsim import codec, detectors
+from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
+    _repair_each,
     _slot_count_messages,
     detect,
     ml_detect,
@@ -42,11 +44,11 @@ FIG4 = StimConfig(2, 4, 6, 5, 2, QAM4)
 def run_link(rng, cfg, snr_db):
     part = bit_partition(cfg)
     bits = rng.integers(0, 2, part.total, dtype=np.int8)
-    frame = encode_frame(bits, cfg)
+    slots = encode_frame(bits, cfg)
     ch = draw_channel(rng, cfg)
     sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
-    y = transmit(frame, ch, sigma2, rng)
-    return bits, frame, ch, y, sigma2
+    y = transmit(slots, ch, sigma2, rng.standard_normal((2, cfg.n_slots * cfg.n_r)))
+    return bits, slots, ch, y, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +102,7 @@ def test_ml_beats_random_candidates():
     residual = np.sum(np.abs(y - h @ x_ml) ** 2)
     part = bit_partition(FIG4)
     for _ in range(1000):
-        cand = encode_frame(rng.integers(0, 2, part.total, dtype=np.int8), FIG4)
-        x = cand.b_mat.T.reshape(-1)
+        x = encode_frame(rng.integers(0, 2, part.total, dtype=np.int8), FIG4).reshape(-1)
         assert residual <= np.sum(np.abs(y - h @ x) ** 2) + 1e-9
 
 
@@ -151,10 +152,11 @@ def test_mmse_antenna_accuracy_high_snr():
     rng = np.random.default_rng(7)
     correct = total = 0
     for _ in range(200):
-        bits, frame, ch, y, s2 = run_link(rng, FIG5, 30.0)
+        bits, slots, ch, y, s2 = run_link(rng, FIG5, 30.0)
         _, idx = mmse_stage(y, ch, s2)
-        correct += int(np.sum(idx[frame.sap] == frame.antennas))
-        total += frame.sap.size
+        sap, antennas, _ = slot_fields(slots, FIG5.k)
+        correct += int(np.sum(idx[sap] == antennas))
+        total += sap.size
     assert correct / total > 0.95
 
 
@@ -302,6 +304,25 @@ def test_batch_matches_single_frames(name, shape, mp, snr):
         for i, (y, ch) in enumerate(zip(ys, chs)):
             x_one, idx_one = mmse_stage(y, ch, s2)
             assert np.array_equal(x_hat[i], x_one) and np.array_equal(idx[i], idx_one)
+
+
+def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
+    # N = 6, k = 5: patterns of rank 4 and 5 are not encodable
+    saps = np.array([[1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 2, 3, 4, 5], [0, 1, 2, 4, 5]] * 3)
+    scores = np.random.default_rng(29).random((12, 6))
+    calls = []
+
+    def counted(sap, cfg, slot_scores=None):
+        calls.append(sap)
+        return codec.repair_sap(sap, cfg, slot_scores)
+
+    monkeypatch.setattr(detectors, "repair_sap", counted)
+    fixed, flags = _repair_each(saps, FIG4, scores)
+    assert len(calls) == 6  # only the out-of-range patterns
+    for i in range(12):
+        want, flag = codec.repair_sap(saps[i], FIG4, scores[i])
+        assert np.array_equal(fixed[i], want)
+        assert flags[i] == flag == (i % 2 == 0)
 
 
 def test_batch_rejects_channels_that_do_not_match_its_frames():

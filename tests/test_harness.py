@@ -46,6 +46,43 @@ def test_trial_rng_reproducible_and_distinct():
     assert not np.array_equal(a, e)
 
 
+def test_trial_rng_is_the_philox_substream():
+    # interleaved calls: each one resets the shared generator to its own stream
+    streams = [(s, p, t) for s in (0, 2**32 - 1, 2**64 + 5) for p, t in ((0, 0), (1, 7), (3, 2**40))]
+    for s, p, t in streams + streams[::-1]:
+        trial_rng(2**64 + 5, 9, 9).standard_normal(3)
+        rng = trial_rng(s, p, t)
+        ref = np.random.Generator(np.random.Philox(key=s, counter=[0, 0, p, t]))
+        # an odd-length integer draw leaves half a word buffered, then normals
+        assert np.array_equal(rng.integers(0, 2, 5, dtype=np.int8),
+                              ref.integers(0, 2, 5, dtype=np.int8))
+        assert np.array_equal(rng.standard_normal((2, 9)), ref.standard_normal((2, 9)))
+        assert np.array_equal(rng.integers(0, 2, 3, dtype=np.int8),
+                              ref.integers(0, 2, 3, dtype=np.int8))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_the_philox_key_range_rejected(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        small_spec(seed=seed)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        trial_rng(seed, 0, 0)
+    assert small_spec(seed=2**128 - 1).seed == 2**128 - 1
+
+
+def _report_blas_threads(args):
+    """Stand-in for a pool task: the worker's BLAS thread count as its counts."""
+    return np.array([harness._openblas().scipy_openblas_get_num_threads64_(), 0, 0, 0])
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    if harness._openblas() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread control")
+    monkeypatch.setattr(harness, "_run_trial_range", _report_blas_threads)
+    rec = run_ber_point(small_spec(min_frames=2, max_frames=2), 8.0, workers=2)
+    assert rec.bit_errors_antenna == 2  # two tasks, one BLAS thread each
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(system="lte")

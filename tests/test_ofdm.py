@@ -15,6 +15,10 @@ QAM4 = build_alphabet("qam4")
 QAM8 = build_alphabet("qam8")
 
 
+def normals(rng, cfg):
+    return rng.standard_normal((2, cfg.n_r * cfg.n_slots))
+
+
 def test_single_carrier_passthrough():
     cfg = OfdmConfig(1, 1, 1, QAM4)
     block = ofdm_modulate(np.array([0, 1], dtype=np.int8), cfg)
@@ -42,7 +46,7 @@ def test_modulate_demodulate_identity_channel():
     ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
     for _ in range(20):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, rng)
+        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, normals(rng, cfg))
         assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
@@ -52,7 +56,7 @@ def test_noiseless_recovery_multipath():
     for _ in range(20):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, rng)
+        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, normals(rng, cfg))
         assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
@@ -65,7 +69,7 @@ def test_cp_diagonalization():
         block = ofdm_modulate(bits, cfg)
         data = block[cfg.l_taps - 1 :]
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(block, ch, 0.0, rng)
+        y = ofdm_transmit(block, ch, 0.0, normals(rng, cfg))
         lam = np.fft.fft(ch.taps[:, :, 0], n=cfg.n_slots, axis=0).T
         lhs = np.fft.fft(y, axis=1, norm="ortho")
         rhs = lam * np.fft.fft(data, norm="ortho")[None, :]
@@ -80,7 +84,7 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
     for _ in range(10):
         block = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(block, ch, 0.0, rng)
+        y = ofdm_transmit(block, ch, 0.0, normals(rng, cfg))
         assert np.abs(y - linear_convolution_ofdm_reference(block, ch)).max() < 1e-12
 
 
@@ -92,7 +96,7 @@ def test_per_subcarrier_equals_joint_ml(n, alphabet):
     for _ in range(10):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, rng)
+        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, normals(rng, cfg))
         assert np.array_equal(ofdm_detect(y, ch, cfg), joint_ml_reference(y, ch, cfg))
 
 
@@ -104,9 +108,26 @@ def test_batch_matches_single_frames():
     for _ in range(12):
         ch = draw_channel(rng, cfg)
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        ys.append(ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, rng))
+        ys.append(ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, normals(rng, cfg)))
         chs.append(ch)
     batch = ofdm_detect(np.stack(ys), ChannelRealization(np.stack([c.taps for c in chs])), cfg)
     assert batch.shape == (12, cfg.bits_per_frame)
     for i, (y, ch) in enumerate(zip(ys, chs)):
         assert np.array_equal(batch[i], ofdm_detect(y, ch, cfg))
+
+
+def test_chunk_modulate_and_transmit_equal_per_frame():
+    rng = np.random.default_rng(6)
+    cfg = OfdmConfig(4, 6, 2, QAM8)
+    bits = rng.integers(0, 2, (11, cfg.bits_per_frame), dtype=np.int8)
+    taps = np.stack([draw_channel(rng, cfg).taps for _ in bits])
+    noise = rng.standard_normal((11, 2, cfg.n_r * cfg.n_slots))
+    s2 = snr_to_sigma2(4.0, cfg.l_taps)
+    blocks = ofdm_modulate(bits, cfg)
+    y = ofdm_transmit(blocks, ChannelRealization(taps), s2, noise)
+    assert blocks.shape == (11, cfg.n_slots + cfg.l_taps - 1)
+    assert y.shape == (11, cfg.n_r, cfg.n_slots)
+    for i in range(11):
+        block = ofdm_modulate(bits[i], cfg)
+        assert np.array_equal(blocks[i], block)
+        assert np.array_equal(y[i], ofdm_transmit(block, ChannelRealization(taps[i]), s2, noise[i]))

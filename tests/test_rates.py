@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_optimal_n
 from stimsim.rates import (
     RateParams,
-    brute_force_optimal_n,
     improvement_curve,
     k_bounds,
     ofdm_rate,
