@@ -18,7 +18,7 @@ from .alphabet import ConfigError
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    taps: np.ndarray  # (L, n_r, n_t), or (B, L, n_r, n_t) for a batch of frames
+    taps: np.ndarray  # (L, n_r, n_t) as drawn; detectors take a batch, (B, L, n_r, n_t)
 
     @property
     def l_taps(self) -> int:

@@ -167,7 +167,7 @@ def _golden_check() -> int:
         n_t=2, n_r=4, n_slots=8, k=7, l_taps=2,
         alphabet=build_alphabet("qam4", normalize=False),
     )
-    slots = encode_frame(GOLDEN_BITS, cfg)
+    slots = encode_frame(GOLDEN_BITS[None], cfg)[0]
     a_mat = (slots.T != 0).astype(np.int8)
     x_mat = with_cyclic_prefix(slots.T, cfg.l_taps)
     ok = (
@@ -233,13 +233,19 @@ def _sweep_spec(values: dict) -> SweepSpec:
     seed = values.get("seed", 0)
     if not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2**128), got {seed}")
+    # an unset frame bound defaults to a value that cannot conflict with the other
+    hi = values.get("max_frames")
+    lo = values.get("min_frames", 1000 if hi is None else min(1000, hi))
+    hi = max(100_000, lo) if hi is None else hi
+    if not 0 < lo <= hi:
+        raise ConfigError(f"need 0 < --min-frames <= --max-frames, got {lo} and {hi}")
     return SweepSpec(
         system=system,
         detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
         cfg=cfg,
         snr_points=tuple(snr_points),
-        min_frames=values.get("min_frames", 1000),
-        max_frames=values.get("max_frames", 100_000),
+        min_frames=lo,
+        max_frames=hi,
         min_bit_errors=values.get("min_bit_errors", 100),
         seed=seed,
         mp=MpParams(
@@ -251,9 +257,6 @@ def _sweep_spec(values: dict) -> SweepSpec:
 
 def cmd_ber(args) -> int:
     values = _merge(args)
-    lo, hi = values.get("min_frames", 1000), values.get("max_frames", 100_000)
-    if not 0 < lo <= hi:
-        raise ConfigError(f"need 0 < --min-frames <= --max-frames, got {lo} and {hi}")
     spec = _sweep_spec(values)
     records = run_sweep(
         spec,

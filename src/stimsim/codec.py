@@ -6,9 +6,9 @@ selecting the slot activation pattern), and symbol bits (m per used slot).
 Slot activation patterns are ordered lexicographically over sorted used-slot
 index lists, so the slot bits are the combinadic rank of the pattern.
 
-Encoding and decoding take a chunk of frames stacked on a leading axis; a
-single frame is the chunk of one, with the axis dropped again. Only
-unranking walks frame by frame.
+Encoding takes a chunk of frames stacked on a leading axis, one frame
+being the chunk of one; decoding takes decisions of any leading shape.
+Only unranking walks frame by frame.
 
 Slots and antennas are 0-based throughout.
 """
@@ -152,8 +152,8 @@ def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.n
 
 
 def encode_frame(bits, cfg: StimConfig) -> np.ndarray:
-    """Encode a source bit vector into the frame's (N, n_t) transmit slots;
-    a (B, bits) chunk gives (B, N, n_t).
+    """Encode a (B, bits) chunk of source bit vectors into the frames'
+    (B, N, n_t) transmit slots.
 
     Antenna bits are consumed per used slot in increasing slot order (bit
     value v activating antenna v), slot bits select the activation pattern by
@@ -163,10 +163,8 @@ def encode_frame(bits, cfg: StimConfig) -> np.ndarray:
     """
     bits = np.asarray(bits, dtype=np.int8)
     part = bit_partition(cfg)
-    if bits.shape[-1] != part.total:
-        raise ValueError(f"expected {part.total} bits, got {bits.shape[-1]}")
-    single = bits.ndim == 1
-    bits = bits.reshape(-1, part.total)
+    if bits.shape[1:] != (part.total,):
+        raise ValueError(f"need a chunk of bits (B, {part.total}), got shape {bits.shape}")
     n, k = cfg.n_slots, cfg.k
     ant_seg, slot_seg, sym_seg = np.split(
         bits, [part.antenna_bits, part.antenna_bits + part.slot_bits], axis=1
@@ -180,7 +178,7 @@ def encode_frame(bits, cfg: StimConfig) -> np.ndarray:
     x[np.arange(len(bits))[:, None], sap, antennas] = cfg.alphabet.points[
         pack_bits(sym_seg, k, cfg.alphabet.m_bits)
     ]
-    return x[0] if single else x
+    return x
 
 
 def slot_fields(x: np.ndarray, k: int):

@@ -3,8 +3,10 @@
 Four detectors share one result type: exhaustive ML over all encodable
 frames, a plain MMSE receiver, and the two- and three-stage message-passing
 detectors. The message-passing stages approximate slot-interference as
-Gaussian and run a damped, fixed-iteration schedule; all message arithmetic
-is done in the log domain and renormalized per message.
+Gaussian and run a damped schedule of at most ``MpParams.max_iterations``
+iterations, which a frame leaves early once no message moves more than
+``_CONVERGENCE_TOL``; all message arithmetic is done in the log domain and
+renormalized per message.
 
 Detectors take the channel as its ``cfg.l_taps`` taps; only ML forms the
 block-circulant H. The MMSE stage solves per DFT frequency, and the message
@@ -16,23 +18,24 @@ edges out changes no belief.
 
 Every detector runs on a batch of frames stacked on a leading axis: y of
 shape (B, N n_r) with taps of shape (B, L, n_r, n_t), one realization per
-frame. A single frame, y of shape (N n_r,) with taps (L, n_r, n_t), is the
-batch of one: the axis is added, the same code runs, and the axis is
-dropped again. No arithmetic crosses frames, so a frame's result does not
-depend on the batch it is in. Message passing stops per frame: a frame
-whose messages have settled keeps its state while the others iterate.
-``iterations_run`` counts the iterations of the call's loop (the largest
-per-frame count) and ``frame_iterations`` each frame's own; every other
-per-frame diagnostic carries the batch axis. ML searches frame by frame.
+frame; one frame is the batch of B = 1. No arithmetic crosses frames, so a
+frame's result does not depend on the batch it is in. Message passing
+stops per frame: a frame whose messages have settled keeps its state while
+the others iterate. ``iterations_run`` counts the iterations of the call's
+loop (the largest per-frame count) and ``frame_iterations`` each frame's
+own; every other per-frame diagnostic carries the batch axis. ML searches
+frame by frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alphabet import build_alphabet
 from .channel import ChannelRealization, band_index, build_block_circulant
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
@@ -81,21 +84,9 @@ def _normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     return w
 
 
-def _as_batch(y: np.ndarray, ch: ChannelRealization):
-    """(y, ch, single): one frame becomes a batch of one, a batch stays as is."""
-    if y.ndim == 1:
-        return y[None], ChannelRealization(ch.taps[None]), True
-    return y, ch, False
-
-
-def _finalize(sap, antennas, symbols, cfg, diagnostics, single) -> DetectionResult:
-    """Bits of a batch of decisions whose slot patterns are already encodable;
-    a single frame's result loses the frame axis again."""
-    bits = decode_frame(sap, antennas, symbols, cfg)
-    if single:
-        diagnostics = {k: v[0] if isinstance(v, np.ndarray) else v for k, v in diagnostics.items()}
-        return DetectionResult(bits[0], sap[0], antennas[0], symbols[0], diagnostics)
-    return DetectionResult(bits, sap, antennas, symbols, diagnostics)
+def _finalize(sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
+    """Bits of a batch of decisions whose slot patterns are already encodable."""
+    return DetectionResult(decode_frame(sap, antennas, symbols, cfg), sap, antennas, symbols, diagnostics)
 
 
 def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
@@ -110,11 +101,13 @@ def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
 
 
 def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> None:
-    """Reject a batch whose channels or received vectors do not fit cfg."""
+    """Reject input that is not a batch of frames whose channels and received
+    vectors fit cfg."""
     taps, size = (cfg.l_taps, cfg.n_r, cfg.n_t), cfg.n_slots * cfg.n_r
     if ch.taps.shape[1:] != taps or y.shape[1:] != (size,):
-        raise ValueError(f"channel taps {ch.taps.shape[1:]} and y {y.shape[1:]} do not fit the "
-                         f"config, which needs taps {taps} and y ({size},) per frame")
+        raise ValueError(f"channel taps {ch.taps.shape} and y {y.shape} do not fit the config, "
+                         f"which needs a batch of B frames: taps (B, {', '.join(map(str, taps))}) "
+                         f"and y (B, {size})")
     if ch.taps.shape[0] != y.shape[0]:
         raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
 
@@ -172,14 +165,10 @@ class _MlCandidates:
         return self.n_rank * self.w_a.shape[0] * self.w_b.shape[0]
 
 
-_ML_CACHE: dict[tuple, _MlCandidates] = {}
-
-
-def _ml_candidates(cfg: StimConfig) -> _MlCandidates:
-    key = (cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    if key not in _ML_CACHE:
-        _ML_CACHE[key] = _MlCandidates(cfg)
-    return _ML_CACHE[key]
+@functools.cache
+def _ml_candidates(n_t: int, n_slots: int, k: int, kind: str, normalized: bool) -> _MlCandidates:
+    """The enumeration tables of one config key; n_r and L do not enter them."""
+    return _MlCandidates(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet(kind, normalized)))
 
 
 def _half_terms(w, w_conj, g_half, c_half):
@@ -199,7 +188,6 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
     computed as a dense product over all half-combinations at once. The
     search is per frame, so a batch is searched frame by frame.
     """
-    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
     total = bit_partition(cfg).total
     if 2**total > cap:
@@ -207,12 +195,12 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
             f"ML enumeration needs 2^{total} candidates (cap 2^{int(math.log2(cap))}); "
             "use the 2ssd/3ssd detectors or raise the cap"
         )
-    cand = _ml_candidates(cfg)
+    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
     picks = [_ml_search(y_f, ChannelRealization(taps), cfg, cand) for y_f, taps in zip(y, ch.taps)]
     sap, antennas, symbols = (np.stack(a) for a in zip(*picks))
     diag = {"iterations_run": 0, "candidates": cand.n_candidates,
             "sap_repaired": np.zeros(len(y), dtype=bool)}
-    return _finalize(sap, antennas, symbols, cfg, diag, single)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _MlCandidates):
@@ -242,36 +230,27 @@ def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _Ml
             ties.append((rank, np.flatnonzero(metric.ravel() == m)))
 
     rank, flat = _lowest_bit_candidate(ties, cand, cfg)
+    return _candidate_fields(rank, flat, cand, cfg)
+
+
+def _candidate_fields(rank, flat, cand: _MlCandidates, cfg: StimConfig):
+    """(sap, antennas, symbols) of the candidate at flat index flat of slot
+    pattern rank; arrays of ranks and flat indices give one row per candidate."""
     ia, ib = divmod(flat, cand.w_b.shape[0])
-    m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]])
-    antennas = m_digits // cfg.alphabet.size
-    symbols = cfg.alphabet.points[m_digits % cfg.alphabet.size]
-    return cand.saps[rank], antennas, symbols
+    m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=-1)
+    q = cfg.alphabet.size
+    return cand.saps[rank], m_digits // q, cfg.alphabet.points[m_digits % q]
 
 
 def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
-    """Resolve exact metric ties to the candidate with the lowest bit value."""
+    """(rank, flat) of the tied candidate whose decoded bits are lowest."""
     if len(ties) == 1 and ties[0][1].size == 1:
         return ties[0][0], int(ties[0][1][0])
-    part = bit_partition(cfg)
-    q = cfg.alphabet.size
-    k = cfg.k
-    best = None
-    for rank, flats in ties:
-        ia, ib = np.divmod(flats, cand.w_b.shape[0])
-        m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=1)
-        ant_val = (m_digits // q) @ (cfg.n_t ** np.arange(k - 1, -1, -1))
-        sym_val = (m_digits % q) @ (q ** np.arange(k - 1, -1, -1))
-        bit_val = (
-            (ant_val << (part.slot_bits + part.symbol_bits))
-            | (rank << part.symbol_bits)
-            | sym_val
-        )
-        i = int(np.argmin(bit_val))
-        entry = (int(bit_val[i]), rank, int(flats[i]))
-        if best is None or entry < best:
-            best = entry
-    return best[1], best[2]
+    ranks = np.concatenate([np.full(flats.size, rank) for rank, flats in ties])
+    flats = np.concatenate([flats for _, flats in ties])
+    bits = decode_frame(*_candidate_fields(ranks, flats, cand, cfg), cfg)
+    i = np.lexsort(bits.T[::-1])[0]  # the first bit is the primary key
+    return int(ranks[i]), int(flats[i])
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +266,8 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     on the N-point transform of the taps (Falconer et al., IEEE Commun. Mag.
     2002). Returns (x_hat, indices) where indices[..., i] is the antenna with
     the largest-magnitude entry of slot i's subvector (ties to the lower
-    index); a batch gives (B, N n_t) and (B, N).
+    index), shaped (B, N n_t) and (B, N) for a batch of B frames.
     """
-    y, ch, single = _as_batch(y, ch)
     b, _, n_r, n_t = ch.taps.shape
     n = y.shape[1] // n_r
     lam = np.fft.fft(ch.taps, n=n, axis=1)
@@ -299,13 +277,12 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     x_f = np.linalg.solve(lam_h @ lam + reg * np.eye(n_t), lam_h @ y_f[..., None])
     x_hat = np.fft.ifft(x_f[..., 0], axis=1).reshape(b, -1)
     ant_idx = np.argmax(np.abs(x_hat.reshape(b, n, n_t)), axis=-1)
-    return (x_hat[0], ant_idx[0]) if single else (x_hat, ant_idx)
+    return x_hat, ant_idx
 
 
 def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimConfig) -> DetectionResult:
     """Plain MMSE receiver: k most-energetic slots are declared used, the
     antenna pick and nearest constellation point are read per used slot."""
-    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
     x_hat, ant_idx = mmse_stage(y, ch, sigma2)
     x_slots = x_hat.reshape(len(y), cfg.n_slots, cfg.n_t)
@@ -318,7 +295,7 @@ def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimC
     pts = cfg.alphabet.points
     symbols = pts[np.argmin(np.abs(est[..., None] - pts), axis=-1)]
     diag = {"iterations_run": 0, "sap_repaired": repaired}
-    return _finalize(sap, antennas, symbols, cfg, diag, single)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +367,6 @@ def ssd2_detect(
     moments use the composite per-slot belief (activity prior times the
     product of observation messages) rather than per-edge beliefs.
     """
-    y, ch, single = _as_batch(y, ch)
     _check_channel(y, ch, cfg)
     b, n, k = len(y), cfg.n_slots, cfg.k
     q_pts = cfg.alphabet.size
@@ -466,7 +442,7 @@ def ssd2_detect(
         "sap_repaired": repaired,
         "slot_posteriors": q,
     }
-    return _finalize(sap, antennas, symbols, cfg, diag, single)
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +466,6 @@ def ssd3_detect(
     Gaussian-approximated interference from the other used slots. The band
     spans all N slots, and the unused slots' edges carry no interference.
     """
-    y, ch, single = _as_batch(y, ch)
     res2 = ssd2_detect(y, ch, sigma2, cfg, mp)
     slots = res2.sap
     b, n, n_t = len(y), cfg.n_slots, cfg.n_t
@@ -564,7 +539,7 @@ def ssd3_detect(
         "stage2_iterations": res2.diagnostics["frame_iterations"],
         "beliefs": _normalize_log_rows(tot),
     }
-    return _finalize(slots, antennas, symbols, cfg, diag, single)
+    return _finalize(slots, antennas, symbols, cfg, diag)
 
 
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from stimsim.alphabet import Alphabet
-from stimsim.channel import ChannelRealization
-from stimsim.codec import decode_frame, repair_sap
+from stimsim.channel import ChannelRealization, build_block_circulant
+from stimsim.codec import StimConfig, bit_partition, decode_frame, encode_frame, repair_sap
 from stimsim.detectors import (
     _CONVERGENCE_TOL,
     _ZF_EPS,
@@ -107,6 +107,31 @@ def joint_ml_reference(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -
             best_val = val
             best_bits = np.concatenate([index_to_bits(d, m) for d in digits])
     return best_bits
+
+
+# ---------------------------------------------------------------------------
+# exhaustive ML: every bit vector through the encoder
+# ---------------------------------------------------------------------------
+
+
+def encode_table(cfg: StimConfig):
+    """(bits, x): every bit vector of cfg in increasing order of its value,
+    (2^bits, bits), and its transmit slots from encode_frame, flattened to
+    (2^bits, N n_t)."""
+    total = bit_partition(cfg).total
+    values = np.arange(2**total)
+    bits = ((values[:, None] >> np.arange(total - 1, -1, -1)) & 1).astype(np.int8)
+    return bits, encode_frame(bits, cfg).reshape(len(bits), -1)
+
+
+def exhaustive_ml(y, ch: ChannelRealization, cfg: StimConfig, table):
+    """(bits, metric): ||y - H x||^2 with the dense H for every row x of
+    encode_table(cfg), and the bits of the lowest index among its exact
+    minima, that is the lowest bits."""
+    bits, x = table
+    h = build_block_circulant(ch, cfg.n_slots)
+    metric = np.sum(np.abs(y - x @ h.T) ** 2, axis=1)
+    return bits[np.argmin(metric)], metric
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ import pytest
 
 from oracles import brute_force_optimal_n, circular_convolution_reference
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
+from stimsim.channel import (
+    ChannelRealization,
+    build_block_circulant,
+    draw_channel,
+    snr_to_sigma2,
+    transmit,
+)
 from stimsim.cli import main
 from stimsim.codec import StimConfig, bit_partition, encode_frame
 from stimsim.detectors import MpParams, ssd2_detect
@@ -121,7 +127,7 @@ def test_c05_channel_oracle():
     for i in range(100):
         n, l, n_t, n_r = shapes[i % len(shapes)]
         cfg = StimConfig(n_t, n_r, n, n - 1 if n > 1 else 1, l, QAM4)
-        x = encode_frame(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg)
+        x = encode_frame(rng.integers(0, 2, (1, bit_partition(cfg).total), dtype=np.int8), cfg)[0]
         ch = draw_channel(rng, cfg)
         h = build_block_circulant(ch, n)
         err = np.abs(h @ x.reshape(-1) - circular_convolution_reference(x, ch)).max()
@@ -238,10 +244,12 @@ def test_c09_exact_posterior_oracle():
     sigma2 = snr_to_sigma2(10.0, 1)
     rng = np.random.default_rng(0)
 
+    # every bit vector, in increasing order, and its transmit slots
+    table = encode_frame(np.array(list(product((0, 1), repeat=part.total)), dtype=np.int8), cfg)
+
     def exact_posterior(y, h):
         logps, saps = [], []
-        for bits in product((0, 1), repeat=part.total):
-            slots = encode_frame(np.array(bits, dtype=np.int8), cfg)
+        for slots in table:
             logps.append(-np.sum(np.abs(y - h @ slots.reshape(-1)) ** 2) / sigma2)
             saps.append(set(np.flatnonzero(slots.any(axis=1))))
         logps = np.array(logps)
@@ -253,17 +261,17 @@ def test_c09_exact_posterior_oracle():
                 q[l, 1 if l in sap else 0] += pi
         return q
 
-    tv_sum = 0.0
     trials = 1000
-    for _ in range(trials):
-        bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        x = encode_frame(bits, cfg)
-        ch = draw_channel(rng, cfg)
-        h = build_block_circulant(ch, cfg.n_slots)
-        y = transmit(x, ch, sigma2, rng.standard_normal((2, cfg.n_slots * cfg.n_r)))
-        res = ssd2_detect(y, ch, sigma2, cfg)
-        q_mp = res.diagnostics["slot_posteriors"]
-        tv_sum += 0.5 * np.abs(q_mp - exact_posterior(y, h)).sum(axis=1).mean()
+    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(rng, cfg).taps,
+              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(trials)]
+    bits, taps, normals = (np.stack(a) for a in zip(*draws))
+    ch = ChannelRealization(taps)
+    y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
+    q_mp = ssd2_detect(y, ch, sigma2, cfg).diagnostics["slot_posteriors"]
+    tv_sum = 0.0
+    for i in range(trials):
+        h = build_block_circulant(ChannelRealization(taps[i]), cfg.n_slots)
+        tv_sum += 0.5 * np.abs(q_mp[i] - exact_posterior(y[i], h)).sum(axis=1).mean()
     mean_tv = tv_sum / trials
     assert mean_tv <= 0.05, mean_tv
     report(9, "exact-posterior oracle", f"mean TV {mean_tv:.4f} <= 0.05 over 1000 trials")

@@ -21,7 +21,7 @@ def make_cfg(n_t=2, n_r=4, n=8, k=7, l=2):
 
 
 def random_frame(rng, cfg):
-    return encode_frame(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg)
+    return encode_frame(rng.integers(0, 2, (1, bit_partition(cfg).total), dtype=np.int8), cfg)[0]
 
 
 def normals(rng, cfg):
@@ -163,5 +163,5 @@ def test_chunk_transmit_equals_per_frame(n, l, n_t, n_r):
     chunk = transmit(encode_frame(bits, cfg), ChannelRealization(taps), sigma2, noise)
     assert chunk.shape == (9, n * n_r)
     for i in range(9):
-        one = transmit(encode_frame(bits[i], cfg), ChannelRealization(taps[i]), sigma2, noise[i])
+        one = transmit(encode_frame(bits[i : i + 1], cfg)[0], ChannelRealization(taps[i]), sigma2, noise[i])
         assert np.array_equal(chunk[i], one)

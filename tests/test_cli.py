@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stimsim.alphabet import ConfigError, build_alphabet
-from stimsim.cli import load_config_file, main
+from stimsim.cli import _sweep_spec, load_config_file, main
 from stimsim.codec import StimConfig
 from stimsim.harness import SweepSpec, run_ber_point
 
@@ -171,6 +171,26 @@ def test_frame_budget_errors_name_flags(argv, flags, capsys):
     err = capsys.readouterr().err
     assert flags in err
     assert "min_frames" not in err
+
+
+@pytest.mark.parametrize("given,bounds", [
+    ({"max_frames": 500}, (500, 500)),
+    ({"min_frames": 200_000}, (200_000, 200_000)),
+    ({"max_frames": 5000}, (1000, 5000)),
+    ({}, (1000, 100_000)),
+])
+def test_an_unset_frame_bound_does_not_conflict_with_the_given_one(given, bounds):
+    spec = _sweep_spec({"n_slots": 8, "k": 7, "snr_db": (8.0,), **given})
+    assert (spec.min_frames, spec.max_frames) == bounds
+
+
+def test_ber_with_only_max_frames_runs(capsys):
+    rc = main(["ber", "--n-slots", "8", "--k", "7", "--detector", "mmse", "--snr-db", "8",
+               "--max-frames", "20", "--deterministic"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "min_frames=20 max_frames=20" in out
+    assert out.splitlines()[-1].startswith("8,20,")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_paper_scale_ranks_and_roundtrip(k, dtype):
     assert slots.shape == (20, 128, 2)
     assert np.array_equal(decode_frame(*slot_fields(slots, k), c), bits)
     for i in range(3):
-        assert np.array_equal(encode_frame(bits[i], c), slots[i])
+        assert np.array_equal(encode_frame(bits[i : i + 1], c), slots[i : i + 1])
         assert np.array_equal(decode_frame(*slot_fields(slots[i], k), c), bits[i])
 
 
@@ -142,7 +143,7 @@ def test_rank_out_of_range():
 
 def test_all_zero_bits():
     c = cfg()
-    sap, antennas, symbols = slot_fields(encode_frame(np.zeros(24, dtype=np.int8), c), c.k)
+    sap, antennas, symbols = slot_fields(encode_frame(np.zeros((1, 24), dtype=np.int8), c)[0], c.k)
     assert np.array_equal(sap, np.arange(7))
     assert np.array_equal(antennas, np.zeros(7))
     assert np.all(symbols == QAM4.points[0])
@@ -151,27 +152,31 @@ def test_all_zero_bits():
 def test_activation_matrix_weights():
     c = cfg()
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        slots = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c)
-        assert slots.shape == (c.n_slots, c.n_t)
-        weights = (slots != 0).sum(axis=1)
-        assert np.all((weights == 0) | (weights == 1))
-        assert weights.sum() == c.k
+    slots = encode_frame(np.stack([rng.integers(0, 2, 24, dtype=np.int8) for _ in range(50)]), c)
+    assert slots.shape == (50, c.n_slots, c.n_t)
+    weights = (slots != 0).sum(axis=-1)
+    assert np.all((weights == 0) | (weights == 1))
+    assert np.all(weights.sum(axis=-1) == c.k)
 
 
 def test_cyclic_prefix_property():
     c = cfg(l=3)
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        b_mat = encode_frame(rng.integers(0, 2, 24, dtype=np.int8), c).T
+    slots = encode_frame(np.stack([rng.integers(0, 2, 24, dtype=np.int8) for _ in range(20)]), c)
+    for b_mat in slots.swapaxes(1, 2):
         x_mat = with_cyclic_prefix(b_mat, c.l_taps)
         assert np.array_equal(x_mat[:, : c.l_taps - 1], b_mat[:, -(c.l_taps - 1) :])
         assert np.array_equal(x_mat[:, c.l_taps - 1 :], b_mat)
 
 
 def test_encode_wrong_length():
-    with pytest.raises(ValueError):
-        encode_frame(np.zeros(23, dtype=np.int8), cfg())
+    with pytest.raises(ValueError, match=re.escape("(B, 24), got shape (1, 23)")):
+        encode_frame(np.zeros((1, 23), dtype=np.int8), cfg())
+
+
+def test_encode_rejects_unbatched_bits():
+    with pytest.raises(ValueError, match=re.escape("(B, 24), got shape (24,)")):
+        encode_frame(np.zeros(24, dtype=np.int8), cfg())
 
 
 @pytest.mark.parametrize(
@@ -187,20 +192,19 @@ def test_encode_wrong_length():
 def test_encode_decode_roundtrip(c):
     rng = np.random.default_rng(5)
     part = bit_partition(c)
-    for _ in range(400):
-        bits = rng.integers(0, 2, part.total, dtype=np.int8)
-        fields = slot_fields(encode_frame(bits, c), c.k)
-        assert np.array_equal(decode_frame(*fields, c), bits)
+    bits = np.stack([rng.integers(0, 2, part.total, dtype=np.int8) for _ in range(400)])
+    fields = slot_fields(encode_frame(bits, c), c.k)
+    assert np.array_equal(decode_frame(*fields, c), bits)
 
 
 def test_encodable_frame_count_small():
     # every distinct bit string gives a distinct (sap, antennas, symbols) triple
     c = cfg(n=4, k=2, l=2)
     part = bit_partition(c)
+    bits = np.array([[(v >> (part.total - 1 - i)) & 1 for i in range(part.total)]
+                     for v in range(2**part.total)], dtype=np.int8)
     seen = set()
-    for v in range(2**part.total):
-        bits = np.array([(v >> (part.total - 1 - i)) & 1 for i in range(part.total)], dtype=np.int8)
-        sap, antennas, symbols = slot_fields(encode_frame(bits, c), c.k)
+    for sap, antennas, symbols in zip(*slot_fields(encode_frame(bits, c), c.k)):
         seen.add((tuple(sap), tuple(antennas), tuple(np.round(symbols, 9))))
     assert len(seen) == 2**part.total
 

@@ -8,6 +8,8 @@ from oracles import (
     dense_mmse_stage,
     dense_ssd2_detect,
     dense_ssd3_detect,
+    encode_table,
+    exhaustive_ml,
     normalize_messages,
     reduce_model,
 )
@@ -24,6 +26,8 @@ from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
+    _lowest_bit_candidate,
+    _ml_candidates,
     _repair_each,
     _slot_count_messages,
     detect,
@@ -35,20 +39,29 @@ from stimsim.detectors import (
 )
 
 QAM4 = build_alphabet("qam4")
+QAM4_RAW = build_alphabet("qam4", normalize=False)
 BPSK = build_alphabet("bpsk")
 
 FIG5 = StimConfig(2, 4, 8, 7, 2, QAM4)
 FIG4 = StimConfig(2, 4, 6, 5, 2, QAM4)
 
 
-def run_link(rng, cfg, snr_db):
+def run_links(rng, cfg, snr_db, frames=1):
+    """(bits, slots, ch, y, sigma2) of frames links stacked on a leading axis;
+    each link draws its bits, channel taps and noise normals in turn."""
     part = bit_partition(cfg)
-    bits = rng.integers(0, 2, part.total, dtype=np.int8)
+    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(rng, cfg).taps,
+              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
+    bits, taps, normals = (np.stack(a) for a in zip(*draws))
+    ch = ChannelRealization(taps)
     slots = encode_frame(bits, cfg)
-    ch = draw_channel(rng, cfg)
     sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
-    y = transmit(slots, ch, sigma2, rng.standard_normal((2, cfg.n_slots * cfg.n_r)))
-    return bits, slots, ch, y, sigma2
+    return bits, slots, ch, transmit(slots, ch, sigma2, normals), sigma2
+
+
+def dense_h(ch, i, cfg):
+    """Frame i's dense block-circulant H."""
+    return build_block_circulant(ChannelRealization(ch.taps[i]), cfg.n_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -80,37 +93,87 @@ def test_normalize_log_linear_agreement():
 
 def test_ml_noiseless_recovery():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        bits, _, ch, y, _ = run_link(rng, FIG4, None)
-        assert np.array_equal(ml_detect(y, ch, FIG4).bits, bits)
+    bits, _, ch, y, _ = run_links(rng, FIG4, None, 20)
+    assert np.array_equal(ml_detect(y, ch, FIG4).bits, bits)
 
 
 def test_ml_candidate_count_fig4():
     rng = np.random.default_rng(2)
-    _, _, ch, y, _ = run_link(rng, FIG4, 10.0)
+    _, _, ch, y, _ = run_links(rng, FIG4, 10.0)
     res = ml_detect(y, ch, FIG4)
     assert res.diagnostics["candidates"] == 2**17
 
 
 def test_ml_beats_random_candidates():
     rng = np.random.default_rng(3)
-    bits, _, ch, y, _ = run_link(rng, FIG4, 6.0)
+    bits, _, ch, y, _ = run_links(rng, FIG4, 6.0)
     res = ml_detect(y, ch, FIG4)
-    h = build_block_circulant(ch, FIG4.n_slots)
+    h = dense_h(ch, 0, FIG4)
     x_ml = np.zeros(FIG4.n_slots * FIG4.n_t, dtype=complex)
-    x_ml[res.sap * FIG4.n_t + res.antennas] = res.symbols
-    residual = np.sum(np.abs(y - h @ x_ml) ** 2)
+    x_ml[res.sap[0] * FIG4.n_t + res.antennas[0]] = res.symbols[0]
+    residual = np.sum(np.abs(y[0] - h @ x_ml) ** 2)
     part = bit_partition(FIG4)
-    for _ in range(1000):
-        x = encode_frame(rng.integers(0, 2, part.total, dtype=np.int8), FIG4).reshape(-1)
-        assert residual <= np.sum(np.abs(y - h @ x) ** 2) + 1e-9
+    others = np.stack([rng.integers(0, 2, part.total, dtype=np.int8) for _ in range(1000)])
+    x = encode_frame(others, FIG4).reshape(1000, -1)
+    assert np.all(residual <= np.sum(np.abs(y[0] - x @ h.T) ** 2, axis=1) + 1e-9)
 
 
 def test_ml_cap_refusal():
     rng = np.random.default_rng(4)
-    _, _, ch, y, _ = run_link(rng, FIG5, 10.0)
+    _, _, ch, y, _ = run_links(rng, FIG5, 10.0)
     with pytest.raises(ValueError, match="2ssd"):
         ml_detect(y, ch, FIG5, cap=2**22)
+
+
+# Fig. 4 with the normalized and the integer-grid alphabet, and with n_t = 1 BPSK
+ML_ORACLE_CONFIGS = [FIG4, StimConfig(2, 4, 6, 5, 2, QAM4_RAW), StimConfig(1, 4, 6, 5, 2, BPSK)]
+
+
+@pytest.mark.parametrize("cfg", ML_ORACLE_CONFIGS, ids=["qam4", "qam4_raw", "nt1_bpsk"])
+def test_ml_matches_exhaustive_oracle(cfg):
+    # only frames whose oracle minimum is unique: where candidates tie
+    # mathematically (y = 0), they differ by an ulp in either computation
+    rng = np.random.default_rng(30)
+    table = encode_table(cfg)
+    checked = 0
+    for snr in (None, 3.0, 9.0, 12.0):
+        _, _, ch, y, _ = run_links(rng, cfg, snr, 6)
+        res = ml_detect(y, ch, cfg)
+        for i in range(6):
+            want, metric = exhaustive_ml(y[i], ChannelRealization(ch.taps[i]), cfg, table)
+            best, second = np.partition(metric, 1)[:2]
+            if second - best > 1e-9 * second:
+                assert np.array_equal(res.bits[i], want), (snr, i)
+                checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("cfg", ML_ORACLE_CONFIGS + [
+    StimConfig(4, 1, 4, 2, 1, build_alphabet("qam8")),
+    StimConfig(2, 1, 5, 3, 1, build_alphabet("qam8", normalize=False)),
+], ids=["qam4", "qam4_raw", "nt1_bpsk", "nt4_qam8", "qam8_raw"])
+def test_ml_ties_go_to_the_lowest_bits(cfg):
+    # random tie sets, shaped as the search builds them: ranks in increasing
+    # order, each with its sorted flat indices
+    rng = np.random.default_rng(31)
+    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
+    _, table = encode_table(cfg)
+    value_of = {row.tobytes(): v for v, row in enumerate(table)}
+    n_b = cand.w_b.shape[0]
+
+    def value(rank, flat):
+        """The oracle's bit value of a candidate, found by its transmit slots."""
+        ia, ib = divmod(flat, n_b)
+        x = np.zeros((cfg.n_slots, cfg.n_t), dtype=complex)
+        x[cand.saps[rank]] = np.concatenate([cand.w_a[ia], cand.w_b[ib]]).reshape(cfg.k, cfg.n_t)
+        return value_of[x.tobytes()]
+
+    for _ in range(300):
+        ranks = np.sort(rng.choice(cand.n_rank, rng.integers(1, cand.n_rank + 1), replace=False))
+        ties = [(int(r), np.sort(rng.choice(cand.w_a.shape[0] * n_b, rng.integers(1, 6), replace=False)))
+                for r in ranks]
+        want = min((value(r, int(f)), r, int(f)) for r, flats in ties for f in flats)
+        assert _lowest_bit_candidate(ties, cand, cfg) == want[1:]
 
 
 def test_per_slot_candidate_vectors_nt2_bpsk():
@@ -136,28 +199,24 @@ def test_mmse_zero_forcing_limit():
     ch = draw_channel(rng, cfg)
     h = build_block_circulant(ch, cfg.n_slots)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    x_hat, _ = mmse_stage(h @ x, ch, 0.0)
-    assert np.abs(x_hat - x).max() < 1e-5
+    x_hat, _ = mmse_stage((h @ x)[None], ChannelRealization(ch.taps[None]), 0.0)
+    assert np.abs(x_hat[0] - x).max() < 1e-5
 
 
 def test_mmse_single_antenna_indices():
     rng = np.random.default_rng(6)
     cfg = StimConfig(1, 2, 4, 3, 2, QAM4)
-    _, _, ch, y, s2 = run_link(rng, cfg, 10.0)
+    _, _, ch, y, s2 = run_links(rng, cfg, 10.0)
     _, idx = mmse_stage(y, ch, s2)
-    assert np.array_equal(idx, np.zeros(4, dtype=int))
+    assert np.array_equal(idx, np.zeros((1, 4), dtype=int))
 
 
 def test_mmse_antenna_accuracy_high_snr():
     rng = np.random.default_rng(7)
-    correct = total = 0
-    for _ in range(200):
-        bits, slots, ch, y, s2 = run_link(rng, FIG5, 30.0)
-        _, idx = mmse_stage(y, ch, s2)
-        sap, antennas, _ = slot_fields(slots, FIG5.k)
-        correct += int(np.sum(idx[sap] == antennas))
-        total += sap.size
-    assert correct / total > 0.95
+    _, slots, ch, y, s2 = run_links(rng, FIG5, 30.0, 200)
+    _, idx = mmse_stage(y, ch, s2)
+    sap, antennas, _ = slot_fields(slots, FIG5.k)
+    assert np.mean(np.take_along_axis(idx, sap, axis=1) == antennas) > 0.95
 
 
 def test_reduce_model_identity_and_indexing():
@@ -201,12 +260,11 @@ def test_mmse_stage_matches_dense_solve(shape):
     rng = np.random.default_rng(20)
     cfg = StimConfig(*shape, QAM4)
     for snr in (0.0, 10.0, 30.0):
-        _, _, ch, y, s2 = run_link(rng, cfg, snr)
+        _, _, ch, y, s2 = run_links(rng, cfg, snr)
         x_hat, idx = mmse_stage(y, ch, s2)
-        h = build_block_circulant(ch, cfg.n_slots)
-        x_ref, idx_ref = dense_mmse_stage(y, h, s2, cfg.n_t)
-        assert np.abs(x_hat - x_ref).max() < 1e-9
-        assert np.array_equal(idx, idx_ref)
+        x_ref, idx_ref = dense_mmse_stage(y[0], dense_h(ch, 0, cfg), s2, cfg.n_t)
+        assert np.abs(x_hat[0] - x_ref).max() < 1e-9
+        assert np.array_equal(idx[0], idx_ref)
 
 
 @pytest.mark.parametrize("shape", ORACLE_CONFIGS)
@@ -214,18 +272,18 @@ def test_banded_mp_matches_dense(shape):
     rng = np.random.default_rng(21)
     cfg = StimConfig(*shape, QAM4)
     for snr in (4.0, 8.0, 60.0):
-        for _ in range(2):
-            _, _, ch, y, s2 = run_link(rng, cfg, snr)
-            h = build_block_circulant(ch, cfg.n_slots)
-            res2, ref2 = ssd2_detect(y, ch, s2, cfg), dense_ssd2_detect(y, h, s2, cfg)
-            res3, ref3 = ssd3_detect(y, ch, s2, cfg), dense_ssd3_detect(y, h, s2, cfg)
+        _, _, ch, y, s2 = run_links(rng, cfg, snr, 2)
+        res2, res3 = ssd2_detect(y, ch, s2, cfg), ssd3_detect(y, ch, s2, cfg)
+        for i in range(2):
+            h = dense_h(ch, i, cfg)
+            ref2, ref3 = dense_ssd2_detect(y[i], h, s2, cfg), dense_ssd3_detect(y[i], h, s2, cfg)
             for res, ref in ((res2, ref2), (res3, ref3)):
                 for name in ("bits", "sap", "antennas", "symbols"):
-                    assert np.array_equal(getattr(res, name), getattr(ref, name)), name
-                assert res.diagnostics["iterations_run"] == ref.diagnostics["iterations_run"]
-            q, q_ref = res2.diagnostics["slot_posteriors"], ref2.diagnostics["slot_posteriors"]
+                    assert np.array_equal(getattr(res, name)[i], getattr(ref, name)), name
+                assert res.diagnostics["frame_iterations"][i] == ref.diagnostics["iterations_run"]
+            q, q_ref = res2.diagnostics["slot_posteriors"][i], ref2.diagnostics["slot_posteriors"]
             assert np.abs(q - q_ref).max() < 1e-9
-            b, b_ref = res3.diagnostics["beliefs"], ref3.diagnostics["beliefs"]
+            b, b_ref = res3.diagnostics["beliefs"][i], ref3.diagnostics["beliefs"]
             assert np.abs(b - b_ref).max() < 1e-9
 
 
@@ -239,30 +297,24 @@ def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
     # off-band edges of the full graph as well as the band's
     rng = np.random.default_rng(22)
     cfg = StimConfig(*shape, alphabet)
-    stopped = 0
-    for _ in range(25):
-        _, _, ch, y, s2 = run_link(rng, cfg, snr)
-        h = build_block_circulant(ch, cfg.n_slots)
-        res, ref = ssd3_detect(y, ch, s2, cfg, mp), dense_ssd3_detect(y, h, s2, cfg, mp)
-        assert res.diagnostics["iterations_run"] == ref.diagnostics["iterations_run"]
-        assert np.array_equal(res.bits, ref.bits)
-        stopped += res.diagnostics["iterations_run"] < mp.max_iterations
-    assert stopped > 0
+    _, _, ch, y, s2 = run_links(rng, cfg, snr, 25)
+    res = ssd3_detect(y, ch, s2, cfg, mp)
+    for i in range(25):
+        ref = dense_ssd3_detect(y[i], dense_h(ch, i, cfg), s2, cfg, mp)
+        assert res.diagnostics["frame_iterations"][i] == ref.diagnostics["iterations_run"]
+        assert np.array_equal(res.bits[i], ref.bits)
+    assert (res.diagnostics["frame_iterations"] < mp.max_iterations).any()
 
 
 # ---------------------------------------------------------------------------
-# a batch of frames gives each frame its own single-frame result
+# a batch of frames gives each frame its result in a batch of one
 # ---------------------------------------------------------------------------
-
-
-def stacked(chs):
-    return ChannelRealization(np.stack([ch.taps for ch in chs]))
 
 
 def frame_of(res, i):
-    """Frame i of a batch result, shaped like a single-frame result."""
-    diag = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in res.diagnostics.items()}
-    return res.bits[i], res.sap[i], res.antennas[i], res.symbols[i], diag
+    """Frame i of a batch result, shaped like the result of a batch of one."""
+    diag = {k: v[i : i + 1] if isinstance(v, np.ndarray) else v for k, v in res.diagnostics.items()}
+    return res.bits[i : i + 1], res.sap[i : i + 1], res.antennas[i : i + 1], res.symbols[i : i + 1], diag
 
 
 # (detector, config, mp, SNR): the early-stop configs above, with caps at
@@ -280,11 +332,10 @@ MIXED_BATCHES = [
 def test_batch_matches_single_frames(name, shape, mp, snr):
     rng = np.random.default_rng(27)
     cfg = StimConfig(*shape, QAM4)
-    links = [run_link(rng, cfg, snr) for _ in range(12)]
-    s2 = links[0][4]
-    ys, chs = [link[3] for link in links], [link[2] for link in links]
-    batch = detect(name, np.stack(ys), stacked(chs), s2, cfg, mp)
-    singles = [detect(name, y, ch, s2, cfg, mp) for y, ch in zip(ys, chs)]
+    _, _, ch, y, s2 = run_links(rng, cfg, snr, 12)
+    chs = [ChannelRealization(ch.taps[i : i + 1]) for i in range(12)]
+    batch = detect(name, y, ch, s2, cfg, mp)
+    singles = [detect(name, y[i : i + 1], chs[i], s2, cfg, mp) for i in range(12)]
     for i, one in enumerate(singles):
         bits, sap, antennas, symbols, diag = frame_of(batch, i)
         for got, want in ((bits, one.bits), (sap, one.sap), (antennas, one.antennas),
@@ -295,15 +346,15 @@ def test_batch_matches_single_frames(name, shape, mp, snr):
             if key != "iterations_run":  # the batch call's loop count
                 assert np.array_equal(diag[key], want), key
     if name in ("2ssd", "3ssd"):
-        counts = [int(one.diagnostics["frame_iterations"]) for one in singles]
+        counts = [int(one.diagnostics["frame_iterations"][0]) for one in singles]
         assert 0 < counts.count(mp.max_iterations) < len(counts), counts  # a mixed batch
         assert batch.diagnostics["iterations_run"] == max(counts)
         assert all(one.diagnostics["iterations_run"] == c for one, c in zip(singles, counts))
     if name == "mmse":
-        x_hat, idx = mmse_stage(np.stack(ys), stacked(chs), s2)
-        for i, (y, ch) in enumerate(zip(ys, chs)):
-            x_one, idx_one = mmse_stage(y, ch, s2)
-            assert np.array_equal(x_hat[i], x_one) and np.array_equal(idx[i], idx_one)
+        x_hat, idx = mmse_stage(y, ch, s2)
+        for i in range(12):
+            x_one, idx_one = mmse_stage(y[i : i + 1], chs[i], s2)
+            assert np.array_equal(x_hat[i : i + 1], x_one) and np.array_equal(idx[i : i + 1], idx_one)
 
 
 def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
@@ -327,9 +378,9 @@ def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
 
 def test_batch_rejects_channels_that_do_not_match_its_frames():
     rng = np.random.default_rng(28)
-    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
+    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
     with pytest.raises(ValueError, match="2 channels for 3 frames"):
-        detect("mmse", np.stack([y] * 3), stacked([ch] * 2), s2, FIG5)
+        detect("mmse", np.repeat(y, 3, axis=0), ChannelRealization(np.repeat(ch.taps, 2, axis=0)), s2, FIG5)
 
 
 def test_count_messages_match_convolutions():
@@ -348,9 +399,8 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
     rng = np.random.default_rng(24)
     cfg = StimConfig(2, 4, n_slots, k, 4, QAM4)
     s2 = snr_to_sigma2(60.0, cfg.l_taps)
-    for _ in range(3):
-        bits, _, ch, y, _ = run_link(rng, cfg, 60.0)
-        assert np.array_equal(ssd3_detect(y, ch, s2, cfg).bits, bits)
+    bits, _, ch, y, _ = run_links(rng, cfg, 60.0, 3)
+    assert np.array_equal(ssd3_detect(y, ch, s2, cfg).bits, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +408,11 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
 # ---------------------------------------------------------------------------
 
 
-def reference_ssd2_posteriors(y, ch, sigma2, cfg, iters, damp):
+def reference_ssd2_posteriors(y, h, sigma2, cfg, iters, damp):
     """Unvectorized transcription of the two-stage message equations."""
     n, k = cfg.n_slots, cfg.k
-    _, ant = mmse_stage(y, ch, sigma2)
-    hb = reduce_model(build_block_circulant(ch, n), ant, cfg.n_t)
+    _, ant = dense_mmse_stage(y, h, sigma2, cfg.n_t)
+    hb = reduce_model(h, ant, cfg.n_t)
     n_obs = y.size
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     nv = vals.size
@@ -404,38 +454,34 @@ def reference_ssd2_posteriors(y, ch, sigma2, cfg, iters, damp):
 def test_ssd2_matches_loop_reference(damp):
     rng = np.random.default_rng(10)
     cfg = StimConfig(2, 2, 4, 3, 2, QAM4)
-    for _ in range(5):
-        bits, _, ch, y, s2 = run_link(rng, cfg, 9.0)
-        res = ssd2_detect(y, ch, s2, cfg, MpParams(max_iterations=3, damping=damp))
-        q_ref = reference_ssd2_posteriors(y, ch, s2, cfg, 3, damp)
-        assert np.abs(res.diagnostics["slot_posteriors"] - q_ref).max() < 1e-9
+    _, _, ch, y, s2 = run_links(rng, cfg, 9.0, 5)
+    res = ssd2_detect(y, ch, s2, cfg, MpParams(max_iterations=3, damping=damp))
+    for i in range(5):
+        q_ref = reference_ssd2_posteriors(y[i], dense_h(ch, i, cfg), s2, cfg, 3, damp)
+        assert np.abs(res.diagnostics["slot_posteriors"][i] - q_ref).max() < 1e-9
 
 
 def test_ssd2_posteriors_are_pmfs():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        _, _, ch, y, s2 = run_link(rng, FIG5, 6.0)
-        q = ssd2_detect(y, ch, s2, FIG5).diagnostics["slot_posteriors"]
-        assert np.all(q >= 0)
-        assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-9
+    _, _, ch, y, s2 = run_links(rng, FIG5, 6.0, 10)
+    q = ssd2_detect(y, ch, s2, FIG5).diagnostics["slot_posteriors"]
+    assert np.all(q >= 0)
+    assert np.abs(q.sum(axis=-1) - 1.0).max() < 1e-9
 
 
 def test_ssd2_noiseless_consistency():
     rng = np.random.default_rng(12)
-    s2 = snr_to_sigma2(60.0, 2)
-    for _ in range(25):
-        bits, _, ch, y, _ = run_link(rng, FIG5, 60.0)
-        assert np.array_equal(ssd2_detect(y, ch, s2, FIG5).bits, bits)
+    bits, _, ch, y, s2 = run_links(rng, FIG5, 60.0, 25)
+    assert np.array_equal(ssd2_detect(y, ch, s2, FIG5).bits, bits)
 
 
 def test_ssd2_internal_consistency():
     from stimsim.codec import decode_frame
 
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        _, _, ch, y, s2 = run_link(rng, FIG5, 5.0)
-        res = ssd2_detect(y, ch, s2, FIG5)
-        assert np.array_equal(decode_frame(res.sap, res.antennas, res.symbols, FIG5), res.bits)
+    _, _, ch, y, s2 = run_links(rng, FIG5, 5.0, 10)
+    res = ssd2_detect(y, ch, s2, FIG5)
+    assert np.array_equal(decode_frame(res.sap, res.antennas, res.symbols, FIG5), res.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +491,8 @@ def test_ssd2_internal_consistency():
 
 def test_ssd3_noiseless_consistency():
     rng = np.random.default_rng(14)
-    s2 = snr_to_sigma2(60.0, 2)
-    for _ in range(25):
-        bits, _, ch, y, _ = run_link(rng, FIG5, 60.0)
-        assert np.array_equal(ssd3_detect(y, ch, s2, FIG5).bits, bits)
+    bits, _, ch, y, s2 = run_links(rng, FIG5, 60.0, 25)
+    assert np.array_equal(ssd3_detect(y, ch, s2, FIG5).bits, bits)
 
 
 def test_ssd3_single_slot_matched_filter():
@@ -457,31 +501,29 @@ def test_ssd3_single_slot_matched_filter():
     rng = np.random.default_rng(15)
     cfg = StimConfig(2, 8, 2, 1, 2, QAM4)
     pts = cfg.alphabet.points
-    for _ in range(25):
-        bits, _, ch, y, s2 = run_link(rng, cfg, 6.0)
-        res = ssd3_detect(y, ch, s2, cfg)
-        slot = int(res.sap[0])
-        g = build_block_circulant(ch, cfg.n_slots)[:, slot * 2 : slot * 2 + 2]
+    _, _, ch, y, s2 = run_links(rng, cfg, 6.0, 25)
+    res = ssd3_detect(y, ch, s2, cfg)
+    for i in range(25):
+        slot = int(res.sap[i, 0])
+        g = dense_h(ch, i, cfg)[:, slot * 2 : slot * 2 + 2]
         best = None
         for t in range(2):
             for m in range(4):
                 w = np.zeros(2, dtype=complex)
                 w[t] = pts[m]
-                val = np.sum(np.abs(y - g @ w) ** 2)
+                val = np.sum(np.abs(y[i] - g @ w) ** 2)
                 if best is None or val < best[0]:
                     best = (val, t, pts[m])
-        assert res.antennas[0] == best[1]
-        assert res.symbols[0] == best[2]
+        assert res.antennas[i, 0] == best[1]
+        assert res.symbols[i, 0] == best[2]
 
 
 def test_ssd3_not_worse_than_ssd2():
     rng = np.random.default_rng(16)
-    e2 = e3 = bits_seen = 0
-    for _ in range(800):
-        bits, _, ch, y, s2 = run_link(rng, FIG5, 8.0)
-        e2 += int((ssd2_detect(y, ch, s2, FIG5).bits != bits).sum())
-        e3 += int((ssd3_detect(y, ch, s2, FIG5).bits != bits).sum())
-        bits_seen += bits.size
+    bits, _, ch, y, s2 = run_links(rng, FIG5, 8.0, 800)
+    e2 = int((ssd2_detect(y, ch, s2, FIG5).bits != bits).sum())
+    e3 = int((ssd3_detect(y, ch, s2, FIG5).bits != bits).sum())
+    bits_seen = bits.size
     p2, p3 = e2 / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((p2 * (1 - p2) + p3 * (1 - p3)) / bits_seen)
     assert p3 <= p2 + margin
@@ -489,12 +531,10 @@ def test_ssd3_not_worse_than_ssd2():
 
 def test_ml_not_worse_than_ssd3():
     rng = np.random.default_rng(17)
-    em = e3 = bits_seen = 0
-    for _ in range(1200):
-        bits, _, ch, y, s2 = run_link(rng, FIG4, 8.0)
-        em += int((ml_detect(y, ch, FIG4).bits != bits).sum())
-        e3 += int((ssd3_detect(y, ch, s2, FIG4).bits != bits).sum())
-        bits_seen += bits.size
+    bits, _, ch, y, s2 = run_links(rng, FIG4, 8.0, 1200)
+    em = int((ml_detect(y, ch, FIG4).bits != bits).sum())
+    e3 = int((ssd3_detect(y, ch, s2, FIG4).bits != bits).sum())
+    bits_seen = bits.size
     pm, p3 = em / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((pm * (1 - pm) + p3 * (1 - p3)) / bits_seen)
     assert pm <= p3 + margin
@@ -507,19 +547,16 @@ def test_ml_not_worse_than_ssd3():
 
 def test_mmse_detect_high_snr():
     rng = np.random.default_rng(18)
-    errs = 0
-    for _ in range(50):
-        bits, _, ch, y, s2 = run_link(rng, FIG5, 40.0)
-        errs += int((mmse_detect(y, ch, s2, FIG5).bits != bits).sum())
-    assert errs == 0
+    bits, _, ch, y, s2 = run_links(rng, FIG5, 40.0, 50)
+    assert np.array_equal(mmse_detect(y, ch, s2, FIG5).bits, bits)
 
 
 def test_detect_dispatch():
     rng = np.random.default_rng(19)
-    bits, _, ch, y, s2 = run_link(rng, FIG4, 30.0)
+    bits, _, ch, y, s2 = run_links(rng, FIG4, 30.0)
     for name in ("ml", "mmse", "2ssd", "3ssd"):
         res = detect(name, y, ch, s2, FIG4)
-        assert res.bits.size == bits.size
+        assert res.bits.shape == bits.shape
     with pytest.raises(ValueError):
         detect("zf", y, ch, s2, FIG4)
 
@@ -527,19 +564,28 @@ def test_detect_dispatch():
 def test_detectors_reject_taps_that_do_not_fit_the_config():
     # one tap more than cfg.l_taps: no detector may use some of them silently
     rng = np.random.default_rng(25)
-    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
-    longer = ChannelRealization(np.concatenate([ch.taps, ch.taps[:1]]))
+    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
+    longer = ChannelRealization(np.concatenate([ch.taps, ch.taps[:, :1]], axis=1))
     for name in DETECTORS:
-        with pytest.raises(ValueError, match=re.escape("(3, 4, 2)") + ".*" + re.escape("(2, 4, 2)")):
+        with pytest.raises(ValueError, match=re.escape("(1, 3, 4, 2)") + ".*" + re.escape("(B, 2, 4, 2)")):
             detect(name, y, longer, s2, FIG5)
 
 
 def test_detectors_reject_y_that_does_not_fit_the_config():
     rng = np.random.default_rng(26)
-    _, _, ch, y, s2 = run_link(rng, FIG5, 10.0)
+    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
     for name in DETECTORS:
-        with pytest.raises(ValueError, match=re.escape("(31,)") + ".*" + re.escape("(32,)")):
-            detect(name, y[:-1], ch, s2, FIG5)
+        with pytest.raises(ValueError, match=re.escape("(1, 31)") + ".*" + re.escape("(B, 32)")):
+            detect(name, y[:, :-1], ch, s2, FIG5)
+
+
+def test_detectors_reject_an_unbatched_frame():
+    rng = np.random.default_rng(26)
+    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
+    one = ChannelRealization(ch.taps[0])
+    for name in DETECTORS:
+        with pytest.raises(ValueError, match=re.escape("taps (B, 2, 4, 2) and y (B, 32)")):
+            detect(name, y[0], one, s2, FIG5)
 
 
 def test_damping_validation():

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import joint_ml_reference, linear_convolution_ofdm_reference
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2
+from stimsim.codec import with_cyclic_prefix
 from stimsim.ofdm import (
     OfdmConfig,
     ofdm_detect,
@@ -17,6 +20,16 @@ QAM8 = build_alphabet("qam8")
 
 def normals(rng, cfg):
     return rng.standard_normal((2, cfg.n_r * cfg.n_slots))
+
+
+def links(rng, cfg, sigma2, frames):
+    """(bits, ch, y) of frames links stacked on a leading axis; each link
+    draws its bits, channel taps and noise normals in turn."""
+    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), draw_channel(rng, cfg).taps,
+              normals(rng, cfg)) for _ in range(frames)]
+    bits, taps, noise = (np.stack(a) for a in zip(*draws))
+    ch = ChannelRealization(taps)
+    return bits, ch, ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, noise)
 
 
 def test_single_carrier_passthrough():
@@ -43,21 +56,18 @@ def test_wrong_bit_count():
 def test_modulate_demodulate_identity_channel():
     rng = np.random.default_rng(1)
     cfg = OfdmConfig(1, 8, 1, QAM8)
-    ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
-    for _ in range(20):
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, normals(rng, cfg))
-        assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
+    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), normals(rng, cfg)) for _ in range(20)]
+    bits, noise = (np.stack(a) for a in zip(*draws))
+    ch = ChannelRealization(np.ones((20, 1, 1, 1), dtype=complex))
+    y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, noise)
+    assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
 def test_noiseless_recovery_multipath():
     rng = np.random.default_rng(2)
     cfg = OfdmConfig(4, 8, 3, QAM8)
-    for _ in range(20):
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, normals(rng, cfg))
-        assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
+    bits, ch, y = links(rng, cfg, 0.0, 20)
+    assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
 
 
 def test_cp_diagonalization():
@@ -66,13 +76,12 @@ def test_cp_diagonalization():
     cfg = OfdmConfig(2, 8, 3, QAM4)
     for _ in range(10):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        block = ofdm_modulate(bits, cfg)
-        data = block[cfg.l_taps - 1 :]
+        samples = ofdm_modulate(bits, cfg)
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(block, ch, 0.0, normals(rng, cfg))
+        y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
         lam = np.fft.fft(ch.taps[:, :, 0], n=cfg.n_slots, axis=0).T
         lhs = np.fft.fft(y, axis=1, norm="ortho")
-        rhs = lam * np.fft.fft(data, norm="ortho")[None, :]
+        rhs = lam * np.fft.fft(samples, norm="ortho")[None, :]
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -82,9 +91,10 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
     rng = np.random.default_rng(5)
     cfg = OfdmConfig(n_r, n, l, QAM8)
     for _ in range(10):
-        block = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
+        samples = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
+        block = with_cyclic_prefix(samples[None], l)[0]
         ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(block, ch, 0.0, normals(rng, cfg))
+        y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
         assert np.abs(y - linear_convolution_ofdm_reference(block, ch)).max() < 1e-12
 
 
@@ -92,12 +102,10 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
 def test_per_subcarrier_equals_joint_ml(n, alphabet):
     rng = np.random.default_rng(4)
     cfg = OfdmConfig(2, n, 2, alphabet)
-    s2 = snr_to_sigma2(6.0, cfg.l_taps)
-    for _ in range(10):
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        ch = draw_channel(rng, cfg)
-        y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, normals(rng, cfg))
-        assert np.array_equal(ofdm_detect(y, ch, cfg), joint_ml_reference(y, ch, cfg))
+    _, ch, y = links(rng, cfg, snr_to_sigma2(6.0, cfg.l_taps), 10)
+    detected = ofdm_detect(y, ch, cfg)
+    for i in range(10):
+        assert np.array_equal(detected[i], joint_ml_reference(y[i], ChannelRealization(ch.taps[i]), cfg))
 
 
 def test_batch_matches_single_frames():
@@ -113,7 +121,15 @@ def test_batch_matches_single_frames():
     batch = ofdm_detect(np.stack(ys), ChannelRealization(np.stack([c.taps for c in chs])), cfg)
     assert batch.shape == (12, cfg.bits_per_frame)
     for i, (y, ch) in enumerate(zip(ys, chs)):
-        assert np.array_equal(batch[i], ofdm_detect(y, ch, cfg))
+        assert np.array_equal(batch[i : i + 1], ofdm_detect(y[None], ChannelRealization(ch.taps[None]), cfg))
+
+
+def test_detect_rejects_an_unbatched_frame():
+    rng = np.random.default_rng(7)
+    cfg = OfdmConfig(4, 6, 2, QAM8)
+    _, ch, y = links(rng, cfg, 0.0, 1)
+    with pytest.raises(ValueError, match=re.escape("y (B, 4, 6) and taps (B, 2, 4, 1)")):
+        ofdm_detect(y[0], ChannelRealization(ch.taps[0]), cfg)
 
 
 def test_chunk_modulate_and_transmit_equal_per_frame():
@@ -125,7 +141,7 @@ def test_chunk_modulate_and_transmit_equal_per_frame():
     s2 = snr_to_sigma2(4.0, cfg.l_taps)
     blocks = ofdm_modulate(bits, cfg)
     y = ofdm_transmit(blocks, ChannelRealization(taps), s2, noise)
-    assert blocks.shape == (11, cfg.n_slots + cfg.l_taps - 1)
+    assert blocks.shape == (11, cfg.n_slots)
     assert y.shape == (11, cfg.n_r, cfg.n_slots)
     for i in range(11):
         block = ofdm_modulate(bits[i], cfg)
