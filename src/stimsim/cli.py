@@ -233,6 +233,9 @@ def _sweep_spec(values: dict) -> SweepSpec:
     seed = values.get("seed", 0)
     if not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2**128), got {seed}")
+    ml_cap = values.get("ml_cap", DEFAULT_ML_CAP)
+    if ml_cap < 1:
+        raise ConfigError(f"--ml-cap must be >= 1, got {ml_cap}")
     # an unset frame bound defaults to a value that cannot conflict with the other
     hi = values.get("max_frames")
     lo = values.get("min_frames", 1000 if hi is None else min(1000, hi))
@@ -251,7 +254,7 @@ def _sweep_spec(values: dict) -> SweepSpec:
         mp=MpParams(
             max_iterations=values.get("iters", 10), damping=values.get("damp", 0.3)
         ),
-        ml_cap=values.get("ml_cap", DEFAULT_ML_CAP),
+        ml_cap=ml_cap,
     )
 
 

@@ -30,7 +30,6 @@ frame by frame.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +107,15 @@ def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> No
         raise ValueError(f"channel taps {ch.taps.shape} and y {y.shape} do not fit the config, "
                          f"which needs a batch of B frames: taps (B, {', '.join(map(str, taps))}) "
                          f"and y (B, {size})")
+    _check_batch(y, ch)
+
+
+def _check_batch(y: np.ndarray, ch: ChannelRealization) -> None:
+    """Reject input that is not a batch of frames with one channel each:
+    y (B, N n_r) and taps (B, L, n_r, n_t), for any config."""
+    if ch.taps.ndim != 4 or y.ndim != 2 or y.shape[1] % ch.taps.shape[2]:
+        raise ValueError(f"need a batch of B frames: y (B, N n_r) and taps (B, L, n_r, n_t), "
+                         f"got y {y.shape} and taps {ch.taps.shape}")
     if ch.taps.shape[0] != y.shape[0]:
         raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
 
@@ -128,9 +136,12 @@ class _MlCandidates:
 
     Candidates factor as (slot pattern rank, per-slot transmit vectors).
     Each used slot sends one of the n_t * |alphabet| one-active-antenna
-    vectors; the k slots are split into two halves whose vector combinations
-    are precomputed as stacked rows, so the cross part of the quadratic form
-    becomes a single matrix product per slot pattern.
+    vectors; the k slots are split into halves A (the first ceil(k/2)) and
+    B whose vector combinations are precomputed as stacked rows w_a and
+    w_b, so that a slot pattern's whole metric is a single real matrix
+    product (_rank_metric). One instance is shared by every caller in the
+    process (``_ml_candidates``), so its arrays are read-only; the buffers
+    a search writes live in a per-call workspace (``_ml_workspace``).
     """
 
     def __init__(self, cfg: StimConfig):
@@ -140,13 +151,13 @@ class _MlCandidates:
         part = bit_partition(cfg)
         self.n_rank = 1 << part.slot_bits
         self.saps = np.stack([rank_to_sap(r, n, k) for r in range(self.n_rank)])
+        # the k n_t columns of H that each slot pattern activates
+        self.cols = (self.saps[..., None] * n_t + np.arange(n_t)).reshape(self.n_rank, -1)
         n_m = n_t * q
         # per-slot candidate vectors: antenna t sends point s at index t*q + s
         mvec = np.zeros((n_m, n_t), dtype=np.complex128)
         mvec[np.arange(n_m), np.repeat(np.arange(n_t), q)] = pts[np.tile(np.arange(q), n_t)]
-        self.n_m = n_m
-        self.k_a = (k + 1) // 2
-        self.k_b = k - self.k_a
+        k_a = (k + 1) // 2
 
         def combos(width):
             count = n_m**width
@@ -155,10 +166,13 @@ class _MlCandidates:
             ) % n_m
             return digits, mvec[digits].reshape(count, width * n_t)
 
-        self.digits_a, self.w_a = combos(self.k_a)
-        self.digits_b, self.w_b = combos(self.k_b)
+        self.digits_a, self.w_a = combos(k_a)
+        self.digits_b, self.w_b = combos(k - k_a)
         self.w_a_conj = self.w_a.conj()
         self.w_b_conj = self.w_b.conj()
+        for table in (self.saps, self.cols, self.digits_a, self.digits_b,
+                      self.w_a, self.w_b, self.w_a_conj, self.w_b_conj):
+            table.setflags(write=False)
 
     @property
     def n_candidates(self) -> int:
@@ -171,11 +185,53 @@ def _ml_candidates(n_t: int, n_slots: int, k: int, kind: str, normalized: bool) 
     return _MlCandidates(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet(kind, normalized)))
 
 
+def _ml_workspace(cand: _MlCandidates):
+    """(left, right, metric): the buffers of _rank_metric for one call.
+
+    left is [2 Re A, -2 Im A, term_a, 1] (n_a rows), right is
+    [Re W_B^T; Im W_B^T; 1; term_b] (n_b columns) and metric = left @ right.
+    Only the A and term columns of left and the term_b row of right change
+    from one slot pattern to the next; the rest is filled here.
+    """
+    n_a, width = cand.w_a.shape[0], cand.w_b.shape[1]
+    left = np.empty((n_a, 2 * width + 2))
+    left[:, -1] = 1.0
+    right = np.empty((2 * width + 2, cand.w_b.shape[0]))
+    right[:width] = cand.w_b.real.T
+    right[width : 2 * width] = cand.w_b.imag.T
+    right[-2] = 1.0
+    return left, right, np.empty((n_a, cand.w_b.shape[0]))
+
+
 def _half_terms(w, w_conj, g_half, c_half):
     """quad - 2 lin for one half: Re(w^H G w) - 2 Re(w^H c) rowwise."""
     quad = np.einsum("ij,ij->i", w_conj, w @ g_half.T).real
     lin = (w_conj @ c_half).real
     return quad - 2.0 * lin
+
+
+def _rank_metric(gram, c, rank: int, cand: _MlCandidates, work) -> np.ndarray:
+    """x^H G x - 2 Re(x^H c), that is ||y - H x||^2 - ||y||^2, of every
+    candidate x of slot pattern rank, as an (n_a, n_b) matrix over the
+    (half A, half B) combinations; it is work's metric buffer.
+
+    With A = W_A^H G_AB the cross term 2 Re(A W_B^T) is
+    2 Re A Re W_B^T - 2 Im A Im W_B^T, so the whole metric, half terms
+    included, is the one real product left @ right (_ml_workspace). The
+    factor 2 is exact in binary floating point.
+    """
+    left, right, metric = work
+    width = cand.w_b.shape[1]
+    split = cand.w_a.shape[1]
+    cols = cand.cols[rank]
+    g_r = gram[np.ix_(cols, cols)]
+    c_r = c[cols]
+    a = cand.w_a_conj @ g_r[:split, split:]
+    np.multiply(a.real, 2.0, out=left[:, :width])
+    np.multiply(a.imag, -2.0, out=left[:, width : 2 * width])
+    left[:, -2] = _half_terms(cand.w_a, cand.w_a_conj, g_r[:split, :split], c_r[:split])
+    right[-1] = _half_terms(cand.w_b, cand.w_b_conj, g_r[split:, split:], c_r[split:])
+    return np.matmul(left, right, out=metric)
 
 
 def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
@@ -184,44 +240,38 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
     G = H^H H and c = H^H y. For each slot pattern the active columns form
     a k n_t submodel; splitting the used slots into halves A/B makes the
-    candidate metric separable up to one cross matrix Re(W_A^H G_AB W_B),
-    computed as a dense product over all half-combinations at once. The
-    search is per frame, so a batch is searched frame by frame.
+    candidate metric separable up to one cross matrix Re(W_A^H G_AB W_B).
+    The metric of all half-combinations of a pattern is one real matrix
+    product (_rank_metric), written into buffers allocated once per call,
+    so no search step allocates a metric-sized array. The search is per
+    frame, so a batch is searched frame by frame.
     """
     _check_channel(y, ch, cfg)
     total = bit_partition(cfg).total
     if 2**total > cap:
         raise ValueError(
-            f"ML enumeration needs 2^{total} candidates (cap 2^{int(math.log2(cap))}); "
+            f"ML enumeration needs 2^{total} candidates (cap {cap}); "
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    picks = [_ml_search(y_f, ChannelRealization(taps), cfg, cand) for y_f, taps in zip(y, ch.taps)]
+    work = _ml_workspace(cand)
+    picks = [_ml_search(y_f, ChannelRealization(taps), cfg, cand, work) for y_f, taps in zip(y, ch.taps)]
     sap, antennas, symbols = (np.stack(a) for a in zip(*picks))
     diag = {"iterations_run": 0, "candidates": cand.n_candidates,
             "sap_repaired": np.zeros(len(y), dtype=bool)}
     return _finalize(sap, antennas, symbols, cfg, diag)
 
 
-def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _MlCandidates):
+def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _MlCandidates, work):
     """(sap, antennas, symbols) of one frame's minimum-distance candidate."""
-    n_t = cfg.n_t
     h = build_block_circulant(ch, cfg.n_slots)
     gram = h.conj().T @ h
     c = h.conj().T @ y
-    split = cand.k_a * n_t
 
     best_val = np.inf
     ties: list[tuple[int, np.ndarray]] = []
     for rank in range(cand.n_rank):
-        cols = (cand.saps[rank][:, None] * n_t + np.arange(n_t)[None, :]).ravel()
-        g_r = gram[np.ix_(cols, cols)]
-        c_r = c[cols]
-        term_a = _half_terms(cand.w_a, cand.w_a_conj, g_r[:split, :split], c_r[:split])
-        term_b = _half_terms(cand.w_b, cand.w_b_conj, g_r[split:, split:], c_r[split:])
-        metric = 2.0 * (cand.w_a_conj @ g_r[:split, split:] @ cand.w_b.T).real
-        metric += term_a[:, None]
-        metric += term_b[None, :]
+        metric = _rank_metric(gram, c, rank, cand, work)
         m = float(metric.min())
         if m < best_val:
             best_val = m
@@ -268,6 +318,7 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     the largest-magnitude entry of slot i's subvector (ties to the lower
     index), shaped (B, N n_t) and (B, N) for a batch of B frames.
     """
+    _check_batch(y, ch)
     b, _, n_r, n_t = ch.taps.shape
     n = y.shape[1] // n_r
     lam = np.fft.fft(ch.taps, n=n, axis=1)

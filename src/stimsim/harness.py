@@ -66,6 +66,8 @@ class SweepSpec:
             raise ValueError("need 0 < min_frames <= max_frames")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+        if self.ml_cap < 1:
+            raise ValueError(f"ml_cap must be >= 1, got {self.ml_cap}")
 
     @property
     def bits_per_frame(self) -> int:

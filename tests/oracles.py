@@ -134,6 +134,22 @@ def exhaustive_ml(y, ch: ChannelRealization, cfg: StimConfig, table):
     return bits[np.argmin(metric)], metric
 
 
+def ml_pattern_metric(y, ch: ChannelRealization, cfg: StimConfig, sap):
+    """||y - H x||^2 - ||y||^2 with the dense H for every candidate x whose
+    used slots are sap. Candidate f makes k per-slot choices, the digits of f
+    in base n_t |A| with the first slot most significant; choice d sends
+    point d mod |A| from antenna d // |A|."""
+    pts = cfg.alphabet.points
+    q, k = pts.size, len(sap)
+    n_m = cfg.n_t * q
+    flat = np.arange(n_m**k)
+    digits = flat[:, None] // n_m ** np.arange(k - 1, -1, -1) % n_m
+    x = np.zeros((flat.size, cfg.n_slots * cfg.n_t), dtype=np.complex128)
+    x[flat[:, None], np.asarray(sap) * cfg.n_t + digits // q] = pts[digits % q]
+    h = build_block_circulant(ch, cfg.n_slots)
+    return np.sum(np.abs(y - x @ h.T) ** 2, axis=1) - np.sum(np.abs(y) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # dense detectors: every observation against every slot of any H
 # ---------------------------------------------------------------------------

@@ -159,6 +159,20 @@ def test_ml_cap_guidance(capsys):
     assert "2ssd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_ml_cap_below_one_names_the_flag(cap, capsys):
+    argv = ["ber", "--n-slots", "6", "--k", "5", "--snr-db", "8", "--detector", "ml", "--ml-cap", cap]
+    assert main(argv) == 1
+    assert f"--ml-cap must be >= 1, got {cap}" in capsys.readouterr().err
+
+
+def test_ml_cap_is_reported_as_given(capsys):
+    rc = main(["roundtrip", "--n-slots", "8", "--k", "7", "--frames", "1",
+               "--detector", "ml", "--ml-cap", "100000"])
+    assert rc == 1
+    assert "(cap 100000)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,flags", [
     (["roundtrip", "--n-slots", "8", "--k", "7", "--frames", "0"], "--frames"),
     (["ber", "--n-slots", "8", "--k", "7", "--snr-db", "8",

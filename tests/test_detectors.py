@@ -10,6 +10,7 @@ from oracles import (
     dense_ssd3_detect,
     encode_table,
     exhaustive_ml,
+    ml_pattern_metric,
     normalize_messages,
     reduce_model,
 )
@@ -28,6 +29,8 @@ from stimsim.detectors import (
     MpParams,
     _lowest_bit_candidate,
     _ml_candidates,
+    _ml_workspace,
+    _rank_metric,
     _repair_each,
     _slot_count_messages,
     detect,
@@ -174,6 +177,54 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
                 for r in ranks]
         want = min((value(r, int(f)), r, int(f)) for r, flats in ties for f in flats)
         assert _lowest_bit_candidate(ties, cand, cfg) == want[1:]
+
+
+# the oracle configs, plus k = 1 (half B is empty, so the product has only
+# the two term columns), k = N and n_t = 4 qam8
+METRIC_CONFIGS = ML_ORACLE_CONFIGS + [
+    StimConfig(2, 2, 4, 1, 2, QAM4),
+    StimConfig(2, 2, 3, 3, 2, QAM4),
+    StimConfig(4, 1, 4, 2, 1, build_alphabet("qam8")),
+]
+
+
+@pytest.mark.parametrize("cfg", METRIC_CONFIGS,
+                         ids=["qam4", "qam4_raw", "nt1_bpsk", "k1", "k_eq_n", "nt4_qam8"])
+def test_rank_metric_matches_dense_oracle(cfg):
+    # every candidate of every slot pattern, relative to the pattern's largest metric
+    rng = np.random.default_rng(32)
+    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
+    work = _ml_workspace(cand)
+    for snr in (None, 3.0, 12.0):
+        _, _, ch, y, _ = run_links(rng, cfg, snr, 2)
+        for i in range(2):
+            one = ChannelRealization(ch.taps[i])
+            h = build_block_circulant(one, cfg.n_slots)
+            gram, c = h.conj().T @ h, h.conj().T @ y[i]
+            for rank in range(cand.n_rank):
+                want = ml_pattern_metric(y[i], one, cfg, cand.saps[rank])
+                got = _rank_metric(gram, c, rank, cand, work).ravel()
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
+
+
+def test_ml_tables_are_read_only():
+    cand = _ml_candidates(FIG4.n_t, FIG4.n_slots, FIG4.k, FIG4.alphabet.kind, FIG4.alphabet.normalized)
+    for name in ("saps", "cols", "digits_a", "digits_b", "w_a", "w_b", "w_a_conj", "w_b_conj"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cand, name)[0] = 0
+
+
+def test_interleaved_ml_calls_match_separate_calls():
+    # each call has its own workspace: alternating frames of two configs
+    # gives each frame the bits of its own config's batch call
+    rng = np.random.default_rng(33)
+    cfgs = ML_ORACLE_CONFIGS[::2]
+    links = [run_links(rng, cfg, 6.0, 5)[2:4] for cfg in cfgs]
+    separate = [ml_detect(y, ch, cfg).bits for cfg, (ch, y) in zip(cfgs, links)]
+    for i in range(5):
+        for cfg, (ch, y), want in zip(cfgs, links, separate):
+            got = ml_detect(y[i : i + 1], ChannelRealization(ch.taps[i : i + 1]), cfg).bits
+            assert np.array_equal(got[0], want[i])
 
 
 def test_per_slot_candidate_vectors_nt2_bpsk():
@@ -586,6 +637,18 @@ def test_detectors_reject_an_unbatched_frame():
     for name in DETECTORS:
         with pytest.raises(ValueError, match=re.escape("taps (B, 2, 4, 2) and y (B, 32)")):
             detect(name, y[0], one, s2, FIG5)
+
+
+def test_mmse_stage_rejects_input_that_is_not_a_batch():
+    rng = np.random.default_rng(34)
+    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0, 2)
+    shapes = re.escape("y (B, N n_r) and taps (B, L, n_r, n_t)")
+    # one frame, one frame with one channel, and N n_r = 30 with n_r = 4
+    for bad_y, bad_ch in [(y[0], ch), (y[0], ChannelRealization(ch.taps[0])), (y[:, :30], ch)]:
+        with pytest.raises(ValueError, match=shapes):
+            mmse_stage(bad_y, bad_ch, s2)
+    with pytest.raises(ValueError, match="2 channels for 1 frames"):
+        mmse_stage(y[:1], ch, s2)
 
 
 def test_damping_validation():

@@ -98,6 +98,13 @@ def test_spec_validation():
         small_spec(min_frames=600, max_frames=500)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_ml_cap_below_one_rejected(cap):
+    with pytest.raises(ValueError, match=f"ml_cap must be >= 1, got {cap}"):
+        small_spec(detector="ml", ml_cap=cap)
+    assert small_spec(detector="ml", ml_cap=1).ml_cap == 1
+
+
 def test_snr_outside_grid_rejected():
     with pytest.raises(ValueError, match=r"SNR 7 dB is not in the sweep grid \(8.0,\)"):
         run_ber_point(small_spec(), 7.0)
