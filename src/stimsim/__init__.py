@@ -9,6 +9,7 @@ from .channel import (
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
+    tap_normals,
     transmit,
 )
 from .codec import (

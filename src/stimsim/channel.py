@@ -39,13 +39,18 @@ def _tap_scales(l_taps: int) -> np.ndarray:
     return scale
 
 
-def draw_channel(rng: np.random.Generator, cfg) -> ChannelRealization:
-    """Draw one quasi-static realization for any config with n_t/n_r/l_taps."""
-    n_t, n_r, l_taps = cfg.n_t, cfg.n_r, cfg.l_taps
-    taps = _tap_scales(l_taps) * (
-        rng.standard_normal((l_taps, n_r, n_t)) + 1j * rng.standard_normal((l_taps, n_r, n_t))
-    )
-    return ChannelRealization(taps)
+def tap_normals(rng: np.random.Generator, cfg) -> np.ndarray:
+    """One realization's standard normals for any config with n_t/n_r/l_taps,
+    shaped (2, L, n_r, n_t): the real parts, then the imaginary ones."""
+    return rng.standard_normal((2, cfg.l_taps, cfg.n_r, cfg.n_t))
+
+
+def draw_channel(normals: np.ndarray) -> ChannelRealization:
+    """Quasi-static realization(s) from tap_normals: normals of shape
+    (2, L, n_r, n_t) give one (L, n_r, n_t); a chunk's stacked normals
+    (B, 2, L, n_r, n_t) give its (B, L, n_r, n_t) taps in one call."""
+    re, im = normals[..., 0, :, :, :], normals[..., 1, :, :, :]
+    return ChannelRealization(_tap_scales(normals.shape[-3]) * (re + 1j * im))
 
 
 @lru_cache(maxsize=None)

@@ -195,7 +195,7 @@ def cmd_roundtrip(args) -> int:
     snr = math.inf if args.snr is None else args.snr
     values.update(system="stim", snr_db=(snr,), min_frames=args.frames, max_frames=args.frames)
     spec = _sweep_spec(values)
-    rec = run_ber_point(spec, snr, workers=values.get("workers", 1))
+    rec = run_ber_point(spec, snr, workers=_workers(values))
     cfg = spec.cfg
     print(
         f"nt={cfg.n_t} nr={cfg.n_r} n_slots={cfg.n_slots} k={cfg.k} "
@@ -258,13 +258,20 @@ def _sweep_spec(values: dict) -> SweepSpec:
     )
 
 
+def _workers(values: dict) -> int:
+    workers = values.get("workers", 1)
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    return workers
+
+
 def cmd_ber(args) -> int:
     values = _merge(args)
     spec = _sweep_spec(values)
     records = run_sweep(
         spec,
         out_path=values.get("out"),
-        workers=values.get("workers", 1),
+        workers=_workers(values),
         deterministic=args.deterministic,
     )
     if not values.get("out"):

@@ -4,14 +4,22 @@ Every trial owns a counter-based RNG substream keyed by (seed, SNR point
 index, trial index), so per-trial results never depend on scheduling and
 aggregate counts are identical for any worker count. Trials execute in
 fixed-size batches; the stopping rule is evaluated only at batch boundaries,
-which keeps the stopping decision worker-independent too. Within a batch,
-each trial makes its random draws from its own substream; everything after
-the draws (encode, transmit, detect, decode, count) runs on stacked chunks
-of trials, one call per chunk.
+in batch order, which keeps the stopping decision worker-independent too.
+Within a batch, each trial makes its random draws from its own substream;
+everything after the draws (channel taps, encode, transmit, detect, decode,
+count) runs on stacked chunks of trials, one call per chunk.
+
+With more than one worker, a sweep runs all of its points on one process
+pool. Each batch is split into one task per worker, and the next batch's
+tasks are submitted before this batch's counts are collected, so the
+workers do not idle while the stopping rule is checked. A batch past the
+stop never counts: its tasks that have not started are cancelled, so an
+early-stopping point discards at most one batch of work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization, draw_channel, snr_to_sigma2, transmit
+from .channel import draw_channel, snr_to_sigma2, tap_normals, transmit
 from .codec import StimConfig, bit_partition, encode_frame
 from .detectors import DEFAULT_ML_CAP, DETECTORS, MpParams, detect
 from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
@@ -131,11 +139,12 @@ def _chunk_frames(cfg: StimConfig | OfdmConfig) -> int:
 
 
 def _draw_trial(spec: SweepSpec, point_index: int, trial: int, n_bits: int):
-    """One trial's draws from its own substream, in a fixed order: channel
-    taps, bits, then the real and imaginary standard normals of the noise."""
+    """One trial's draws from its own substream, in a fixed order: the
+    standard normals of the channel taps, bits, then the real and imaginary
+    standard normals of the noise."""
     rng = trial_rng(spec.seed, point_index, trial)
     cfg = spec.cfg
-    taps = draw_channel(rng, cfg).taps
+    taps = tap_normals(rng, cfg)
     bits = rng.integers(0, 2, n_bits, dtype=np.int8)
     return taps, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
 
@@ -160,7 +169,7 @@ def _run_trial_range(args):
     for start in range(lo, hi, step):
         draws = [_draw_trial(spec, point_index, t, n_bits) for t in range(start, min(start + step, hi))]
         taps, bits, normals = (np.stack(a) for a in zip(*draws))
-        ch = ChannelRealization(taps)
+        ch = draw_channel(taps)
         if spec.system == "stim":
             y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
             detected = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap).bits
@@ -196,43 +205,89 @@ def _one_blas_thread() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerRecord:
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of ``workers`` processes with one BLAS thread each, or None for
+    one worker (trials then run in this process). On exit the tasks that have
+    not started are cancelled and the workers are joined."""
+    _check_workers(workers)
+    if workers == 1:
+        yield None
+        return
+    _openblas()  # resolved here, so a forked worker only makes the call
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _batch_counts(
+    spec: SweepSpec, point_index: int, sigma2: float, workers: int, pool: ProcessPoolExecutor | None
+):
+    """(end, error counts) of each batch of the point, in order, up to
+    max_frames. A batch is split into one contiguous task per worker.
+
+    Without a pool each batch runs here when it is asked for. With one, the
+    next batch's tasks are in flight while this batch's counts are collected;
+    closing the generator cancels those of them that have not started.
+    """
+
+    def tasks(lo: int, hi: int):
+        edges = np.linspace(lo, hi, workers + 1, dtype=int)
+        return [(spec, point_index, int(a), int(b), sigma2)
+                for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+    batches = [(lo, min(lo + BATCH_FRAMES, spec.max_frames))
+               for lo in range(0, spec.max_frames, BATCH_FRAMES)]
+    if pool is None:
+        for lo, hi in batches:
+            yield hi, sum(_run_trial_range(t) for t in tasks(lo, hi))
+        return
+
+    def submit(lo: int, hi: int):
+        return [pool.submit(_run_trial_range, t) for t in tasks(lo, hi)]
+
+    in_flight = submit(*batches[0])
+    try:
+        for i, (_, hi) in enumerate(batches):
+            current = in_flight
+            in_flight = submit(*batches[i + 1]) if i + 1 < len(batches) else []
+            yield hi, sum(f.result() for f in current)
+    finally:
+        for f in in_flight:
+            f.cancel()
+
+
+def run_ber_point(
+    spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: ProcessPoolExecutor | None = None
+) -> BerRecord:
     """Estimate BER at one SNR point of the sweep grid.
 
     Runs frames until min_bit_errors and min_frames are both met (checked at
-    fixed batch boundaries) or max_frames is reached.
+    fixed batch boundaries) or max_frames is reached. ``pool`` is a sweep's
+    pool of ``workers`` processes; without one, a point on more than one
+    worker opens and closes its own.
     """
     if snr_db not in spec.snr_points:
         raise ValueError(f"SNR {snr_db:g} dB is not in the sweep grid {spec.snr_points}")
+    _check_workers(workers)  # also when a pool is given: no tasks would run
     point_index = spec.snr_points.index(snr_db)
     sigma2 = snr_to_sigma2(snr_db, spec.cfg.l_taps)
     acc = np.zeros(4, dtype=np.int64)
     frames = 0
-    pool = None
-    if workers > 1:
-        _openblas()  # resolved here, so a forked worker only makes the call
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-    try:
-        while frames < spec.max_frames:
-            hi = min(frames + BATCH_FRAMES, spec.max_frames)
-            if pool is None:
-                acc += _run_trial_range((spec, point_index, frames, hi, sigma2))
-            else:
-                edges = np.linspace(frames, hi, workers + 1, dtype=int)
-                tasks = [
-                    (spec, point_index, int(lo), int(up), sigma2)
-                    for lo, up in zip(edges[:-1], edges[1:])
-                    if up > lo
-                ]
-                for part in pool.map(_run_trial_range, tasks):
-                    acc += part
-            frames = hi
-            errors = int(acc[0] + acc[1] + acc[2])
-            if errors >= spec.min_bit_errors and frames >= spec.min_frames:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with (_worker_pool(workers) if pool is None else contextlib.nullcontext(pool)) as pool:
+        with contextlib.closing(_batch_counts(spec, point_index, sigma2, workers, pool)) as batches:
+            for frames, counts in batches:
+                acc += counts
+                errors = int(acc[0] + acc[1] + acc[2])
+                if errors >= spec.min_bit_errors and frames >= spec.min_frames:
+                    break
     return BerRecord(
         snr_db=snr_db,
         frames=frames,
@@ -282,8 +337,11 @@ def run_sweep(
     workers: int = 1,
     deterministic: bool = False,
 ) -> list[BerRecord]:
-    """Run every SNR point of the sweep and optionally write the CSV."""
-    records = [run_ber_point(spec, snr, workers=workers) for snr in spec.snr_points]
+    """Run every SNR point of the sweep, all on one pool when workers > 1,
+    and optionally write the CSV. The pool's workers are joined before this
+    returns or raises."""
+    with _worker_pool(workers) as pool:
+        records = [run_ber_point(spec, snr, workers=workers, pool=pool) for snr in spec.snr_points]
     if out_path is not None:
         text = sweep_csv(spec, records, deterministic=deterministic)
         with open(out_path, "w") as fh:

@@ -19,6 +19,7 @@ from stimsim.channel import (
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
+    tap_normals,
     transmit,
 )
 from stimsim.cli import main
@@ -128,7 +129,7 @@ def test_c05_channel_oracle():
         n, l, n_t, n_r = shapes[i % len(shapes)]
         cfg = StimConfig(n_t, n_r, n, n - 1 if n > 1 else 1, l, QAM4)
         x = encode_frame(rng.integers(0, 2, (1, bit_partition(cfg).total), dtype=np.int8), cfg)[0]
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         h = build_block_circulant(ch, n)
         err = np.abs(h @ x.reshape(-1) - circular_convolution_reference(x, ch)).max()
         worst = max(worst, err)
@@ -262,7 +263,7 @@ def test_c09_exact_posterior_oracle():
         return q
 
     trials = 1000
-    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(rng, cfg).taps,
+    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
               rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(trials)]
     bits, taps, normals = (np.stack(a) for a in zip(*draws))
     ch = ChannelRealization(taps)

@@ -9,6 +9,7 @@ from stimsim.channel import (
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
+    tap_normals,
     transmit,
 )
 from stimsim.codec import StimConfig, bit_partition, encode_frame
@@ -31,7 +32,7 @@ def normals(rng, cfg):
 def test_tap_variances_follow_pdp():
     rng = np.random.default_rng(0)
     cfg = make_cfg(n_t=2, n_r=2, l=3)
-    samples = np.stack([draw_channel(rng, cfg).taps for _ in range(50_000)])
+    samples = draw_channel(np.stack([tap_normals(rng, cfg) for _ in range(50_000)])).taps
     var = np.mean(np.abs(samples) ** 2, axis=(0, 2, 3))
     # 50k draws x 4 entries: standard error of the variance ~ e^-l / sqrt(2e5)
     for l in range(3):
@@ -39,17 +40,30 @@ def test_tap_variances_follow_pdp():
         assert abs(var[l] - np.exp(-l)) < 3.5 * se
 
 
+def test_chunk_taps_equal_each_realization_drawn_alone():
+    cfg = make_cfg(n_t=2, n_r=4, l=3)
+    chunk = draw_channel(np.stack([tap_normals(np.random.default_rng(9), cfg)] * 2
+                                  + [tap_normals(np.random.default_rng(10), cfg)])).taps
+    shape = (cfg.l_taps, cfg.n_r, cfg.n_t)
+    scale = np.sqrt(np.exp(-np.arange(cfg.l_taps)) / 2)[:, None, None]
+    for taps, seed in zip(chunk, (9, 9, 10)):
+        rng = np.random.default_rng(seed)
+        # a realization draws all of its real parts, then all of its imaginary ones
+        assert np.array_equal(taps, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        assert np.array_equal(taps, draw_channel(tap_normals(np.random.default_rng(seed), cfg)).taps)
+
+
 def test_draw_deterministic_given_seed():
     cfg = make_cfg()
-    a = draw_channel(np.random.default_rng(42), cfg)
-    b = draw_channel(np.random.default_rng(42), cfg)
+    a = draw_channel(tap_normals(np.random.default_rng(42), cfg))
+    b = draw_channel(tap_normals(np.random.default_rng(42), cfg))
     assert np.array_equal(a.taps, b.taps)
 
 
 def test_single_tap_block_diagonal():
     rng = np.random.default_rng(1)
     cfg = make_cfg(n_r=2, l=1)
-    ch = draw_channel(rng, cfg)
+    ch = draw_channel(tap_normals(rng, cfg))
     h = build_block_circulant(ch, 4)
     for r in range(4):
         for c in range(4):
@@ -78,7 +92,7 @@ def test_band_index_is_shared_and_read_only():
 
 def test_block_circulant_requires_n_ge_l():
     rng = np.random.default_rng(2)
-    ch = draw_channel(rng, make_cfg(l=2))
+    ch = draw_channel(tap_normals(rng, make_cfg(l=2)))
     with pytest.raises(ConfigError):
         build_block_circulant(ch, 1)
 
@@ -92,7 +106,7 @@ def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
     cfg = StimConfig(n_t, n_r, n, max(1, n - 1), l, QAM4)
     for _ in range(25):
         slots = random_frame(rng, cfg)
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         h = build_block_circulant(ch, n)
         x = slots.reshape(-1)
         ref = circular_convolution_reference(slots, ch)
@@ -117,7 +131,7 @@ def test_transmit_noiseless_equals_hx():
     cfg = make_cfg()
     for _ in range(20):
         slots = random_frame(rng, cfg)
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         y = transmit(slots, ch, 0.0, normals(rng, cfg))
         assert np.abs(y - circular_convolution_reference(slots, ch)).max() < 1e-10
 
@@ -147,7 +161,7 @@ def test_snr_to_sigma2():
 def test_transmit_dimension_mismatch():
     rng = np.random.default_rng(7)
     slots = random_frame(rng, make_cfg(n_t=2))
-    ch = draw_channel(rng, StimConfig(1, 4, 8, 7, 2, QAM4))
+    ch = draw_channel(tap_normals(rng, StimConfig(1, 4, 8, 7, 2, QAM4)))
     with pytest.raises(ValueError):
         transmit(slots, ch, 0.0, normals(rng, make_cfg()))
 
@@ -157,7 +171,7 @@ def test_chunk_transmit_equals_per_frame(n, l, n_t, n_r):
     rng = np.random.default_rng(8)
     cfg = StimConfig(n_t, n_r, n, n - 1, l, QAM4)
     bits = rng.integers(0, 2, (9, bit_partition(cfg).total), dtype=np.int8)
-    taps = np.stack([draw_channel(rng, cfg).taps for _ in bits])
+    taps = np.stack([draw_channel(tap_normals(rng, cfg)).taps for _ in bits])
     noise = rng.standard_normal((9, 2, n * n_r))
     sigma2 = snr_to_sigma2(6.0, l)
     chunk = transmit(encode_frame(bits, cfg), ChannelRealization(taps), sigma2, noise)

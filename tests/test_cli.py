@@ -212,3 +212,10 @@ def test_ber_with_only_max_frames_runs(capsys):
 def test_seed_out_of_range_names_the_flag(command, seed, capsys):
     assert main(command + ["--n-slots", "8", "--k", "7", "--seed", seed]) == 1
     assert f"--seed must be in [0, 2**128), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
+def test_workers_below_one_names_the_flag(command, workers, capsys):
+    assert main(command + ["--n-slots", "8", "--k", "7", "--workers", workers]) == 1
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from stimsim.channel import (
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
+    tap_normals,
     transmit,
 )
 from stimsim import codec, detectors
@@ -53,7 +54,7 @@ def run_links(rng, cfg, snr_db, frames=1):
     """(bits, slots, ch, y, sigma2) of frames links stacked on a leading axis;
     each link draws its bits, channel taps and noise normals in turn."""
     part = bit_partition(cfg)
-    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(rng, cfg).taps,
+    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
               rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
     bits, taps, normals = (np.stack(a) for a in zip(*draws))
     ch = ChannelRealization(taps)
@@ -247,7 +248,7 @@ def test_mmse_zero_forcing_limit():
     # mmse_stage takes H to be block-circulant: with sigma2 = 0 it inverts it
     rng = np.random.default_rng(5)
     cfg = StimConfig(2, 2, 6, 5, 3, QAM4)
-    ch = draw_channel(rng, cfg)
+    ch = draw_channel(tap_normals(rng, cfg))
     h = build_block_circulant(ch, cfg.n_slots)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     x_hat, _ = mmse_stage((h @ x)[None], ChannelRealization(ch.taps[None]), 0.0)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,65 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_trial_range", _report_blas_threads)
     rec = run_ber_point(small_spec(min_frames=2, max_frames=2), 8.0, workers=2)
     assert rec.bit_errors_antenna == 2  # two tasks, one BLAS thread each
+
+
+def test_one_pool_per_sweep(monkeypatch):
+    built = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    spec = small_spec(detector="mmse", snr_points=(4.0, 8.0, 12.0), min_frames=300, max_frames=300)
+    run_sweep(spec, workers=2)
+    assert built == [2]  # three points, one pool
+    run_sweep(spec, workers=1)
+    run_ber_point(spec, 8.0)
+    assert built == [2]  # one worker never builds a pool
+    run_ber_point(spec, 8.0, workers=3)
+    assert built == [2, 3]  # a point run alone opens its own
+
+
+def _fail_in_worker(args):
+    raise RuntimeError(f"trials {args[2]}-{args[3]} failed")
+
+
+def test_no_worker_outlives_a_sweep(monkeypatch):
+    spec = small_spec(detector="mmse", snr_points=(4.0, 8.0), min_frames=300, max_frames=600)
+    run_sweep(spec, workers=2)
+    assert multiprocessing.active_children() == []
+    run_ber_point(spec, 8.0, workers=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "_run_trial_range", _fail_in_worker)
+    with pytest.raises(RuntimeError, match="trials 0-128 failed"):
+        run_sweep(spec, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="trials 0-85 failed"):
+        run_ber_point(spec, 4.0, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_early_stopping_rows_do_not_depend_on_the_worker_count():
+    # 1000 frames is not a whole number of batches; the points stop after one
+    # batch, after three, and not at all (the last batch has 232 frames)
+    spec = small_spec(detector="mmse", snr_points=(4.0, 6.0, 10.0), min_frames=100,
+                      max_frames=1000, min_bit_errors=300)
+    serial = run_sweep(spec, workers=1)
+    assert [r.frames for r in serial] == [256, 768, 1000]
+    for workers in (2, 3):
+        assert run_sweep(spec, workers=workers) == serial
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(workers):
+    spec = small_spec(min_frames=8, max_frames=8)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_sweep(spec, workers=workers)
+    for pool in (None, object()):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_ber_point(spec, 8.0, workers=workers, pool=pool)
 
 
 def test_spec_validation():

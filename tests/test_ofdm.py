@@ -5,7 +5,7 @@ import pytest
 
 from oracles import joint_ml_reference, linear_convolution_ofdm_reference
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2
+from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2, tap_normals
 from stimsim.codec import with_cyclic_prefix
 from stimsim.ofdm import (
     OfdmConfig,
@@ -25,7 +25,7 @@ def normals(rng, cfg):
 def links(rng, cfg, sigma2, frames):
     """(bits, ch, y) of frames links stacked on a leading axis; each link
     draws its bits, channel taps and noise normals in turn."""
-    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), draw_channel(rng, cfg).taps,
+    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
               normals(rng, cfg)) for _ in range(frames)]
     bits, taps, noise = (np.stack(a) for a in zip(*draws))
     ch = ChannelRealization(taps)
@@ -77,7 +77,7 @@ def test_cp_diagonalization():
     for _ in range(10):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         samples = ofdm_modulate(bits, cfg)
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
         lam = np.fft.fft(ch.taps[:, :, 0], n=cfg.n_slots, axis=0).T
         lhs = np.fft.fft(y, axis=1, norm="ortho")
@@ -93,7 +93,7 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
     for _ in range(10):
         samples = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
         block = with_cyclic_prefix(samples[None], l)[0]
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
         assert np.abs(y - linear_convolution_ofdm_reference(block, ch)).max() < 1e-12
 
@@ -114,7 +114,7 @@ def test_batch_matches_single_frames():
     s2 = snr_to_sigma2(4.0, cfg.l_taps)
     ys, chs = [], []
     for _ in range(12):
-        ch = draw_channel(rng, cfg)
+        ch = draw_channel(tap_normals(rng, cfg))
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         ys.append(ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, normals(rng, cfg)))
         chs.append(ch)
@@ -136,7 +136,7 @@ def test_chunk_modulate_and_transmit_equal_per_frame():
     rng = np.random.default_rng(6)
     cfg = OfdmConfig(4, 6, 2, QAM8)
     bits = rng.integers(0, 2, (11, cfg.bits_per_frame), dtype=np.int8)
-    taps = np.stack([draw_channel(rng, cfg).taps for _ in bits])
+    taps = np.stack([draw_channel(tap_normals(rng, cfg)).taps for _ in bits])
     noise = rng.standard_normal((11, 2, cfg.n_r * cfg.n_slots))
     s2 = snr_to_sigma2(4.0, cfg.l_taps)
     blocks = ofdm_modulate(bits, cfg)
