@@ -10,11 +10,15 @@ everything after the draws (channel taps, encode, transmit, detect, decode,
 count) runs on stacked chunks of trials, one call per chunk.
 
 With more than one worker, a sweep runs all of its points on one process
-pool. Each batch is split into one task per worker, and the next batch's
-tasks are submitted before this batch's counts are collected, so the
-workers do not idle while the stopping rule is checked. A batch past the
-stop never counts: its tasks that have not started are cancelled, so an
-early-stopping point discards at most one batch of work.
+pool. Each batch is split into one task per worker. While the stopping rule
+is not expected to fire at the end of a batch, the next batch's tasks are
+submitted before this batch's counts are collected, so the workers do not
+idle while the parent checks the rule. The rule is expected to fire once the
+frame minimum is met and the bit errors so far, projected at their rate to
+the end of the batch, reach the error minimum. A batch past the stop never
+counts, and a task cannot be withdrawn once it is submitted, so a point
+whose stop was not expected discards one batch of work; one whose stop was
+expected discards none.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,89 +210,82 @@ def _one_blas_thread() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+@dataclass(frozen=True)
+class _Pool:
+    """``workers`` processes with one BLAS thread each, or, for one worker,
+    no executor: the trials then run in this process."""
+
+    workers: int
+    executor: ProcessPoolExecutor | None
+
+    def start(self, spec: SweepSpec, point_index: int, sigma2: float, lo: int, hi: int
+              ) -> Callable[[], np.ndarray]:
+        """Start trials [lo, hi), split into one contiguous task per worker,
+        and return the call that waits for their summed counts. Without an
+        executor the tasks run in that call."""
+        edges = np.linspace(lo, hi, self.workers + 1, dtype=int)
+        tasks = [(spec, point_index, int(a), int(b), sigma2)
+                 for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        if self.executor is None:
+            return lambda: sum(_run_trial_range(t) for t in tasks)
+        futures = [self.executor.submit(_run_trial_range, t) for t in tasks]
+        return lambda: sum(f.result() for f in futures)
 
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """A pool of ``workers`` processes with one BLAS thread each, or None for
-    one worker (trials then run in this process). On exit the tasks that have
-    not started are cancelled and the workers are joined."""
-    _check_workers(workers)
+    """A _Pool of ``workers``; its processes are joined on exit."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
-        yield None
+        yield _Pool(1, None)
         return
     _openblas()  # resolved here, so a forked worker only makes the call
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
+        yield _Pool(workers, executor)
 
 
-def _batch_counts(
-    spec: SweepSpec, point_index: int, sigma2: float, workers: int, pool: ProcessPoolExecutor | None
-):
-    """(end, error counts) of each batch of the point, in order, up to
-    max_frames. A batch is split into one contiguous task per worker.
-
-    Without a pool each batch runs here when it is asked for. With one, the
-    next batch's tasks are in flight while this batch's counts are collected;
-    closing the generator cancels those of them that have not started.
-    """
-
-    def tasks(lo: int, hi: int):
-        edges = np.linspace(lo, hi, workers + 1, dtype=int)
-        return [(spec, point_index, int(a), int(b), sigma2)
-                for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-    batches = [(lo, min(lo + BATCH_FRAMES, spec.max_frames))
-               for lo in range(0, spec.max_frames, BATCH_FRAMES)]
-    if pool is None:
-        for lo, hi in batches:
-            yield hi, sum(_run_trial_range(t) for t in tasks(lo, hi))
-        return
-
-    def submit(lo: int, hi: int):
-        return [pool.submit(_run_trial_range, t) for t in tasks(lo, hi)]
-
-    in_flight = submit(*batches[0])
-    try:
-        for i, (_, hi) in enumerate(batches):
-            current = in_flight
-            in_flight = submit(*batches[i + 1]) if i + 1 < len(batches) else []
-            yield hi, sum(f.result() for f in current)
-    finally:
-        for f in in_flight:
-            f.cancel()
+def _stop_expected(spec: SweepSpec, errors: int, lo: int, hi: int) -> bool:
+    """Whether the stopping rule is expected to fire at the end of batch
+    [lo, hi), given the bit errors of its first lo frames: once hi meets
+    min_frames, if those errors projected at their rate to hi reach
+    min_bit_errors (always when they already do)."""
+    return hi >= spec.min_frames and errors * hi >= spec.min_bit_errors * max(lo, 1)
 
 
-def run_ber_point(
-    spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: ProcessPoolExecutor | None = None
-) -> BerRecord:
+def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: _Pool | None = None
+                  ) -> BerRecord:
     """Estimate BER at one SNR point of the sweep grid.
 
     Runs frames until min_bit_errors and min_frames are both met (checked at
     fixed batch boundaries) or max_frames is reached. ``pool`` is a sweep's
-    pool of ``workers`` processes; without one, a point on more than one
-    worker opens and closes its own.
+    open pool, which brings its own worker count; without one the point opens
+    and closes a pool of ``workers``.
     """
     if snr_db not in spec.snr_points:
         raise ValueError(f"SNR {snr_db:g} dB is not in the sweep grid {spec.snr_points}")
-    _check_workers(workers)  # also when a pool is given: no tasks would run
     point_index = spec.snr_points.index(snr_db)
     sigma2 = snr_to_sigma2(snr_db, spec.cfg.l_taps)
+    batches = [(lo, min(lo + BATCH_FRAMES, spec.max_frames))
+               for lo in range(0, spec.max_frames, BATCH_FRAMES)]
     acc = np.zeros(4, dtype=np.int64)
     frames = 0
     with (_worker_pool(workers) if pool is None else contextlib.nullcontext(pool)) as pool:
-        with contextlib.closing(_batch_counts(spec, point_index, sigma2, workers, pool)) as batches:
-            for frames, counts in batches:
-                acc += counts
-                errors = int(acc[0] + acc[1] + acc[2])
-                if errors >= spec.min_bit_errors and frames >= spec.min_frames:
-                    break
+        start = functools.partial(pool.start, spec, point_index, sigma2)
+        collect = start(*batches[0])
+        for i, (lo, hi) in enumerate(batches):
+            following = batches[i + 1 : i + 2]
+            # the next batch runs while this one is collected, unless the stop is expected
+            ahead = start(*following[0]) if following and not _stop_expected(
+                spec, int(acc[:3].sum()), lo, hi) else None
+            acc += collect()
+            frames = hi
+            if acc[:3].sum() >= spec.min_bit_errors and frames >= spec.min_frames:
+                # a batch sent ahead is not read: one worker would never have
+                # run it, so neither its counts nor its failure may show
+                break
+            if following:
+                collect = ahead or start(*following[0])
     return BerRecord(
         snr_db=snr_db,
         frames=frames,
@@ -341,7 +339,7 @@ def run_sweep(
     and optionally write the CSV. The pool's workers are joined before this
     returns or raises."""
     with _worker_pool(workers) as pool:
-        records = [run_ber_point(spec, snr, workers=workers, pool=pool) for snr in spec.snr_points]
+        records = [run_ber_point(spec, snr, pool=pool) for snr in spec.snr_points]
     if out_path is not None:
         text = sweep_csv(spec, records, deterministic=deterministic)
         with open(out_path, "w") as fh:

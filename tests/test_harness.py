@@ -134,14 +134,40 @@ def test_early_stopping_rows_do_not_depend_on_the_worker_count():
         assert run_sweep(spec, workers=workers) == serial
 
 
+def test_work_past_a_stop_only_where_the_stop_was_not_expected(monkeypatch):
+    ran = {}
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def submit(self, fn, args):
+            future = super().submit(fn, args)
+            ran.setdefault(args[1], []).append((args[3], future))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # no errors are known before the first batch, so the 4 dB point runs one
+    # batch past its stop at 256; at 6 dB the errors of the first 512 frames
+    # project past 300 at 768, so nothing runs past that stop
+    spec = small_spec(detector="mmse", snr_points=(4.0, 6.0, 10.0), min_frames=100,
+                      max_frames=1000, min_bit_errors=300)
+    assert [r.frames for r in run_sweep(spec, workers=2)] == [256, 768, 1000]
+    # every submitted task ran to its end: none is withdrawn
+    assert all(f.done() and not f.cancelled() for tasks in ran.values() for _, f in tasks)
+    assert [max(hi for hi, _ in ran[p]) for p in range(3)] == [512, 768, 1000]
+    # the errors pass the minimum long before min_frames: the stop is expected
+    ran.clear()
+    spec = small_spec(detector="mmse", snr_points=(4.0,), min_frames=600, max_frames=1000,
+                      min_bit_errors=50)
+    assert run_ber_point(spec, 4.0, workers=2).frames == 768
+    assert max(hi for hi, _ in ran[0]) == 768
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_workers_below_one_rejected(workers):
     spec = small_spec(min_frames=8, max_frames=8)
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
         run_sweep(spec, workers=workers)
-    for pool in (None, object()):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            run_ber_point(spec, 8.0, workers=workers, pool=pool)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_ber_point(spec, 8.0, workers=workers)
 
 
 def test_spec_validation():
