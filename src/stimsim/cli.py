@@ -236,6 +236,11 @@ def _sweep_spec(values: dict) -> SweepSpec:
     ml_cap = values.get("ml_cap", DEFAULT_ML_CAP)
     if ml_cap < 1:
         raise ConfigError(f"--ml-cap must be >= 1, got {ml_cap}")
+    iters, damp = values.get("iters", 10), values.get("damp", 0.3)
+    if iters < 1:
+        raise ConfigError(f"--iters must be >= 1, got {iters}")
+    if not 0.0 < damp <= 1.0:
+        raise ConfigError(f"--damp must be in (0, 1], got {damp:g}")
     # an unset frame bound defaults to a value that cannot conflict with the other
     hi = values.get("max_frames")
     lo = values.get("min_frames", 1000 if hi is None else min(1000, hi))
@@ -251,9 +256,7 @@ def _sweep_spec(values: dict) -> SweepSpec:
         max_frames=hi,
         min_bit_errors=values.get("min_bit_errors", 100),
         seed=seed,
-        mp=MpParams(
-            max_iterations=values.get("iters", 10), damping=values.get("damp", 0.3)
-        ),
+        mp=MpParams(max_iterations=iters, damping=damp),
         ml_cap=ml_cap,
     )
 

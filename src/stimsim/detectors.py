@@ -25,6 +25,16 @@ the others iterate. ``iterations_run`` counts the iterations of the call's
 loop (the largest per-frame count) and ``frame_iterations`` each frame's
 own; every other per-frame diagnostic carries the batch axis. ML searches
 frame by frame.
+
+The message-passing tensors put the long axis last: an edge tensor is
+(candidate, tap, rx, frame-slot) with the frames' slots one after another
+on the last axis (f = frame * N + slot), so every elementwise step and
+every sum over candidates, taps or rx runs numpy's inner loop over all
+B N slots of the chunk. Each detector call allocates its edge-sized
+buffers once and its iterations write into them with ``out=``. The sums
+keep the order that numpy gave the same sums when the candidates were the
+last axis (_pairwise_sum, _normalize_log_rows), so the results are the
+same bit for bit. The public results keep their (B, ...) shapes.
 """
 
 from __future__ import annotations
@@ -70,16 +80,49 @@ class DetectionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _normalize_log_rows(logw: np.ndarray) -> np.ndarray:
-    """Rows of log weights -> rows of pmfs, in place (logw is overwritten),
-    guarding against total underflow."""
-    m = np.max(logw, axis=-1, keepdims=True)
-    # a row with a finite max sums to >= 1; any other row becomes uniform
+def _pairwise_sum(terms: np.ndarray, out=None) -> np.ndarray:
+    """Sum over the leading axis in the order numpy's pairwise summation
+    gives a contiguous row (``pairwise_sum`` in numpy's
+    ``_core/src/umath/loops_utils.h.src``): in turn below 8 terms; from 8
+    up to 128, eight strided accumulators r_j = t_j + t_{j+8} + ... joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the terms
+    past the last multiple of 8 in turn; above 128, the two halves split
+    at a multiple of 8. So a sum over the candidate axis equals, bit for
+    bit, ``sum(axis=-1)`` over the same values laid out last."""
+    n = len(terms)
+    if n < 8:
+        return np.add.reduce(terms, axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]), out=out)
+    blocks = n - n % 8
+    acc = terms[:8] if blocks == 8 else np.add.reduce(terms[:blocks].reshape((-1, 8) + terms.shape[1:]), axis=0)
+    acc = np.add(acc[0::2], acc[1::2])
+    acc = np.add(acc[0::2], acc[1::2])
+    total = np.add(acc[0], acc[1], out=out)
+    for t in terms[blocks:]:
+        total += t
+    return total
+
+
+def _normalize_log_rows(logw: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """Log weights over the leading axis -> pmfs over it, in place (logw is
+    overwritten), guarding against total underflow.
+
+    The sum runs in numpy's pairwise order (_pairwise_sum), which numpy
+    gives a sum over a contiguous axis, or else in turn, which it gives a
+    sum over an axis that is not innermost. Each caller picks the order
+    that numpy gave the trailing-axis rows this layout replaced, so the
+    pmfs are the same bit for bit.
+    """
+    m = np.maximum.reduce(logw, axis=0)
+    # a pmf with a finite max sums to >= 1; any other becomes uniform
     finite = np.isfinite(m)
-    w = np.exp(np.subtract(logw, np.where(finite, m, 0.0), out=logw), out=logw)
-    if not finite.all():
-        w[~finite[..., 0]] = 1.0
-    w /= w.sum(axis=-1, keepdims=True)
+    every = bool(finite.all())
+    w = np.exp(np.subtract(logw, m if every else np.where(finite, m, 0.0), out=logw), out=logw)
+    if not every:
+        w[:, ~finite] = 1.0
+    w /= _pairwise_sum(w) if pairwise else np.add.reduce(w, axis=0)
     return w
 
 
@@ -120,10 +163,40 @@ def _check_batch(y: np.ndarray, ch: ChannelRealization) -> None:
         raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
 
 
-def _slot_totals(per_edge: np.ndarray, obs_of: np.ndarray) -> np.ndarray:
-    """(frame, block row, tap, ...) edge terms -> per-slot sums over each
-    slot's edges."""
-    return per_edge[:, obs_of, np.arange(obs_of.shape[1])].sum(axis=2)
+@functools.cache
+def _edge_maps(n_frames: int, n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """band_index for a chunk, as indices into the flat frame-slot axis
+    f = frame * N + slot of the message-passing layout, both shaped (L, B N).
+
+    The tap-l edge of block row f meets slot edge_slot[l, f], and the
+    tap-l edge of slot f sits at obs_at[l, f] of a (tap, frame-slot) plane
+    flattened to one axis. The maps are shared, so they are read-only.
+    """
+    slot_of, obs_of = band_index(n_slots, l_taps)
+    f = n_frames * n_slots
+    base = np.arange(n_frames)[:, None] * n_slots
+    edge_slot = (base + slot_of.T[:, None, :]).reshape(l_taps, f)
+    obs_at = (base + obs_of.T[:, None, :]).reshape(l_taps, f) + f * np.arange(l_taps)[:, None]
+    for m in (edge_slot, obs_at):
+        m.setflags(write=False)
+    return edge_slot, obs_at
+
+
+def _slot_totals(per_edge: np.ndarray, obs_at: np.ndarray, work) -> np.ndarray:
+    """(value, tap, rx, frame-slot) edge terms -> (value, frame-slot) sums
+    over each slot's edges: over rx first, then over the L taps in turn.
+    work is (per_tap, gathered, totals), the (value, tap, frame-slot),
+    (value, tap, frame-slot) and (value, frame-slot) buffers written here;
+    the result is totals."""
+    per_tap, gathered, totals = work
+    np.add.reduce(per_edge, axis=2, out=per_tap)
+    np.take(per_tap.reshape(len(per_tap), -1), obs_at, axis=1, out=gathered)
+    return np.add.reduce(gathered, axis=1, out=totals)
+
+
+def _slot_totals_work(n_vals: int, l_taps: int, f: int):
+    """The buffers of _slot_totals for one call."""
+    return np.empty((n_vals, l_taps, f)), np.empty((n_vals, l_taps, f)), np.empty((n_vals, f))
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +438,29 @@ def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
     """
     b, n = q.shape[:2]
     d = n - k
-    # table[:, j, 0]: unused-count pmf of slots 0..j-1, table[:, j, 1]: of
-    # slots n-j..n-1. Count c sits in column c + 1; column 0 stays 0 (count -1).
-    table = np.zeros((b, n + 1, 2, d + 2))
-    table[:, 0, :, 1] = 1.0
-    # one two-term update per slot: new[c] = old[c-1] q_unused + old[c] q_used
-    weights = np.stack([q, q[:, ::-1]], axis=2)[..., None]
-    # pairs[:, j, side, c] views columns (c, c + 1) of table[:, j, side]
-    pairs = np.ndarray(
-        (b, n + 1, 2, d + 1, 2), table.dtype, table, 0, table.strides + (table.itemsize,)
-    )
-    new = table[:, 1:, :, 1:, None]
-    for step in zip(pairs.swapaxes(0, 1), weights.swapaxes(0, 1), new.swapaxes(0, 1)):
-        np.matmul(*step[:2], out=step[2])
+    # steps[j, c, :, 0]: unused-count pmf of slots 0..j-1 of each frame,
+    # steps[j, c, :, 1]: of slots n-j..n-1. Count c sits in column c + 1;
+    # column 0 stays 0 (count -1). Laid out column by column, step j is one
+    # flat row in which column c - 1 of a pmf sits `rows` places before
+    # column c, so each step's update is three 1-D ufunc calls that never
+    # read another frame's pmf.
+    steps = np.zeros((n + 1, d + 2, b, 2))
+    steps[0, 1] = 1.0
+    rows = 2 * b
+    flat = steps.reshape(n + 1, -1)
+    # one two-term update per slot: new[c] = old[c-1] q_unused + old[c] q_used,
+    # the products and their sum in the order of a 2-term matrix product
+    weights = np.empty((2, n, d + 1, b, 2))
+    weights[..., 0] = q.transpose(2, 1, 0)[:, :, None]
+    weights[..., 1] = q[:, ::-1].transpose(2, 1, 0)[:, :, None]
+    weights = weights.reshape(2, n, -1)
+    carried = np.empty(flat.shape[1] - rows)
+    mul, add = np.multiply, np.add
+    for old_lo, old, w_unused, w_used, new in zip(flat[:-1, :-rows], flat[:-1, rows:], *weights, flat[1:, rows:]):
+        mul(old_lo, w_unused, carried)
+        mul(old, w_used, new)
+        add(carried, new, new)
+    table = np.ascontiguousarray(steps.transpose(2, 0, 3, 1))  # (B, step, side, column)
     prefix = table[:, :n, 0, 1:]
     suffix = table[:, n - 1 :: -1, 1]  # slots after l
     # u[l, c] = sum_a prefix[l, a] * suffix[l, count d - 1 - a + c], c = 1 if l is used
@@ -391,14 +474,23 @@ def _slot_count_messages(q: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
-def _damped(old, new, delta, active):
-    """delta new + (1 - delta) old, computed in new's buffer, for the frames
-    still iterating; stopped frames keep their old state."""
+def _damped(old, new, delta, stopped, scratch=None):
+    """delta new + (1 - delta) old, computed in new's buffer (scratch, if
+    given, takes the (1 - delta) old term); where the mask stopped, which
+    broadcasts against old, is True the old state is kept."""
     new *= delta
-    new += (1.0 - delta) * old
-    if not active.all():
-        np.copyto(new, old, where=~active.reshape(active.shape + (1,) * (old.ndim - 1)))
+    new += np.multiply(old, 1.0 - delta, out=scratch)
+    if stopped.any():
+        np.copyto(new, old, where=stopped)
     return new
+
+
+def _frame_max(a: np.ndarray, n_frames: int) -> np.ndarray:
+    """(B,) largest entry of each frame of a nonnegative array whose last
+    axis holds the frames one after another (frame-slot, or frame-used
+    slot)."""
+    frames = a.reshape(a.shape[:-1] + (n_frames, -1))
+    return frames.max(axis=tuple(range(frames.ndim - 2)) + (frames.ndim - 1,))
 
 
 def ssd2_detect(
@@ -419,79 +511,97 @@ def ssd2_detect(
     product of observation messages) rather than per-edge beliefs.
     """
     _check_channel(y, ch, cfg)
-    b, n, k = len(y), cfg.n_slots, cfg.k
-    q_pts = cfg.alphabet.size
+    b, n, k, n_r, l_taps = len(y), cfg.n_slots, cfg.k, cfg.n_r, cfg.l_taps
+    f = b * n
     _, ant_idx = mmse_stage(y, ch, sigma2)
-    slot_of, obs_of = band_index(n, cfg.l_taps)
-    # edge (frame, block row r, tap l, rx a): gain of slot (r - l) mod N's picked antenna
-    g = ch.taps[np.arange(b)[:, None, None], np.arange(cfg.l_taps), :, ant_idx[:, slot_of]]
+    edge_slot, obs_at = _edge_maps(b, n, l_taps)
+    # edge (tap l, rx a, frame-slot f): gain of the picked antenna of the slot it meets
+    g = ch.taps[edge_slot // n, np.arange(l_taps)[:, None], :, ant_idx.ravel()[edge_slot]]
+    g = np.ascontiguousarray(g.transpose(0, 2, 1))
     g_abs2 = np.abs(g) ** 2
-    y_blk = y.reshape(b, n, 1, cfg.n_r)
+    y_t = np.ascontiguousarray(y.reshape(b, n, n_r).transpose(2, 0, 1)).reshape(n_r, f)
 
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     vals_abs2 = np.abs(vals) ** 2
-    g_vals = g[..., None] * vals
+    n_v = vals.size
+    g_vals = np.multiply(g, vals[:, None, None, None])
+    # the per-call workspace: edge tensors are (value, tap, rx, frame-slot)
+    m_e, mu_sum = np.empty(g.shape, complex), np.empty((n_r, f), complex)
+    v_e, v_sum = np.empty(g.shape), np.empty((n_r, f))
+    diff = np.empty(g_vals.shape, complex)
+    log_v, expo = np.empty(g_vals.shape), np.empty(g_vals.shape)
+    totals = _slot_totals_work(n_v, l_taps, f)
 
-    beliefs = np.full((b, n, q_pts + 1), 1.0 / (q_pts + 1))
-    q = np.tile([1.0 - k / n, k / n], (b, n, 1))
-    sv = np.zeros((b, n, q_pts + 1))
+    # slot state: value-major (n_v, B N) and (2, B N) pmfs
+    beliefs = np.full((n_v, f), 1.0 / n_v)
+    q = np.empty((2, f))
+    q[0], q[1] = 1.0 - k / n, k / n
+    sv = np.zeros((n_v, f))
     active = np.ones(b, dtype=bool)
     iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
-        # Gaussian moments of the interference seen on each edge
-        mean_z = beliefs @ vals
-        var_z = (beliefs @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
-        m_e = g * mean_z[:, slot_of][..., None]
-        v_e = g_abs2 * var_z[:, slot_of][..., None]
-        mu = m_e.sum(axis=2, keepdims=True) - m_e
-        sig2 = (v_e.sum(axis=2, keepdims=True) - v_e + sigma2).clip(min=_ZF_EPS)
+        # Gaussian moments of the interference seen on each edge; the
+        # per-slot moments are (B, N, n_v) row products, as laid out before
+        rows = np.ascontiguousarray(beliefs.T).reshape(b, n, n_v)
+        mean_z = rows @ vals
+        var_z = (rows @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
+        np.multiply(g, mean_z.ravel()[edge_slot][:, None], out=m_e)
+        np.multiply(g_abs2, var_z.ravel()[edge_slot][:, None], out=v_e)
+        mu = np.subtract(np.add.reduce(m_e, axis=0, out=mu_sum), m_e, out=m_e)
+        sig2 = np.subtract(np.add.reduce(v_e, axis=0, out=v_sum), v_e, out=v_e)
+        sig2 += sigma2
+        sig2.clip(min=_ZF_EPS, out=sig2)
 
         # layer 1: observation-node messages over alphabet+{0}
-        log_v = np.abs((y_blk - mu)[..., None] - g_vals)
+        np.subtract(np.subtract(y_t, mu, out=mu), g_vals, out=diff)
+        np.abs(diff, out=log_v)
         np.square(log_v, out=log_v)
-        log_v /= sig2[..., None]
+        log_v /= sig2
         np.negative(log_v, out=log_v)
-        log_v -= log_v.max(axis=-1, keepdims=True)
-        log_v -= np.log(np.exp(log_v).sum(axis=-1, keepdims=True))
-        sv_new = _slot_totals(log_v.sum(axis=3), obs_of)
+        log_v -= np.maximum.reduce(log_v, axis=0)
+        np.exp(log_v, out=expo)
+        log_v -= np.log(_pairwise_sum(expo))
+        sv_new = _slot_totals(log_v, obs_at, totals)
 
         # layer 2: count-constraint messages from the previous activity state
-        u = _slot_count_messages(q, k)
+        u = _slot_count_messages(q.T.reshape(b, n, 2), k)
 
         with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        log_b = sv_new.copy()
-        log_b[..., 0] += log_u[..., 0]
-        log_b[..., 1:] += log_u[..., 1:2]
+            log_u = np.log(u).reshape(f, 2)
+        log_b = np.empty((n_v, f))
+        np.add(sv_new[0], log_u[:, 0], out=log_b[0])
+        np.add(sv_new[1:], log_u[:, 1], out=log_b[1:])
         beliefs_new = _normalize_log_rows(log_b)
 
-        m = sv_new[..., 1:].max(axis=-1)
-        log_q1 = m + np.log(np.exp(sv_new[..., 1:] - m[..., None]).sum(axis=-1))
-        q_new = _normalize_log_rows(np.stack([sv_new[..., 0], log_q1], axis=-1))
+        m = np.maximum.reduce(sv_new[1:], axis=0)
+        log_q1 = m + np.log(_pairwise_sum(np.exp(sv_new[1:] - m)))
+        q_new = _normalize_log_rows(np.stack([sv_new[0], log_q1]))
 
         delta = mp.damping
         change = np.maximum(
-            np.abs(beliefs_new - beliefs).max(axis=(1, 2)), np.abs(q_new - q).max(axis=(1, 2))
+            _frame_max(np.abs(beliefs_new - beliefs), b), _frame_max(np.abs(q_new - q), b)
         ) * delta
-        beliefs = _damped(beliefs, beliefs_new, delta, active)
-        q = _damped(q, q_new, delta, active)
-        np.copyto(sv, sv_new, where=active[:, None, None])
+        stopped = np.repeat(~active, n)
+        beliefs = _damped(beliefs, beliefs_new, delta, stopped)
+        q = _damped(q, q_new, delta, stopped)
+        np.copyto(sv, sv_new, where=~stopped)
         iterations += active
         active &= ~(change < _CONVERGENCE_TOL)
         if not active.any():
             break
 
-    order = np.argsort(-q[..., 1], axis=-1, kind="stable")
+    q_used = q[1].reshape(b, n)
+    order = np.argsort(-q_used, axis=-1, kind="stable")
     sap = np.sort(order[:, :k], axis=-1)
-    sap, repaired = _repair_each(sap, cfg, q[..., 1])
+    sap, repaired = _repair_each(sap, cfg, q_used)
     antennas = np.take_along_axis(ant_idx, sap, axis=1)
-    sv_used = np.take_along_axis(sv, sap[..., None], axis=1)
-    symbols = cfg.alphabet.points[np.argmax(sv_used[..., 1:], axis=-1)]
+    sv_used = sv.reshape(n_v, b, n)[:, np.arange(b)[:, None], sap]
+    symbols = cfg.alphabet.points[np.argmax(sv_used[1:], axis=0)]
     diag = {
         "iterations_run": int(iterations.max()),
         "frame_iterations": iterations,
         "sap_repaired": repaired,
-        "slot_posteriors": q,
+        "slot_posteriors": np.ascontiguousarray(q.reshape(2, b, n).transpose(1, 2, 0)),
     }
     return _finalize(sap, antennas, symbols, cfg, diag)
 
@@ -519,68 +629,94 @@ def ssd3_detect(
     """
     res2 = ssd2_detect(y, ch, sigma2, cfg, mp)
     slots = res2.sap
-    b, n, n_t = len(y), cfg.n_slots, cfg.n_t
+    b, n, k, n_t, n_r, l_taps = len(y), cfg.n_slots, cfg.k, cfg.n_t, cfg.n_r, cfg.l_taps
+    f = b * n
     pts = cfg.alphabet.points
     q_pts = pts.size
     n_m = n_t * q_pts
 
-    slot_of, obs_of = band_index(n, cfg.l_taps)
-    frame = np.arange(b)[:, None]
-    used = np.zeros((b, n), dtype=bool)
-    used[frame, slots] = True
-    edge_used = used[:, slot_of, None]  # (B, N, L, 1)
+    edge_slot, obs_at = _edge_maps(b, n, l_taps)
+    used_at = (np.arange(b)[:, None] * n + slots).ravel()  # the used slots, frame by frame
+    used = np.zeros(f, dtype=bool)
+    used[used_at] = True
+    edge_used = used[edge_slot]  # (L, B N)
+    edge_unused = ~edge_used[:, None]
     # effective scalar on an edge of tap l, rx a when its slot sends candidate s
     ant_of = np.repeat(np.arange(n_t), q_pts)
     sym_of = np.tile(np.arange(q_pts), n_t)
-    p_eff = ch.taps[:, None, ..., ant_of] * pts[sym_of]  # (B, 1, L, n_r, n_m)
+    # the per-call workspace: edge tensors are (candidate, tap, rx, frame-slot)
+    edges = (n_m, l_taps, n_r, f)
+    p_eff = np.empty((n_m, l_taps, n_r, b, n), complex)
+    p_eff[...] = (ch.taps[..., ant_of] * pts[sym_of]).transpose(3, 1, 2, 0)[..., None]
+    p_eff = p_eff.reshape(edges)
     p_abs2 = np.abs(p_eff) ** 2
-    y_blk = y.reshape(b, n, 1, cfg.n_r)
+    y_t = np.ascontiguousarray(y.reshape(b, n, n_r).transpose(2, 0, 1)).reshape(n_r, f)
+    terms, diff = np.empty(edges), np.empty(edges, complex)
+    me, me_sum, mag2 = np.empty(edges[1:], complex), np.empty((n_r, f), complex), np.empty(edges[1:])
+    ve, ve_sum, edge_moved = np.empty(edges[1:]), np.empty((n_r, f)), np.empty(edges[1:])
+    at_edges = np.empty((n_m, l_taps, 1, f))
+    totals = _slot_totals_work(n_m, l_taps, f)
 
-    def observation_messages(pbar):
-        """Log messages (B, N, L, n_r, n_m) per edge from the Gaussian moments of
-        pbar. Unused slots send nothing; the messages on their edges are never read."""
-        me = np.einsum("...s,...s->...", pbar, p_eff)
-        ve = (np.einsum("...s,...s->...", pbar, p_abs2) - np.abs(me) ** 2).clip(min=0.0)
-        np.copyto(me, 0.0, where=~edge_used)
-        np.copyto(ve, 0.0, where=~edge_used)
-        mu = me.sum(axis=2, keepdims=True) - me
-        s2 = (ve.sum(axis=2, keepdims=True) - ve + sigma2).clip(min=_ZF_EPS)
-        msg = np.abs((y_blk - mu)[..., None] - p_eff)
-        np.square(msg, out=msg)
-        msg /= s2[..., None]
-        return np.negative(msg, out=msg)
+    def observation_messages(pbar, out):
+        """Log messages per edge from the Gaussian moments of pbar, written
+        into out. Unused slots send nothing; the messages on their edges
+        are never read. The moments sum over the candidates in the order
+        of the einsums over a trailing candidate axis they replace."""
+        np.add.reduce(np.multiply(pbar, p_eff.real, out=terms), axis=0, out=me.real)
+        np.add.reduce(np.multiply(pbar, p_eff.imag, out=terms), axis=0, out=me.imag)
+        np.add.reduce(np.multiply(pbar, p_abs2, out=terms), axis=0, out=ve)
+        np.square(np.abs(me, out=mag2), out=mag2)
+        np.subtract(ve, mag2, out=ve).clip(min=0.0, out=ve)
+        np.copyto(me, 0.0, where=edge_unused)
+        np.copyto(ve, 0.0, where=edge_unused)
+        mu = np.subtract(np.add.reduce(me, axis=0, out=me_sum), me, out=me)
+        s2 = np.subtract(np.add.reduce(ve, axis=0, out=ve_sum), ve, out=ve)
+        s2 += sigma2
+        s2.clip(min=_ZF_EPS, out=s2)
+        np.subtract(np.subtract(y_t, mu, out=mu), p_eff, out=diff)
+        np.square(np.abs(diff, out=out), out=out)
+        out /= s2
+        return np.negative(out, out=out)
 
-    pbar = np.full((b, n) + p_eff.shape[2:], 1.0 / n_m)
+    pbar = np.full(edges, 1.0 / n_m)
+    log_msg = np.empty(edges)
     # Off the band (only when N > L) a used slot's edges hold its full
     # belief: they move no message, but the full graph's stopping test
     # watches them too.
-    off_band = np.full((b, cfg.k, n_m), 1.0 / n_m) if n > cfg.l_taps else None
+    off_band = np.full((n_m, b * k), 1.0 / n_m) if n > l_taps else None
     active = np.ones(b, dtype=bool)
     iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
-        log_msg = observation_messages(pbar)
-        tot = _slot_totals(log_msg.sum(axis=3), obs_of)  # (B, N, n_m), inclusive over edges
-        pnew = _normalize_log_rows(tot[:, slot_of, None, :] - log_msg)
-        del log_msg  # the edge tensors are the memory peak: drop each one early
+        observation_messages(pbar, log_msg)
+        tot = _slot_totals(log_msg, obs_at, totals)  # (n_m, B N), inclusive over edges
+        # the new edge beliefs, in log_msg's buffer: the slot's total less the edge's message
+        np.take(tot, edge_slot, axis=1, out=at_edges[:, :, 0])
+        # The trailing-axis code kept rx innermost in this buffer, so numpy
+        # summed its candidates in turn; with one rx antenna the candidates
+        # were innermost and numpy summed them pairwise.
+        pnew = _normalize_log_rows(np.subtract(at_edges, log_msg, out=log_msg), pairwise=n_r == 1)
 
         delta = mp.damping
         # the largest move on a used slot's edges (every frame has one)
-        change = np.abs(pnew - pbar).max(axis=(1, 2, 3, 4), where=edge_used[..., None],
-                                         initial=0.0) * delta
-        pbar = _damped(pbar, pnew, delta, active)
+        moved = np.abs(np.subtract(pnew, pbar, out=terms), out=terms)
+        moved = np.maximum.reduce(moved, axis=0, out=edge_moved)
+        np.copyto(moved, 0.0, where=edge_unused)
+        change = _frame_max(moved, b) * delta
+        stopped = np.repeat(~active, n)
+        pbar, log_msg = _damped(pbar, pnew, delta, stopped, terms), pbar
         if off_band is not None:
-            full = _normalize_log_rows(tot[frame, slots])
-            change = np.maximum(change, np.abs(full - off_band).max(axis=(1, 2)) * delta)
-            off_band = _damped(off_band, full, delta, active)
+            full = _normalize_log_rows(tot[:, used_at])
+            change = np.maximum(change, _frame_max(np.abs(full - off_band), b) * delta)
+            off_band = _damped(off_band, full, delta, np.repeat(~active, k))
         iterations += active
         active &= ~(change < _CONVERGENCE_TOL)
         if not active.any():
             break
 
     # final inclusive beliefs from the final message state
-    tot = _slot_totals(observation_messages(pbar).sum(axis=3), obs_of)[frame, slots]
+    tot = _slot_totals(observation_messages(pbar, log_msg), obs_at, totals)[:, used_at].reshape(n_m, b, k)
 
-    w_hat = np.argmax(tot, axis=-1)
+    w_hat = np.argmax(tot, axis=0)
     antennas = ant_of[w_hat]
     symbols = pts[sym_of[w_hat]]
     diag = {
@@ -588,7 +724,7 @@ def ssd3_detect(
         "frame_iterations": iterations,
         "sap_repaired": res2.diagnostics["sap_repaired"],
         "stage2_iterations": res2.diagnostics["frame_iterations"],
-        "beliefs": _normalize_log_rows(tot),
+        "beliefs": np.ascontiguousarray(_normalize_log_rows(tot).transpose(1, 2, 0)),
     }
     return _finalize(slots, antennas, symbols, cfg, diag)
 

@@ -13,7 +13,6 @@ from stimsim.detectors import (
     _ZF_EPS,
     DetectionResult,
     MpParams,
-    _normalize_log_rows,
 )
 from stimsim.ofdm import OfdmConfig
 from stimsim.rates import RateParams, rate_improvement
@@ -64,6 +63,16 @@ def normalize_messages(raw: np.ndarray) -> np.ndarray:
     if total <= 0.0 or not np.isfinite(total):
         return np.full(raw.shape, 1.0 / raw.size)
     return raw / total
+
+
+def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
+    """Rows (the last axis) of log weights -> rows of pmfs; a row with no
+    finite entry becomes uniform."""
+    m = logw.max(axis=-1, keepdims=True)
+    finite = np.isfinite(m)
+    w = np.exp(logw - np.where(finite, m, 0.0))
+    w[~finite[..., 0]] = 1.0
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def circular_convolution_reference(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
@@ -225,10 +234,10 @@ def dense_ssd2_detect(y, h, sigma2, cfg, mp=MpParams()):
         log_b = sv.copy()
         log_b[:, 0] += log_u[:, 0]
         log_b[:, 1:] += log_u[:, 1:2]
-        beliefs_new = _normalize_log_rows(log_b)
+        beliefs_new = normalize_log_rows(log_b)
         m = sv[:, 1:].max(axis=1)
         log_q1 = m + np.log(np.exp(sv[:, 1:] - m[:, None]).sum(axis=1))
-        q_new = _normalize_log_rows(np.stack([sv[:, 0], log_q1], axis=1))
+        q_new = normalize_log_rows(np.stack([sv[:, 0], log_q1], axis=1))
 
         delta = mp.damping
         change = max(np.abs(beliefs_new - beliefs).max(), np.abs(q_new - q).max()) * delta
@@ -276,7 +285,7 @@ def dense_ssd3_detect(y, h, sigma2, cfg, mp=MpParams()):
         iterations += 1
         log_msg = observation_messages(pbar)
         tot = log_msg.sum(axis=0)
-        pnew = _normalize_log_rows(tot[:, None, :] - log_msg.transpose(1, 0, 2))
+        pnew = normalize_log_rows(tot[:, None, :] - log_msg.transpose(1, 0, 2))
         delta = mp.damping
         change = np.abs(pnew - pbar).max() * delta
         pbar = delta * pnew + (1.0 - delta) * pbar
@@ -290,7 +299,7 @@ def dense_ssd3_detect(y, h, sigma2, cfg, mp=MpParams()):
     diag = {
         "iterations_run": iterations,
         "stage2_iterations": res2.diagnostics["iterations_run"],
-        "beliefs": _normalize_log_rows(tot),
+        "beliefs": normalize_log_rows(tot),
     }
     bits = decode_frame(slots, antennas, symbols, cfg)
     return DetectionResult(bits, slots, antennas, symbols, diag)

@@ -166,6 +166,20 @@ def test_ml_cap_below_one_names_the_flag(cap, capsys):
     assert f"--ml-cap must be >= 1, got {cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iters", ["0", "-2"])
+@pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
+def test_iters_below_one_names_the_flag(command, iters, capsys):
+    assert main(command + ["--n-slots", "8", "--k", "7", "--iters", iters]) == 1
+    assert f"--iters must be >= 1, got {iters}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damp", ["0", "1.5", "-0.3", "nan"])
+@pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
+def test_damp_outside_the_unit_interval_names_the_flag(command, damp, capsys):
+    assert main(command + ["--n-slots", "8", "--k", "7", "--damp", damp]) == 1
+    assert f"--damp must be in (0, 1], got {damp}" in capsys.readouterr().err
+
+
 def test_ml_cap_is_reported_as_given(capsys):
     rc = main(["roundtrip", "--n-slots", "8", "--k", "7", "--frames", "1",
                "--detector", "ml", "--ml-cap", "100000"])

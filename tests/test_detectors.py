@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     encode_table,
     exhaustive_ml,
     ml_pattern_metric,
+    normalize_log_rows,
     normalize_messages,
     reduce_model,
 )
@@ -31,6 +33,8 @@ from stimsim.detectors import (
     _lowest_bit_candidate,
     _ml_candidates,
     _ml_workspace,
+    _normalize_log_rows,
+    _pairwise_sum,
     _rank_metric,
     _repair_each,
     _slot_count_messages,
@@ -44,6 +48,8 @@ from stimsim.detectors import (
 
 QAM4 = build_alphabet("qam4")
 QAM4_RAW = build_alphabet("qam4", normalize=False)
+QAM8 = build_alphabet("qam8")
+QAM16 = build_alphabet("qam16")
 BPSK = build_alphabet("bpsk")
 
 FIG5 = StimConfig(2, 4, 8, 7, 2, QAM4)
@@ -88,6 +94,27 @@ def test_normalize_log_linear_agreement():
         log_path = np.exp(logs - logs.max())
         log_path /= log_path.sum()
         assert np.abs(linear - log_path).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 15, 16, 17, 32, 40, 128, 129, 300])
+def test_pairwise_sum_matches_a_contiguous_row_sum(n):
+    # the candidate-first layout sums in the order numpy gives a row
+    x = np.random.default_rng(n).standard_normal((6, 5, n)) * 10.0 ** np.arange(-3, 4, 1.5)[:5, None]
+    assert np.array_equal(_pairwise_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0))), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 17])
+def test_normalize_log_rows_matches_trailing_rows(n):
+    rng = np.random.default_rng(n)
+    logw = rng.standard_normal((4, 6, n)) * 30.0
+    logw[0, 1] = -np.inf  # no finite weight: uniform
+    logw[2, 3, ::2] = -np.inf
+    want = normalize_log_rows(logw)
+    lead = np.ascontiguousarray(np.moveaxis(logw, -1, 0))
+    assert np.array_equal(np.moveaxis(_normalize_log_rows(lead.copy()), 0, -1), want)
+    in_turn = np.moveaxis(_normalize_log_rows(lead, pairwise=False), 0, -1)
+    assert np.allclose(in_turn, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(in_turn[0, 1], np.full(n, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +346,28 @@ def test_mmse_stage_matches_dense_solve(shape):
         assert np.array_equal(idx[0], idx_ref)
 
 
-@pytest.mark.parametrize("shape", ORACLE_CONFIGS)
-def test_banded_mp_matches_dense(shape):
+# (shape, alphabet, SNR points; None is sigma^2 = 0): the configs above,
+# then the edge configs of the message passing
+MP_ORACLE_CASES = [pytest.param(shape, QAM4, (4.0, 8.0, 60.0), id=f"shape{i}")
+                   for i, shape in enumerate(ORACLE_CONFIGS)] + [
+    # k = N: the count pmf has width d = 0
+    pytest.param((2, 4, 8, 8, 2), QAM4, (4.0, 60.0), id="k_eq_n"),
+    # L = N: every slot meets every observation, no edge is off the band
+    pytest.param((2, 2, 4, 3, 4), QAM4, (4.0, 60.0), id="l_eq_n"),
+    # n_t = 1 with qam16: 16 candidates per slot, with 2 rx antennas and with 1
+    pytest.param((1, 2, 8, 6, 2), QAM16, (8.0, 60.0), id="nt1_qam16"),
+    pytest.param((1, 1, 8, 6, 2), QAM16, (8.0, 60.0), id="nt1_nr1_qam16"),
+    # qam8: 16 candidates and 9 composite values in 2SSD
+    pytest.param((2, 2, 8, 6, 2), QAM8, (8.0, 60.0), id="qam8"),
+    pytest.param((2, 4, 8, 7, 2), QAM4, (None,), id="sigma2_zero"),
+]
+
+
+@pytest.mark.parametrize("shape,alphabet,snrs", MP_ORACLE_CASES)
+def test_banded_mp_matches_dense(shape, alphabet, snrs):
     rng = np.random.default_rng(21)
-    cfg = StimConfig(*shape, QAM4)
-    for snr in (4.0, 8.0, 60.0):
+    cfg = StimConfig(*shape, alphabet)
+    for snr in snrs:
         _, _, ch, y, s2 = run_links(rng, cfg, snr, 2)
         res2, res3 = ssd2_detect(y, ch, s2, cfg), ssd3_detect(y, ch, s2, cfg)
         for i in range(2):
@@ -453,6 +497,23 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
     s2 = snr_to_sigma2(60.0, cfg.l_taps)
     bits, _, ch, y, _ = run_links(rng, cfg, 60.0, 3)
     assert np.array_equal(ssd3_detect(y, ch, s2, cfg).bits, bits)
+
+
+@pytest.mark.parametrize("shape,frames", [((2, 4, 128, 114, 4), 1), ((2, 4, 8, 7, 2), 32)],
+                         ids=["n128", "fig5_chunk"])
+def test_ssd3_call_allocates_little(shape, frames):
+    # the per-call workspace stays well inside the 5 % peak-RSS bound (~2 MB)
+    rng = np.random.default_rng(30)
+    cfg = StimConfig(*shape, QAM4)
+    _, _, ch, y, s2 = run_links(rng, cfg, 8.0, frames)
+    ssd3_detect(y, ch, s2, cfg)  # the cached tables are built once
+    tracemalloc.start()
+    try:
+        ssd3_detect(y, ch, s2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
