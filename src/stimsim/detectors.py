@@ -662,8 +662,7 @@ def ssd3_detect(
         into out. Unused slots send nothing; the messages on their edges
         are never read. The moments sum over the candidates in the order
         of the einsums over a trailing candidate axis they replace."""
-        np.add.reduce(np.multiply(pbar, p_eff.real, out=terms), axis=0, out=me.real)
-        np.add.reduce(np.multiply(pbar, p_eff.imag, out=terms), axis=0, out=me.imag)
+        np.add.reduce(np.multiply(pbar, p_eff, out=diff), axis=0, out=me)
         np.add.reduce(np.multiply(pbar, p_abs2, out=terms), axis=0, out=ve)
         np.square(np.abs(me, out=mag2), out=mag2)
         np.subtract(ve, mag2, out=ve).clip(min=0.0, out=ve)
