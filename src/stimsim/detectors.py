@@ -80,7 +80,7 @@ class DetectionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pairwise_sum(terms: np.ndarray, out=None) -> np.ndarray:
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the leading axis in the order numpy's pairwise summation
     gives a contiguous row (``pairwise_sum`` in numpy's
     ``_core/src/umath/loops_utils.h.src``): in turn below 8 terms; from 8
@@ -91,15 +91,15 @@ def _pairwise_sum(terms: np.ndarray, out=None) -> np.ndarray:
     bit, ``sum(axis=-1)`` over the same values laid out last."""
     n = len(terms)
     if n < 8:
-        return np.add.reduce(terms, axis=0, out=out)
+        return np.add.reduce(terms, axis=0)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return np.add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]), out=out)
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
     blocks = n - n % 8
     acc = terms[:8] if blocks == 8 else np.add.reduce(terms[:blocks].reshape((-1, 8) + terms.shape[1:]), axis=0)
     acc = np.add(acc[0::2], acc[1::2])
     acc = np.add(acc[0::2], acc[1::2])
-    total = np.add(acc[0], acc[1], out=out)
+    total = acc[0] + acc[1]
     for t in terms[blocks:]:
         total += t
     return total
@@ -163,7 +163,7 @@ def _check_batch(y: np.ndarray, ch: ChannelRealization) -> None:
         raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _edge_maps(n_frames: int, n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
     """band_index for a chunk, as indices into the flat frame-slot axis
     f = frame * N + slot of the message-passing layout, both shaped (L, B N).
