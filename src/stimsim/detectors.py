@@ -33,7 +33,7 @@ every sum over candidates, taps or rx runs numpy's inner loop over all
 B N slots of the chunk. Each detector call allocates its edge-sized
 buffers once and its iterations write into them with ``out=``. The sums
 keep the order that numpy gave the same sums when the candidates were the
-last axis (_pairwise_sum, _normalize_log_rows), so the results are the
+last axis (_lead_sum, _normalize_log_rows), so the results are the
 same bit for bit. The public results keep their (B, ...) shapes.
 """
 
@@ -80,26 +80,32 @@ class DetectionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis in the order numpy's pairwise summation
-    gives a contiguous row (``pairwise_sum`` in numpy's
-    ``_core/src/umath/loops_utils.h.src``): in turn below 8 terms; from 8
-    up to 128, eight strided accumulators r_j = t_j + t_{j+8} + ... joined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the terms
-    past the last multiple of 8 in turn; above 128, the two halves split
-    at a multiple of 8. So a sum over the candidate axis equals, bit for
-    bit, ``sum(axis=-1)`` over the same values laid out last."""
-    n = len(terms)
-    if n < 8:
-        return np.add.reduce(terms, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    blocks = n - n % 8
-    acc = terms[:8] if blocks == 8 else np.add.reduce(terms[:blocks].reshape((-1, 8) + terms.shape[1:]), axis=0)
-    acc = np.add(acc[0::2], acc[1::2])
-    acc = np.add(acc[0::2], acc[1::2])
-    total = acc[0] + acc[1]
+def _lead_sum(terms: np.ndarray, pairwise: bool = True, out=None) -> np.ndarray:
+    """Sum over the leading axis in one of the two orders numpy gives a sum:
+    pairwise, its order over an axis that is contiguous in memory, or in
+    turn, its order over an axis that is not innermost.
+
+    Pairwise is ``pairwise_sum`` of numpy's
+    ``_core/src/umath/loops_utils.h.src``. Below 8 reals it adds in turn.
+    Up to 128 reals it keeps eight strided accumulators of reals (four of
+    complex values), r_j = t_j + t_{j+8} + ..., joins them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the terms
+    past the last full block in turn. Above 128 reals it splits the terms
+    at a multiple of 8 reals and adds the two halves' sums.
+    """
+    reals = 2 if np.iscomplexobj(terms) else 1
+    n, lanes = len(terms), 8 // reals
+    if not pairwise or n < lanes:
+        return np.add.reduce(terms, axis=0, out=out)
+    if n * reals > 128:
+        half = (n * reals // 2 - n * reals // 2 % 8) // reals
+        return np.add(_lead_sum(terms[:half]), _lead_sum(terms[half:]), out=out)
+    blocks = n - n % lanes
+    acc = terms[:blocks].reshape((-1, lanes) + terms.shape[1:])
+    acc = acc[0] if len(acc) == 1 else np.add.reduce(acc, axis=0)
+    while len(acc) > 2:
+        acc = np.add(acc[0::2], acc[1::2])
+    total = np.add(acc[0], acc[1], out=out)
     for t in terms[blocks:]:
         total += t
     return total
@@ -109,11 +115,9 @@ def _normalize_log_rows(logw: np.ndarray, pairwise: bool = True) -> np.ndarray:
     """Log weights over the leading axis -> pmfs over it, in place (logw is
     overwritten), guarding against total underflow.
 
-    The sum runs in numpy's pairwise order (_pairwise_sum), which numpy
-    gives a sum over a contiguous axis, or else in turn, which it gives a
-    sum over an axis that is not innermost. Each caller picks the order
-    that numpy gave the trailing-axis rows this layout replaced, so the
-    pmfs are the same bit for bit.
+    The sum runs pairwise or in turn (_lead_sum): each caller picks the
+    order that numpy gave the trailing-axis rows this layout replaced, so
+    the pmfs are the same bit for bit.
     """
     m = np.maximum.reduce(logw, axis=0)
     # a pmf with a finite max sums to >= 1; any other becomes uniform
@@ -122,7 +126,7 @@ def _normalize_log_rows(logw: np.ndarray, pairwise: bool = True) -> np.ndarray:
     w = np.exp(np.subtract(logw, m if every else np.where(finite, m, 0.0), out=logw), out=logw)
     if not every:
         w[:, ~finite] = 1.0
-    w /= _pairwise_sum(w) if pairwise else np.add.reduce(w, axis=0)
+    w /= _lead_sum(w, pairwise)
     return w
 
 
@@ -182,14 +186,14 @@ def _edge_maps(n_frames: int, n_slots: int, l_taps: int) -> tuple[np.ndarray, np
     return edge_slot, obs_at
 
 
-def _slot_totals(per_edge: np.ndarray, obs_at: np.ndarray, work) -> np.ndarray:
+def _slot_totals(per_edge: np.ndarray, obs_at: np.ndarray, work, rx_pairwise: bool) -> np.ndarray:
     """(value, tap, rx, frame-slot) edge terms -> (value, frame-slot) sums
-    over each slot's edges: over rx first, then over the L taps in turn.
-    work is (per_tap, gathered, totals), the (value, tap, frame-slot),
-    (value, tap, frame-slot) and (value, frame-slot) buffers written here;
-    the result is totals."""
+    over each slot's edges: over rx first, pairwise or in turn (_lead_sum),
+    then over the L taps in turn. work is (per_tap, gathered, totals), the
+    (value, tap, frame-slot), (value, tap, frame-slot) and (value,
+    frame-slot) buffers written here; the result is totals."""
     per_tap, gathered, totals = work
-    np.add.reduce(per_edge, axis=2, out=per_tap)
+    _lead_sum(np.moveaxis(per_edge, 2, 0), rx_pairwise, out=per_tap)
     np.take(per_tap.reshape(len(per_tap), -1), obs_at, axis=1, out=gathered)
     return np.add.reduce(gathered, axis=1, out=totals)
 
@@ -531,6 +535,10 @@ def ssd2_detect(
     diff = np.empty(g_vals.shape, complex)
     log_v, expo = np.empty(g_vals.shape), np.empty(g_vals.shape)
     totals = _slot_totals_work(n_v, l_taps, f)
+    # The trailing-axis code held the (frame, slot, tap, rx) tap terms in
+    # buffers that were contiguous over the taps only with one rx antenna
+    # in a chunk of one frame; numpy then summed the taps pairwise.
+    taps_pairwise = n_r == 1 and b == 1
 
     # slot state: value-major (n_v, B N) and (2, B N) pmfs
     beliefs = np.full((n_v, f), 1.0 / n_v)
@@ -547,8 +555,8 @@ def ssd2_detect(
         var_z = (rows @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
         np.multiply(g, mean_z.ravel()[edge_slot][:, None], out=m_e)
         np.multiply(g_abs2, var_z.ravel()[edge_slot][:, None], out=v_e)
-        mu = np.subtract(np.add.reduce(m_e, axis=0, out=mu_sum), m_e, out=m_e)
-        sig2 = np.subtract(np.add.reduce(v_e, axis=0, out=v_sum), v_e, out=v_e)
+        mu = np.subtract(_lead_sum(m_e, taps_pairwise, out=mu_sum), m_e, out=m_e)
+        sig2 = np.subtract(_lead_sum(v_e, taps_pairwise, out=v_sum), v_e, out=v_e)
         sig2 += sigma2
         sig2.clip(min=_ZF_EPS, out=sig2)
 
@@ -560,8 +568,8 @@ def ssd2_detect(
         np.negative(log_v, out=log_v)
         log_v -= np.maximum.reduce(log_v, axis=0)
         np.exp(log_v, out=expo)
-        log_v -= np.log(_pairwise_sum(expo))
-        sv_new = _slot_totals(log_v, obs_at, totals)
+        log_v -= np.log(_lead_sum(expo))
+        sv_new = _slot_totals(log_v, obs_at, totals, rx_pairwise=False)
 
         # layer 2: count-constraint messages from the previous activity state
         u = _slot_count_messages(q.T.reshape(b, n, 2), k)
@@ -574,7 +582,7 @@ def ssd2_detect(
         beliefs_new = _normalize_log_rows(log_b)
 
         m = np.maximum.reduce(sv_new[1:], axis=0)
-        log_q1 = m + np.log(_pairwise_sum(np.exp(sv_new[1:] - m)))
+        log_q1 = m + np.log(_lead_sum(np.exp(sv_new[1:] - m)))
         q_new = _normalize_log_rows(np.stack([sv_new[0], log_q1]))
 
         delta = mp.damping
@@ -656,6 +664,10 @@ def ssd3_detect(
     ve, ve_sum, edge_moved = np.empty(edges[1:]), np.empty((n_r, f)), np.empty(edges[1:])
     at_edges = np.empty((n_m, l_taps, 1, f))
     totals = _slot_totals_work(n_m, l_taps, f)
+    # The trailing-axis code's (frame, slot, tap, rx) moments were
+    # contiguous, so numpy summed their taps pairwise when there was one rx
+    # antenna; its log messages kept rx innermost, so it summed rx pairwise.
+    taps_pairwise = n_r == 1
 
     def observation_messages(pbar, out):
         """Log messages per edge from the Gaussian moments of pbar, written
@@ -668,8 +680,8 @@ def ssd3_detect(
         np.subtract(ve, mag2, out=ve).clip(min=0.0, out=ve)
         np.copyto(me, 0.0, where=edge_unused)
         np.copyto(ve, 0.0, where=edge_unused)
-        mu = np.subtract(np.add.reduce(me, axis=0, out=me_sum), me, out=me)
-        s2 = np.subtract(np.add.reduce(ve, axis=0, out=ve_sum), ve, out=ve)
+        mu = np.subtract(_lead_sum(me, taps_pairwise, out=me_sum), me, out=me)
+        s2 = np.subtract(_lead_sum(ve, taps_pairwise, out=ve_sum), ve, out=ve)
         s2 += sigma2
         s2.clip(min=_ZF_EPS, out=s2)
         np.subtract(np.subtract(y_t, mu, out=mu), p_eff, out=diff)
@@ -687,7 +699,7 @@ def ssd3_detect(
     iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
         observation_messages(pbar, log_msg)
-        tot = _slot_totals(log_msg, obs_at, totals)  # (n_m, B N), inclusive over edges
+        tot = _slot_totals(log_msg, obs_at, totals, rx_pairwise=True)  # (n_m, B N), inclusive over edges
         # the new edge beliefs, in log_msg's buffer: the slot's total less the edge's message
         np.take(tot, edge_slot, axis=1, out=at_edges[:, :, 0])
         # The trailing-axis code kept rx innermost in this buffer, so numpy
@@ -713,7 +725,8 @@ def ssd3_detect(
             break
 
     # final inclusive beliefs from the final message state
-    tot = _slot_totals(observation_messages(pbar, log_msg), obs_at, totals)[:, used_at].reshape(n_m, b, k)
+    tot = _slot_totals(observation_messages(pbar, log_msg), obs_at, totals, rx_pairwise=True)
+    tot = tot[:, used_at].reshape(n_m, b, k)
 
     w_hat = np.argmax(tot, axis=0)
     antennas = ant_of[w_hat]

@@ -33,8 +33,8 @@ from stimsim.detectors import (
     _lowest_bit_candidate,
     _ml_candidates,
     _ml_workspace,
+    _lead_sum,
     _normalize_log_rows,
-    _pairwise_sum,
     _rank_metric,
     _repair_each,
     _slot_count_messages,
@@ -96,11 +96,19 @@ def test_normalize_log_linear_agreement():
         assert np.abs(linear - log_path).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 15, 16, 17, 32, 40, 128, 129, 300])
-def test_pairwise_sum_matches_a_contiguous_row_sum(n):
-    # the candidate-first layout sums in the order numpy gives a row
-    x = np.random.default_rng(n).standard_normal((6, 5, n)) * 10.0 ** np.arange(-3, 4, 1.5)[:5, None]
-    assert np.array_equal(_pairwise_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0))), x.sum(axis=-1))
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 40, 64, 65, 128, 129, 300])
+def test_lead_sum_matches_numpy_row_and_column_sums(n, dtype):
+    # the candidate-first layout sums in the order numpy gave the same
+    # values laid out last: pairwise when contiguous, in turn when not
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((6, 5, n)) * 10.0 ** np.arange(-3, 4, 1.5)[:5, None]
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(x.shape)
+    lead = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    assert np.array_equal(_lead_sum(lead), x.sum(axis=-1))
+    strided = np.ascontiguousarray(np.moveaxis(x, -1, -2))  # (6, n, 5): the sum is not innermost
+    assert np.array_equal(_lead_sum(lead, pairwise=False), strided.sum(axis=-2))
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 16, 17])
