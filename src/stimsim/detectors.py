@@ -549,7 +549,8 @@ def ssd2_detect(
     iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
         # Gaussian moments of the interference seen on each edge; the
-        # per-slot moments are (B, N, n_v) row products, as laid out before
+        # per-slot moments are BLAS products, whose order depends on the
+        # operands' shape, so they stay products of (B, N, n_v) rows
         rows = np.ascontiguousarray(beliefs.T).reshape(b, n, n_v)
         mean_z = rows @ vals
         var_z = (rows @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
