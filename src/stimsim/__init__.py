@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .alphabet import Alphabet, build_alphabet
 from .channel import (
     ChannelRealization,
-    build_block_circulant,
     draw_channel,
     snr_to_sigma2,
     tap_normals,

@@ -8,7 +8,7 @@ in unnormalized form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,7 @@ class Alphabet:
     kind: str
     points: np.ndarray
     m_bits: int
-    avg_energy: float
     normalized: bool
-    labels: tuple[str, ...] = field(repr=False, default=())
 
     @property
     def size(self) -> int:
@@ -81,16 +79,7 @@ def build_alphabet(kind: str, normalize: bool = True) -> Alphabet:
     if normalize:
         points = points / np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
-    m = int(np.log2(points.size))
-    labels = tuple(format(i, f"0{m}b") for i in range(points.size))
-    return Alphabet(
-        kind=kind,
-        points=points,
-        m_bits=m,
-        avg_energy=float(np.mean(np.abs(points) ** 2)),
-        normalized=normalize,
-        labels=labels,
-    )
+    return Alphabet(kind=kind, points=points, m_bits=int(np.log2(points.size)), normalized=normalize)
 
 
 def pack_bits(bits: np.ndarray, count: int, width: int) -> np.ndarray:

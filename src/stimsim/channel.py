@@ -69,7 +69,11 @@ def band_index(n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:
-    """Equivalent (N n_r) x (N n_t) matrix: block (r, c) is tap (r-c) mod N."""
+    """Equivalent (N n_r) x (N n_t) matrix: block (r, c) is tap (r-c) mod N.
+
+    No detector forms it; it is the dense reference of the tests, and
+    perfbench traces it by name.
+    """
     l_taps, n_r, n_t = ch.taps.shape
     if n_slots < l_taps:
         raise ConfigError(f"need N >= L, got N={n_slots}, L={l_taps}")

@@ -8,13 +8,14 @@ iterations, which a frame leaves early once no message moves more than
 ``_CONVERGENCE_TOL``; all message arithmetic is done in the log domain and
 renormalized per message.
 
-Detectors take the channel as its ``cfg.l_taps`` taps; only ML forms the
-block-circulant H. The MMSE stage solves per DFT frequency, and the message
-passing runs on the band only: block row r of H meets slot (r - l) mod N
-through tap l, so each slot has L n_r observation edges and one iteration
-costs O(N L n_r). An off-band observation sends a slot a message that is
-constant over its values, which normalization removes, so leaving those
-edges out changes no belief.
+Detectors take the channel as its ``cfg.l_taps`` taps, and none forms the
+block-circulant H. ML forms G = H^H H and H^H y from the taps, the MMSE
+stage solves per DFT frequency, and the message passing runs on the band
+only: block row r of H meets slot (r - l) mod N through tap l, so each
+slot has L n_r observation edges and one iteration costs O(N L n_r). An
+off-band observation sends a slot a message that is constant over its
+values, which normalization removes, so leaving those edges out changes no
+belief.
 
 Every detector runs on a batch of frames stacked on a leading axis: y of
 shape (B, N n_r) with taps of shape (B, L, n_r, n_t), one realization per
@@ -23,8 +24,10 @@ frame's result does not depend on the batch it is in. Message passing
 stops per frame: a frame whose messages have settled keeps its state while
 the others iterate. ``iterations_run`` counts the iterations of the call's
 loop (the largest per-frame count) and ``frame_iterations`` each frame's
-own; every other per-frame diagnostic carries the batch axis. ML searches
-frame by frame.
+own; every other per-frame diagnostic carries the batch axis. ML forms
+G and H^H y once for the chunk, each slot pattern's gathers and half terms
+once per block of frames, and its metric product and minimum frame by
+frame.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -45,10 +48,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import build_alphabet
-from .channel import ChannelRealization, band_index, build_block_circulant
+from .channel import ChannelRealization, band_index
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
 DEFAULT_ML_CAP = 2**22
+
+# frames whose ML half terms and factors of A are formed together: a Fig. 4
+# chunk's 42 at once held ~0.2 MB more and raised peak RSS by ~0.3 MB
+_ML_BLOCK = 8
 
 # regularizer for the MMSE solve when sigma2 = 0
 _ZF_EPS = 1e-12
@@ -215,10 +222,28 @@ class _MlCandidates:
     Each used slot sends one of the n_t * |alphabet| one-active-antenna
     vectors; the k slots are split into halves A (the first ceil(k/2)) and
     B whose vector combinations are precomputed as stacked rows w_a and
-    w_b, so that a slot pattern's whole metric is a single real matrix
-    product (_rank_metric). One instance is shared by every caller in the
-    process (``_ml_candidates``), so its arrays are read-only; the buffers
-    a search writes live in a per-call workspace (``_ml_workspace``).
+    w_b. With G = H^H H and c = H^H y, a candidate's metric
+    x^H G x - 2 Re(x^H c) is term(w_a) + term(w_b) + 2 Re(w_a^H G_AB w_b),
+    where a half's term Re(w^H G w) - 2 Re(w^H c) is linear in the entries
+    of G and c that the half reads. The tables hold what does not depend on
+    the frame:
+
+    - ``terms``: one row per entry of G or c that a half term reads, one
+      column per candidate of half A, then of half B: the entry's
+      coefficient in that candidate's term, which is |w_i|^2 on G's
+      diagonal, 2 Re(conj(w_i) w_j) and -2 Im(conj(w_i) w_j) above it, and
+      -2 Re w_i and -2 Im w_i for c. An entry no candidate reads (two
+      antennas of one slot) has no row. Row r's entry of slot pattern
+      rank sits at ``term_at[rank, r]`` of a chunk's real entry rows
+      (_ml_entries).
+    - ``cross_at`` and ``cross_sign``: where each pattern's G_AB sits in
+      those rows, laid out with its signs and the factor 2 as the right
+      factor of [Re W_A, Im W_A] (``w_a_ri``) whose product is
+      [2 Re A, -2 Im A] with A = W_A^H G_AB.
+
+    One instance is shared by every caller in the process
+    (``_ml_candidates``), so its arrays are read-only; the buffers a search
+    writes live in a per-call workspace (``_ml_workspace``).
     """
 
     def __init__(self, cfg: StimConfig):
@@ -228,8 +253,6 @@ class _MlCandidates:
         part = bit_partition(cfg)
         self.n_rank = 1 << part.slot_bits
         self.saps = np.stack([rank_to_sap(r, n, k) for r in range(self.n_rank)])
-        # the k n_t columns of H that each slot pattern activates
-        self.cols = (self.saps[..., None] * n_t + np.arange(n_t)).reshape(self.n_rank, -1)
         n_m = n_t * q
         # per-slot candidate vectors: antenna t sends point s at index t*q + s
         mvec = np.zeros((n_m, n_t), dtype=np.complex128)
@@ -245,10 +268,43 @@ class _MlCandidates:
 
         self.digits_a, self.w_a = combos(k_a)
         self.digits_b, self.w_b = combos(k - k_a)
-        self.w_a_conj = self.w_a.conj()
-        self.w_b_conj = self.w_b.conj()
-        for table in (self.saps, self.cols, self.digits_a, self.digits_b,
-                      self.w_a, self.w_b, self.w_a_conj, self.w_b_conj):
+        w_a, w_b = self.w_a, self.w_b
+        self.w_a_ri = np.concatenate([w_a.real, w_a.imag], axis=1)
+
+        # the slot and antenna of each of the k n_t columns of H that a pattern activates
+        slot, ant = self.saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k)
+
+        def g_at(i, j):
+            """(rank, ...) index of Re G[column i, column j] in the entry
+            rows, where block (s, s') of G is g[(s - s') mod N]."""
+            return 2 * (((slot[:, i] - slot[:, j]) % n * n_t + ant[i]) * n_t + ant[j])
+
+        c_at = 2 * (n * n_t * n_t + slot * n_t + ant)
+        n_a = len(w_a)
+        reads = []  # (candidate columns, coefficients, index per rank)
+        for w, first, cands in ((w_a, 0, slice(0, n_a)), (w_b, w_a.shape[1], slice(n_a, None))):
+            for i in range(w.shape[1]):
+                c_i = c_at[:, first + i]
+                reads += [(cands, -2.0 * w[:, i].real, c_i), (cands, -2.0 * w[:, i].imag, c_i + 1)]
+                for j in range(i, w.shape[1]):
+                    prod, g_ij = w[:, i].conj() * w[:, j], g_at(first + i, first + j)
+                    if i == j:
+                        reads.append((cands, prod.real, g_ij))
+                    else:
+                        reads += [(cands, 2.0 * prod.real, g_ij), (cands, -2.0 * prod.imag, g_ij + 1)]
+        terms = np.zeros((len(reads), n_a + len(w_b)))
+        for row, (cands, coef, _) in zip(terms, reads):
+            row[cands] = coef
+        read = terms.any(axis=1)
+        self.terms = terms[read]
+        self.term_at = np.stack([at for *_, at in reads], axis=1)[:, read]
+
+        re = g_at(np.arange(w_a.shape[1])[:, None], w_a.shape[1] + np.arange(w_b.shape[1])[None, :])
+        self.cross_at = np.block([[re, re + 1], [re + 1, re]])
+        ones = np.ones(re.shape[1:])
+        self.cross_sign = np.block([[2.0 * ones, -2.0 * ones], [2.0 * ones, 2.0 * ones]])
+        for table in (self.saps, self.digits_a, self.digits_b, w_a, w_b, self.w_a_ri,
+                      self.terms, self.term_at, self.cross_at, self.cross_sign):
             table.setflags(write=False)
 
     @property
@@ -262,66 +318,94 @@ def _ml_candidates(n_t: int, n_slots: int, k: int, kind: str, normalized: bool) 
     return _MlCandidates(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet(kind, normalized)))
 
 
-def _ml_workspace(cand: _MlCandidates):
-    """(left, right, metric): the buffers of _rank_metric for one call.
+def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Each frame's G = H^H H and c = H^H y from its taps, as real rows
+    (B, 2 (N n_t^2 + N n_t)): the real view of [g_0, ..., g_{N-1}, c].
+
+    H is block-circulant, so G is too: block (s, s') is the n_t x n_t
+    g[(s - s') mod N], with g[m] the sum of taps[j]^H taps[j'] over the tap
+    pairs with j' - j = m (mod N); at N < 2L - 1 pairs of both signs of
+    j' - j fall on one m. Block column s of H holds tap l in block row
+    (s + l) mod N (band_index), so c_s = sum_l taps[l]^H y_{(s + l) mod N}.
+    """
+    b, l_taps, n_r, n_t = taps.shape
+    n = y.shape[1] // n_r
+    pairs = taps.conj().swapaxes(-1, -2)[:, :, None] @ taps[:, None]  # (B, j, j', n_t, n_t)
+    lag = (np.arange(l_taps) - np.arange(l_taps)[:, None]) % n
+    on_lag = (np.arange(n)[:, None] == lag.ravel()).astype(float)  # (N, L L)
+    g = on_lag @ pairs.reshape(b, l_taps * l_taps, n_t * n_t)
+    _, obs_of = band_index(n, l_taps)
+    seen = y.reshape(b, n, n_r)[:, obs_of].reshape(b, n, l_taps * n_r)
+    c = seen @ taps.conj().reshape(b, l_taps * n_r, n_t)
+    return np.concatenate([g.reshape(b, -1), c.reshape(b, -1)], axis=1).view(float)
+
+
+def _ml_workspace(cand: _MlCandidates, n_frames: int):
+    """(left, right, metric, terms, cross): the buffers of _rank_metrics for
+    one call of n_frames frames.
 
     left is [2 Re A, -2 Im A, term_a, 1] (n_a rows), right is
     [Re W_B^T; Im W_B^T; 1; term_b] (n_b columns) and metric = left @ right.
     Only the A and term columns of left and the term_b row of right change
-    from one slot pattern to the next; the rest is filled here.
+    from one frame to the next; the rest is filled here. terms holds one
+    pattern's half terms and cross its right factors of A for a block of
+    up to _ML_BLOCK frames.
     """
-    n_a, width = cand.w_a.shape[0], cand.w_b.shape[1]
+    n_a, n_b = len(cand.w_a), len(cand.w_b)
+    width = cand.w_b.shape[1]
     left = np.empty((n_a, 2 * width + 2))
     left[:, -1] = 1.0
-    right = np.empty((2 * width + 2, cand.w_b.shape[0]))
+    right = np.empty((2 * width + 2, n_b))
     right[:width] = cand.w_b.real.T
     right[width : 2 * width] = cand.w_b.imag.T
     right[-2] = 1.0
-    return left, right, np.empty((n_a, cand.w_b.shape[0]))
+    block = min(n_frames, _ML_BLOCK)
+    terms = np.empty((block, n_a + n_b))
+    cross = np.empty((block,) + cand.cross_at.shape[1:])
+    return left, right, np.empty((n_a, n_b)), terms, cross
 
 
-def _half_terms(w, w_conj, g_half, c_half):
-    """quad - 2 lin for one half: Re(w^H G w) - 2 Re(w^H c) rowwise."""
-    quad = np.einsum("ij,ij->i", w_conj, w @ g_half.T).real
-    lin = (w_conj @ c_half).real
-    return quad - 2.0 * lin
+def _rank_metrics(entries: np.ndarray, rank: int, cand: _MlCandidates, work):
+    """Yield x^H G x - 2 Re(x^H c), that is ||y - H x||^2 - ||y||^2, of
+    every candidate x of slot pattern rank, frame by frame, as an
+    (n_a, n_b) matrix over the (half A, half B) combinations; it is work's
+    metric buffer, overwritten at the next frame.
 
-
-def _rank_metric(gram, c, rank: int, cand: _MlCandidates, work) -> np.ndarray:
-    """x^H G x - 2 Re(x^H c), that is ||y - H x||^2 - ||y||^2, of every
-    candidate x of slot pattern rank, as an (n_a, n_b) matrix over the
-    (half A, half B) combinations; it is work's metric buffer.
-
-    With A = W_A^H G_AB the cross term 2 Re(A W_B^T) is
-    2 Re A Re W_B^T - 2 Im A Im W_B^T, so the whole metric, half terms
-    included, is the one real product left @ right (_ml_workspace). The
-    factor 2 is exact in binary floating point.
+    The half terms of a block of frames are one real product of their
+    entries with cand.terms, and their right factors of A one gather. With
+    A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
+    2 Re A Re W_B^T - 2 Im A Im W_B^T, so per frame the whole metric, half
+    terms included, is the one real product left @ right (_ml_workspace).
+    The factor 2 is exact in binary floating point.
     """
-    left, right, metric = work
-    width = cand.w_b.shape[1]
-    split = cand.w_a.shape[1]
-    cols = cand.cols[rank]
-    g_r = gram[np.ix_(cols, cols)]
-    c_r = c[cols]
-    a = cand.w_a_conj @ g_r[:split, split:]
-    np.multiply(a.real, 2.0, out=left[:, :width])
-    np.multiply(a.imag, -2.0, out=left[:, width : 2 * width])
-    left[:, -2] = _half_terms(cand.w_a, cand.w_a_conj, g_r[:split, :split], c_r[:split])
-    right[-1] = _half_terms(cand.w_b, cand.w_b_conj, g_r[split:, split:], c_r[split:])
-    return np.matmul(left, right, out=metric)
+    left, right, metric, terms, cross = work
+    n_a, width = len(left), right.shape[0] - 2
+    for first in range(0, len(entries), len(terms)):
+        block = entries[first : first + len(terms)]
+        np.matmul(block[:, cand.term_at[rank]], cand.terms, out=terms[: len(block)])
+        np.multiply(block[:, cand.cross_at[rank]], cand.cross_sign, out=cross[: len(block)])
+        for frame_terms, frame_cross in zip(terms[: len(block)], cross):
+            np.matmul(cand.w_a_ri, frame_cross, out=left[:, :width])
+            left[:, -2] = frame_terms[:n_a]
+            right[-1] = frame_terms[n_a:]
+            yield np.matmul(left, right, out=metric)
 
 
 def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
     """Exhaustive minimum-distance detection over all encodable frames.
 
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
-    G = H^H H and c = H^H y. For each slot pattern the active columns form
-    a k n_t submodel; splitting the used slots into halves A/B makes the
-    candidate metric separable up to one cross matrix Re(W_A^H G_AB W_B).
-    The metric of all half-combinations of a pattern is one real matrix
-    product (_rank_metric), written into buffers allocated once per call,
-    so no search step allocates a metric-sized array. The search is per
-    frame, so a batch is searched frame by frame.
+    G = H^H H and c = H^H y, which come from the taps (_ml_entries); H is
+    never formed. For each slot pattern the active columns form a k n_t
+    submodel; splitting the used slots into halves A/B makes the candidate
+    metric separable up to one cross matrix Re(W_A^H G_AB W_B). What does
+    not depend on a single frame (the pattern's gathers, its half terms
+    and the factors of A) runs once per pattern for a block of frames; per
+    frame, the metric of all half-combinations is one real matrix product
+    written into one buffer allocated per call (_rank_metrics), followed by
+    its minimum. Patterns run in turn, each over all frames, and every
+    frame keeps its running minimum and the candidates that tie with it
+    exactly; the tie with the lowest bits wins.
     """
     _check_channel(y, ch, cfg)
     total = bit_partition(cfg).total
@@ -331,33 +415,25 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    work = _ml_workspace(cand)
-    picks = [_ml_search(y_f, ChannelRealization(taps), cfg, cand, work) for y_f, taps in zip(y, ch.taps)]
-    sap, antennas, symbols = (np.stack(a) for a in zip(*picks))
+    entries = _ml_entries(y, ch.taps)
+    work = _ml_workspace(cand, len(y))
+    at_min = np.empty(work[2].shape, dtype=bool)
+    best = [np.inf] * len(y)
+    ties: list[list[tuple[int, np.ndarray]]] = [[] for _ in y]
+    for rank in range(cand.n_rank):
+        for f, metric in enumerate(_rank_metrics(entries, rank, cand, work)):
+            m = float(metric.min())
+            if m <= best[f]:
+                flat = np.flatnonzero(np.equal(metric, m, out=at_min))
+                if m < best[f]:
+                    best[f], ties[f] = m, [(rank, flat)]
+                else:
+                    ties[f].append((rank, flat))
+    ranks, flats = np.array([_lowest_bit_candidate(t, cand, cfg) for t in ties]).T
+    sap, antennas, symbols = _candidate_fields(ranks, flats, cand, cfg)
     diag = {"iterations_run": 0, "candidates": cand.n_candidates,
             "sap_repaired": np.zeros(len(y), dtype=bool)}
     return _finalize(sap, antennas, symbols, cfg, diag)
-
-
-def _ml_search(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cand: _MlCandidates, work):
-    """(sap, antennas, symbols) of one frame's minimum-distance candidate."""
-    h = build_block_circulant(ch, cfg.n_slots)
-    gram = h.conj().T @ h
-    c = h.conj().T @ y
-
-    best_val = np.inf
-    ties: list[tuple[int, np.ndarray]] = []
-    for rank in range(cand.n_rank):
-        metric = _rank_metric(gram, c, rank, cand, work)
-        m = float(metric.min())
-        if m < best_val:
-            best_val = m
-            ties = [(rank, np.flatnonzero(metric.ravel() == m))]
-        elif m == best_val:
-            ties.append((rank, np.flatnonzero(metric.ravel() == m)))
-
-    rank, flat = _lowest_bit_candidate(ties, cand, cfg)
-    return _candidate_fields(rank, flat, cand, cfg)
 
 
 def _candidate_fields(rank, flat, cand: _MlCandidates, cfg: StimConfig):

@@ -32,10 +32,11 @@ from stimsim.detectors import (
     MpParams,
     _lowest_bit_candidate,
     _ml_candidates,
+    _ml_entries,
     _ml_workspace,
     _lead_sum,
     _normalize_log_rows,
-    _rank_metric,
+    _rank_metrics,
     _repair_each,
     _slot_count_messages,
     detect,
@@ -226,28 +227,72 @@ METRIC_CONFIGS = ML_ORACLE_CONFIGS + [
 
 @pytest.mark.parametrize("cfg", METRIC_CONFIGS,
                          ids=["qam4", "qam4_raw", "nt1_bpsk", "k1", "k_eq_n", "nt4_qam8"])
-def test_rank_metric_matches_dense_oracle(cfg):
-    # every candidate of every slot pattern, relative to the pattern's largest metric
+def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
+    # every candidate of every slot pattern in every frame of a chunk,
+    # relative to the pattern's largest metric; blocks of 2 frames make
+    # the chunk of 3 end in a partial block
+    monkeypatch.setattr(detectors, "_ML_BLOCK", 2)
     rng = np.random.default_rng(32)
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    work = _ml_workspace(cand)
     for snr in (None, 3.0, 12.0):
-        _, _, ch, y, _ = run_links(rng, cfg, snr, 2)
-        for i in range(2):
-            one = ChannelRealization(ch.taps[i])
-            h = build_block_circulant(one, cfg.n_slots)
-            gram, c = h.conj().T @ h, h.conj().T @ y[i]
-            for rank in range(cand.n_rank):
-                want = ml_pattern_metric(y[i], one, cfg, cand.saps[rank])
-                got = _rank_metric(gram, c, rank, cand, work).ravel()
+        _, _, ch, y, _ = run_links(rng, cfg, snr, 3)
+        entries, work = _ml_entries(y, ch.taps), _ml_workspace(cand, 3)
+        for rank in range(cand.n_rank):
+            frames = 0
+            for i, metric in enumerate(_rank_metrics(entries, rank, cand, work)):
+                want = ml_pattern_metric(y[i], ChannelRealization(ch.taps[i]), cfg, cand.saps[rank])
+                got = metric.ravel()
                 assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
+                frames += 1
+            assert frames == 3
+
+
+# (n_t, n_r, N, k, L): N = L, N = L = 1, n_t = 1, n_r = 1, L = N - 1, and Fig. 4
+ENTRY_SHAPES = [(2, 2, 3, 2, 3), (2, 3, 1, 1, 1), (1, 4, 6, 5, 2), (4, 1, 5, 3, 2),
+                (2, 2, 5, 4, 4), (2, 4, 6, 5, 2)]
+
+
+@pytest.mark.parametrize("frames", [1, 4])
+@pytest.mark.parametrize("shape", ENTRY_SHAPES, ids=["n_eq_l", "n_eq_l_eq_1", "nt1", "nr1", "l_eq_n_minus_1", "fig4"])
+def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
+    # G = H^H H and c = H^H y from the taps, against the dense products
+    rng = np.random.default_rng(34)
+    cfg = StimConfig(*shape, QAM4)
+    n, n_t = cfg.n_slots, cfg.n_t
+    _, _, ch, y, _ = run_links(rng, cfg, 6.0, frames)
+    rows = _ml_entries(y, ch.taps).view(complex)
+    g = rows[:, : n * n_t * n_t].reshape(frames, n, n_t, n_t)
+    c = rows[:, n * n_t * n_t :]
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n  # block (s, s') of G is g[(s - s') mod N]
+    gram = g[:, lag].transpose(0, 1, 3, 2, 4).reshape(frames, n * n_t, n * n_t)
+    for i in range(frames):
+        h = dense_h(ch, i, cfg)
+        want_g, want_c = h.conj().T @ h, h.conj().T @ y[i]
+        assert np.abs(gram[i] - want_g).max() <= 1e-13 * np.abs(want_g).max(), i
+        assert np.abs(c[i] - want_c).max() <= 1e-13 * np.abs(want_c).max(), i
 
 
 def test_ml_tables_are_read_only():
     cand = _ml_candidates(FIG4.n_t, FIG4.n_slots, FIG4.k, FIG4.alphabet.kind, FIG4.alphabet.normalized)
-    for name in ("saps", "cols", "digits_a", "digits_b", "w_a", "w_b", "w_a_conj", "w_b_conj"):
+    for name in ("saps", "digits_a", "digits_b", "w_a", "w_b", "w_a_ri", "terms", "term_at",
+                 "cross_at", "cross_sign"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(cand, name)[0] = 0
+
+
+def test_ml_call_allocates_little():
+    # one Fig. 4 chunk as the harness sends it: the per-call workspace and
+    # the chunk's G and c entries and a block's half terms stay under 1 MiB
+    rng = np.random.default_rng(35)
+    _, _, ch, y, _ = run_links(rng, FIG4, 6.0, 42)
+    ml_detect(y, ch, FIG4)  # the cached tables are built once
+    tracemalloc.start()
+    try:
+        ml_detect(y, ch, FIG4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_interleaved_ml_calls_match_separate_calls():

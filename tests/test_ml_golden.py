@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2, tap_normals, transmit
-from stimsim.codec import StimConfig, bit_partition, encode_frame
+from stimsim.codec import StimConfig
 from stimsim.detectors import ml_detect
+from test_detectors import run_links
 
 GOLDEN = Path(__file__).with_name("data") / "ml_golden.npz"
 
@@ -49,17 +49,10 @@ CASES = {
 
 
 def decisions(shape, alphabet, snr, frames, seed) -> np.ndarray:
-    """ML's bits for one case's seeded chunk; each frame draws its bits,
-    channel taps and noise normals in turn."""
+    """ML's bits for one case's seeded chunk (run_links: each frame draws
+    its bits, channel taps and noise normals in turn)."""
     cfg = StimConfig(*shape, alphabet)
-    rng = np.random.default_rng(seed)
-    n_bits = bit_partition(cfg).total
-    draws = [(rng.integers(0, 2, n_bits, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
-              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
-    bits, taps, normals = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(taps)
-    sigma2 = 0.0 if snr is None else snr_to_sigma2(snr, cfg.l_taps)
-    y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
+    _, _, ch, y, _ = run_links(np.random.default_rng(seed), cfg, snr, frames)
     return ml_detect(y, ch, cfg, cap=CAP).bits
 
 
