@@ -25,8 +25,10 @@ from stimsim.detectors import MpParams, ssd2_detect, ssd3_detect
 GOLDEN = Path(__file__).with_name("data") / "mp_golden.npz"
 
 QAM4 = build_alphabet("qam4")
+QAM8 = build_alphabet("qam8")
+QAM16 = build_alphabet("qam16")
 
-# name: ((n_t, n_r, N, k, L), SNR dB, frames, schedule, seed)
+# name: ((n_t, n_r, N, k, L), SNR dB, frames, schedule, seed[, alphabet])
 CASES = {
     "fig5_chunk_6db": ((2, 4, 8, 7, 2), 6.0, 32, MpParams(), 40),
     "n32_8db": ((2, 4, 32, 28, 4), 8.0, 4, MpParams(), 41),
@@ -37,12 +39,17 @@ CASES = {
     "early_stop_n4": ((2, 1, 4, 2, 2), 0.0, 12, MpParams(max_iterations=36, damping=0.3), 27),
     "early_stop_n4_cap50": ((2, 1, 4, 2, 2), 0.0, 12, MpParams(max_iterations=50, damping=0.3), 27),
     "early_stop_n16": ((2, 4, 16, 13, 2), 20.0, 12, MpParams(max_iterations=8, damping=0.9), 27),
+    # one rx antenna and four taps, in a chunk of several frames and of one
+    "nr1_l4_qam16": ((1, 1, 16, 12, 4), 12.0, 6, MpParams(), 44, QAM16),
+    "nr1_l4_qam8_one_frame": ((2, 1, 16, 12, 4), 10.0, 1, MpParams(), 45, QAM8),
+    # nine rx antennas: sums over rx longer than eight terms
+    "nr9_qam8": ((2, 9, 16, 13, 3), 0.0, 6, MpParams(), 46, QAM8),
 }
 
 
-def outputs(shape, snr, frames, mp, seed) -> dict[str, np.ndarray]:
+def outputs(shape, snr, frames, mp, seed, alphabet=QAM4) -> dict[str, np.ndarray]:
     """The recorded 2SSD and 3SSD outputs of one case's seeded chunk."""
-    cfg = StimConfig(*shape, QAM4)
+    cfg = StimConfig(*shape, alphabet)
     rng = np.random.default_rng(seed)
     n_bits = bit_partition(cfg).total
     draws = [(rng.integers(0, 2, n_bits, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
