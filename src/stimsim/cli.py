@@ -30,8 +30,20 @@ _INT_KEYS = {"nt", "nr", "n_slots", "k", "l_taps", "seed", "iters",
              "min_frames", "max_frames", "min_bit_errors", "workers", "ml_cap"}
 
 
+def _parse_value(key: str, val: str):
+    """A config-file value as the type of its key."""
+    if key == "snr_db":
+        return tuple(float(v) for v in val.split(","))
+    if key in _INT_KEYS:
+        return int(val)
+    if key == "damp":
+        return float(val)
+    return val
+
+
 def load_config_file(path: str) -> dict:
-    """Parse a flat key = value config file; unknown keys are rejected."""
+    """Parse a flat key = value config file; unknown keys and values that do
+    not parse are rejected with their line."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -43,14 +55,10 @@ def load_config_file(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val
-    for key in values:
-        if key == "snr_db":
-            values[key] = tuple(float(v) for v in values[key].split(","))
-        elif key in _INT_KEYS:
-            values[key] = int(values[key])
-        elif key == "damp":
-            values[key] = float(values[key])
+            try:
+                values[key] = _parse_value(key, val)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: cannot parse {key} = {val!r}") from None
     return values
 
 
@@ -62,21 +70,6 @@ def _merge(args: argparse.Namespace) -> dict:
         if flag is not None:
             merged[key] = flag
     return merged
-
-
-def _stim_config(values: dict) -> StimConfig:
-    try:
-        alphabet = build_alphabet(values.get("alphabet", "qam4"))
-        return StimConfig(
-            n_t=values.get("nt", 2),
-            n_r=values.get("nr", 4),
-            n_slots=values["n_slots"],
-            k=values["k"],
-            l_taps=values.get("l_taps", 2),
-            alphabet=alphabet,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required parameter: {exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +211,15 @@ def cmd_roundtrip(args) -> int:
 def _sweep_spec(values: dict) -> SweepSpec:
     system = values.get("system", "stim")
     alphabet = build_alphabet(values.get("alphabet", "qam4"))
-    if system == "stim":
-        cfg = _stim_config(values)
-    else:
-        cfg = OfdmConfig(
-            n_r=values.get("nr", 4),
-            n_slots=values["n_slots"],
-            l_taps=values.get("l_taps", 2),
-            alphabet=alphabet,
-        )
+    try:
+        common = dict(n_r=values.get("nr", 4), n_slots=values["n_slots"],
+                      l_taps=values.get("l_taps", 2), alphabet=alphabet)
+        if system == "stim":
+            cfg = StimConfig(n_t=values.get("nt", 2), k=values["k"], **common)
+        else:
+            cfg = OfdmConfig(**common)
+    except KeyError as exc:
+        raise ConfigError(f"missing required parameter: {exc.args[0]}") from None
     snr_points = values.get("snr_db")
     if not snr_points:
         raise ConfigError("snr_db is required")

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 from .alphabet import ConfigError
 
-# 1/ln(2): the optimal slot count solves log2 N = A + M + 1/ln 2
-_LOG2_E = 1.0 / math.log(2.0)
-
 
 @dataclass(frozen=True)
 class RateParams:
@@ -109,7 +106,11 @@ def k_bounds(params: RateParams) -> KBounds:
 
 
 def optimal_n(params: RateParams) -> int:
-    """Slot count maximizing the rate improvement over OFDM: ceil(C * 2^1.4427)."""
+    """Slot count maximizing the rate improvement over OFDM: ceil(C * 2^1.4427).
+
+    The optimum solves log2 N = A + M + 1/ln 2, that is N = C 2^(1/ln 2)
+    with C = 2^(A+M); 1/ln 2 is taken as the paper's 1.4427.
+    """
     return math.ceil(params.c_const * 2.0**1.4427)
 
 

@@ -146,6 +146,21 @@ def test_config_unknown_key_rejected(tmp_path):
     assert main(["ber", "--config", str(cfg), "--snr-db", "8"]) == 1
 
 
+def test_config_value_that_does_not_parse_names_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_slots = 8\nnt = two\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:2: cannot parse nt = 'two'"):
+        load_config_file(str(cfg))
+    assert main(["ber", "--config", str(cfg), "--snr-db", "8"]) == 1
+    assert f"{cfg}:2: cannot parse nt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system", ["stim", "ofdm"])
+def test_missing_n_slots_names_the_parameter(system, capsys):
+    assert main(["ber", "--system", system, "--snr-db", "5"]) == 1
+    assert capsys.readouterr().err.strip() == "error: missing required parameter: n_slots"
+
+
 def test_invalid_params_nonzero_exit(capsys):
     rc = main(["ber", "--n-slots", "8", "--k", "9", "--snr-db", "8"])
     assert rc == 1

@@ -34,7 +34,6 @@ from stimsim.detectors import (
     _ml_candidates,
     _ml_entries,
     _ml_workspace,
-    _lead_sum,
     _normalize_log_rows,
     _rank_metrics,
     _repair_each,
@@ -97,21 +96,6 @@ def test_normalize_log_linear_agreement():
         assert np.abs(linear - log_path).max() < 1e-12
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 40, 64, 65, 128, 129, 300])
-def test_lead_sum_matches_numpy_row_and_column_sums(n, dtype):
-    # the candidate-first layout sums in the order numpy gave the same
-    # values laid out last: pairwise when contiguous, in turn when not
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((6, 5, n)) * 10.0 ** np.arange(-3, 4, 1.5)[:5, None]
-    if dtype is complex:
-        x = x + 1j * rng.standard_normal(x.shape)
-    lead = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    assert np.array_equal(_lead_sum(lead), x.sum(axis=-1))
-    strided = np.ascontiguousarray(np.moveaxis(x, -1, -2))  # (6, n, 5): the sum is not innermost
-    assert np.array_equal(_lead_sum(lead, pairwise=False), strided.sum(axis=-2))
-
-
 @pytest.mark.parametrize("n", [2, 5, 8, 16, 17])
 def test_normalize_log_rows_matches_trailing_rows(n):
     rng = np.random.default_rng(n)
@@ -120,10 +104,9 @@ def test_normalize_log_rows_matches_trailing_rows(n):
     logw[2, 3, ::2] = -np.inf
     want = normalize_log_rows(logw)
     lead = np.ascontiguousarray(np.moveaxis(logw, -1, 0))
-    assert np.array_equal(np.moveaxis(_normalize_log_rows(lead.copy()), 0, -1), want)
-    in_turn = np.moveaxis(_normalize_log_rows(lead, pairwise=False), 0, -1)
-    assert np.allclose(in_turn, want, rtol=1e-14, atol=0.0)
-    assert np.array_equal(in_turn[0, 1], np.full(n, 1.0 / n))
+    got = np.moveaxis(_normalize_log_rows(lead), 0, -1)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got[0, 1], np.full(n, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +395,9 @@ MP_ORACLE_CASES = [pytest.param(shape, QAM4, (4.0, 8.0, 60.0), id=f"shape{i}")
     pytest.param((1, 1, 8, 6, 2), QAM16, (8.0, 60.0), id="nt1_nr1_qam16"),
     # qam8: 16 candidates and 9 composite values in 2SSD
     pytest.param((2, 2, 8, 6, 2), QAM8, (8.0, 60.0), id="qam8"),
+    # nine rx antennas with four taps, and one rx antenna with four taps
+    pytest.param((2, 9, 8, 7, 4), QAM4, (4.0, 60.0), id="nr9_l4"),
+    pytest.param((1, 1, 16, 12, 4), QAM8, (8.0, 60.0), id="nr1_l4_qam8"),
     pytest.param((2, 4, 8, 7, 2), QAM4, (None,), id="sigma2_zero"),
 ]
 
@@ -474,6 +460,8 @@ MIXED_BATCHES = [
     ("3ssd", (2, 4, 16, 13, 2), MpParams(max_iterations=8, damping=0.9), 20.0),
     ("mmse", (2, 4, 8, 7, 2), MpParams(), 6.0),
     ("ml", (2, 4, 6, 5, 2), MpParams(), 6.0),
+    # one rx antenna, four taps: each tap sum adds four complex terms
+    ("2ssd", (2, 1, 8, 6, 4), MpParams(max_iterations=40, damping=0.9), 20.0),
 ]
 
 
