@@ -8,21 +8,11 @@ acting on the stacked data columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .alphabet import ConfigError
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    taps: np.ndarray  # (L, n_r, n_t) as drawn; detectors take a batch, (B, L, n_r, n_t)
-
-    @property
-    def l_taps(self) -> int:
-        return self.taps.shape[-3]
 
 
 def tap_powers(l_taps: int) -> np.ndarray:
@@ -45,12 +35,12 @@ def tap_normals(rng: np.random.Generator, cfg) -> np.ndarray:
     return rng.standard_normal((2, cfg.l_taps, cfg.n_r, cfg.n_t))
 
 
-def draw_channel(normals: np.ndarray) -> ChannelRealization:
-    """Quasi-static realization(s) from tap_normals: normals of shape
-    (2, L, n_r, n_t) give one (L, n_r, n_t); a chunk's stacked normals
+def draw_channel(normals: np.ndarray) -> np.ndarray:
+    """Quasi-static taps from tap_normals: normals of shape (2, L, n_r, n_t)
+    give one realization's (L, n_r, n_t) taps; a chunk's stacked normals
     (B, 2, L, n_r, n_t) give its (B, L, n_r, n_t) taps in one call."""
     re, im = normals[..., 0, :, :, :], normals[..., 1, :, :, :]
-    return ChannelRealization(_tap_scales(normals.shape[-3]) * (re + 1j * im))
+    return _tap_scales(normals.shape[-3]) * (re + 1j * im)
 
 
 @lru_cache(maxsize=None)
@@ -68,18 +58,18 @@ def band_index(n_slots: int, l_taps: int) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
-def build_block_circulant(ch: ChannelRealization, n_slots: int) -> np.ndarray:
+def build_block_circulant(taps: np.ndarray, n_slots: int) -> np.ndarray:
     """Equivalent (N n_r) x (N n_t) matrix: block (r, c) is tap (r-c) mod N.
 
     No detector forms it; it is the dense reference of the tests, and
     perfbench traces it by name.
     """
-    l_taps, n_r, n_t = ch.taps.shape
+    l_taps, n_r, n_t = taps.shape
     if n_slots < l_taps:
         raise ConfigError(f"need N >= L, got N={n_slots}, L={l_taps}")
     h = np.zeros((n_slots * n_r, n_slots * n_t), dtype=np.complex128)
     slot_of, _ = band_index(n_slots, l_taps)
-    h.reshape(n_slots, n_r, n_slots, n_t)[np.arange(n_slots)[:, None], :, slot_of, :] = ch.taps
+    h.reshape(n_slots, n_r, n_slots, n_t)[np.arange(n_slots)[:, None], :, slot_of, :] = taps
     return h
 
 
@@ -94,15 +84,15 @@ def snr_to_sigma2(snr_db: float, l_taps: int) -> float:
     return p_ch / 10.0 ** (snr_db / 10.0)
 
 
-def apply_channel(ch: ChannelRealization, x: np.ndarray) -> np.ndarray:
+def apply_channel(taps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Noiseless circular convolution of the (N, n_t) slots x with the taps;
     (B, N, n_t) slots with (B, L, n_r, n_t) taps give (B, N, n_r).
 
     Row r of the (N, n_r) result is sum_l taps[l] @ x[(r - l) mod N]: the
     block-circulant product, read off the band without forming H.
     """
-    slot_of, _ = band_index(x.shape[-2], ch.l_taps)
-    return np.einsum("...lat,...rlt->...ra", ch.taps, x[..., slot_of, :])
+    slot_of, _ = band_index(x.shape[-2], taps.shape[-3])
+    return np.einsum("...lat,...rlt->...ra", taps, x[..., slot_of, :])
 
 
 def awgn(sigma2: float, normals: np.ndarray) -> np.ndarray:
@@ -111,9 +101,7 @@ def awgn(sigma2: float, normals: np.ndarray) -> np.ndarray:
     return np.sqrt(sigma2 / 2.0) * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
-def transmit(
-    x: np.ndarray, ch: ChannelRealization, sigma2: float, normals: np.ndarray
-) -> np.ndarray:
+def transmit(x: np.ndarray, taps: np.ndarray, sigma2: float, normals: np.ndarray) -> np.ndarray:
     """Received vector y = H x + n of length N n_r for the (N, n_t) transmit
     slots x (the cyclic prefix turns the linear channel convolution into the
     block-circulant product and is then discarded).
@@ -122,7 +110,7 @@ def transmit(
     x of shape (B, N, n_t) with taps (B, L, n_r, n_t) and normals
     (B, 2, N n_r), gives (B, N n_r) from one band product.
     """
-    if ch.taps.shape[-1] != x.shape[-1]:
-        raise ValueError(f"channel has {ch.taps.shape[-1]} transmit antennas, frame {x.shape[-1]}")
-    y = apply_channel(ch, x)
+    if taps.shape[-1] != x.shape[-1]:
+        raise ValueError(f"channel has {taps.shape[-1]} transmit antennas, frame {x.shape[-1]}")
+    y = apply_channel(taps, x)
     return y.reshape(y.shape[:-2] + (-1,)) + awgn(sigma2, normals)

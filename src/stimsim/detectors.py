@@ -22,9 +22,9 @@ shape (B, N n_r) with taps of shape (B, L, n_r, n_t), one realization per
 frame; one frame is the batch of B = 1. No arithmetic crosses frames, so a
 frame's result does not depend on the batch it is in. Message passing
 stops per frame: a frame whose messages have settled keeps its state while
-the others iterate. ``iterations_run`` counts the iterations of the call's
-loop (the largest per-frame count) and ``frame_iterations`` each frame's
-own; every other per-frame diagnostic carries the batch axis. ML forms
+the others iterate. Their ``iterations_run`` counts the iterations of the
+call's loop (the largest per-frame count) and ``frame_iterations`` each
+frame's own; every other per-frame diagnostic carries the batch axis. ML forms
 G and H^H y once for the chunk, each slot pattern's gathers and half terms
 once per block of frames, and its metric product and minimum frame by
 frame.
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import build_alphabet
-from .channel import ChannelRealization, band_index
+from .channel import band_index
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
 DEFAULT_ML_CAP = 2**22
@@ -118,25 +118,25 @@ def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
     return sap, repaired
 
 
-def _check_channel(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig) -> None:
+def _check_channel(y: np.ndarray, taps: np.ndarray, cfg: StimConfig) -> None:
     """Reject input that is not a batch of frames whose channels and received
     vectors fit cfg."""
-    taps, size = (cfg.l_taps, cfg.n_r, cfg.n_t), cfg.n_slots * cfg.n_r
-    if ch.taps.shape[1:] != taps or y.shape[1:] != (size,):
-        raise ValueError(f"channel taps {ch.taps.shape} and y {y.shape} do not fit the config, "
-                         f"which needs a batch of B frames: taps (B, {', '.join(map(str, taps))}) "
+    want, size = (cfg.l_taps, cfg.n_r, cfg.n_t), cfg.n_slots * cfg.n_r
+    if taps.shape[1:] != want or y.shape[1:] != (size,):
+        raise ValueError(f"channel taps {taps.shape} and y {y.shape} do not fit the config, "
+                         f"which needs a batch of B frames: taps (B, {', '.join(map(str, want))}) "
                          f"and y (B, {size})")
-    _check_batch(y, ch)
+    _check_batch(y, taps)
 
 
-def _check_batch(y: np.ndarray, ch: ChannelRealization) -> None:
+def _check_batch(y: np.ndarray, taps: np.ndarray) -> None:
     """Reject input that is not a batch of frames with one channel each:
     y (B, N n_r) and taps (B, L, n_r, n_t), for any config."""
-    if ch.taps.ndim != 4 or y.ndim != 2 or y.shape[1] % ch.taps.shape[2]:
+    if taps.ndim != 4 or y.ndim != 2 or y.shape[1] % taps.shape[2]:
         raise ValueError(f"need a batch of B frames: y (B, N n_r) and taps (B, L, n_r, n_t), "
-                         f"got y {y.shape} and taps {ch.taps.shape}")
-    if ch.taps.shape[0] != y.shape[0]:
-        raise ValueError(f"{ch.taps.shape[0]} channels for {y.shape[0]} frames")
+                         f"got y {y.shape} and taps {taps.shape}")
+    if taps.shape[0] != y.shape[0]:
+        raise ValueError(f"{taps.shape[0]} channels for {y.shape[0]} frames")
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,6 +173,29 @@ def _slot_totals(per_edge: np.ndarray, obs_at: np.ndarray, work) -> np.ndarray:
 def _slot_totals_work(n_vals: int, l_taps: int, f: int):
     """The buffers of _slot_totals for one call."""
     return np.empty((n_vals, l_taps, f)), np.empty((n_vals, l_taps, f)), np.empty((n_vals, f))
+
+
+def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
+    """step(means, variances, gains, diff, out): the log messages
+    -|y - mu - gain|^2 / s2 of a chunk y (B, N n_r) into out, shaped (value,
+    tap, rx, frame-slot) like gains and the scratch diff. An edge's mu and s2
+    are the (tap, rx, frame-slot) interference moments summed over the taps
+    less its own (both overwritten); s2 adds sigma2 and is at least _ZF_EPS."""
+    b = len(y)
+    y_t = np.ascontiguousarray(y.reshape(b, -1, n_r).transpose(2, 0, 1)).reshape(n_r, -1)
+    mean_sum, var_sum = np.empty(y_t.shape, complex), np.empty(y_t.shape)
+
+    def step(means, variances, gains, diff, out):
+        mu = np.subtract(np.add.reduce(means, axis=0, out=mean_sum), means, out=means)
+        s2 = np.subtract(np.add.reduce(variances, axis=0, out=var_sum), variances, out=variances)
+        s2 += sigma2
+        s2.clip(min=_ZF_EPS, out=s2)
+        np.subtract(np.subtract(y_t, mu, out=mu), gains, out=diff)
+        np.square(np.abs(diff, out=out), out=out)
+        out /= s2
+        return np.negative(out, out=out)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +379,7 @@ def _rank_metrics(entries: np.ndarray, rank: int, cand: _MlCandidates, work):
             yield np.matmul(left, right, out=metric)
 
 
-def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
+def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
     """Exhaustive minimum-distance detection over all encodable frames.
 
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
@@ -372,7 +395,7 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
     frame keeps its running minimum and the candidates that tie with it
     exactly; the tie with the lowest bits wins.
     """
-    _check_channel(y, ch, cfg)
+    _check_channel(y, taps, cfg)
     total = bit_partition(cfg).total
     if 2**total > cap:
         raise ValueError(
@@ -380,7 +403,7 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    entries = _ml_entries(y, ch.taps)
+    entries = _ml_entries(y, taps)
     work = _ml_workspace(cand, len(y))
     at_min = np.empty(work[2].shape, dtype=bool)
     best = [np.inf] * len(y)
@@ -396,8 +419,7 @@ def ml_detect(y: np.ndarray, ch: ChannelRealization, cfg: StimConfig, cap: int =
                     ties[f].append((rank, flat))
     ranks, flats = np.array([_lowest_bit_candidate(t, cand, cfg) for t in ties]).T
     sap, antennas, symbols = _candidate_fields(ranks, flats, cand, cfg)
-    diag = {"iterations_run": 0, "candidates": cand.n_candidates,
-            "sap_repaired": np.zeros(len(y), dtype=bool)}
+    diag = {"candidates": cand.n_candidates, "sap_repaired": np.zeros(len(y), dtype=bool)}
     return _finalize(sap, antennas, symbols, cfg, diag)
 
 
@@ -426,7 +448,7 @@ def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
 # ---------------------------------------------------------------------------
 
 
-def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
+def mmse_stage(y: np.ndarray, taps: np.ndarray, sigma2: float):
     """MMSE estimate of the stacked transmit vector plus per-slot antenna picks.
 
     The DFT over slots block-diagonalizes the block-circulant H, so the
@@ -436,10 +458,10 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     the largest-magnitude entry of slot i's subvector (ties to the lower
     index), shaped (B, N n_t) and (B, N) for a batch of B frames.
     """
-    _check_batch(y, ch)
-    b, _, n_r, n_t = ch.taps.shape
+    _check_batch(y, taps)
+    b, _, n_r, n_t = taps.shape
     n = y.shape[1] // n_r
-    lam = np.fft.fft(ch.taps, n=n, axis=1)
+    lam = np.fft.fft(taps, n=n, axis=1)
     lam_h = lam.conj().swapaxes(-1, -2)
     y_f = np.fft.fft(y.reshape(b, n, n_r), axis=1)
     reg = sigma2 if sigma2 > 0.0 else _ZF_EPS
@@ -449,11 +471,11 @@ def mmse_stage(y: np.ndarray, ch: ChannelRealization, sigma2: float):
     return x_hat, ant_idx
 
 
-def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimConfig) -> DetectionResult:
+def mmse_detect(y: np.ndarray, taps: np.ndarray, sigma2: float, cfg: StimConfig) -> DetectionResult:
     """Plain MMSE receiver: k most-energetic slots are declared used, the
     antenna pick and nearest constellation point are read per used slot."""
-    _check_channel(y, ch, cfg)
-    x_hat, ant_idx = mmse_stage(y, ch, sigma2)
+    _check_channel(y, taps, cfg)
+    x_hat, ant_idx = mmse_stage(y, taps, sigma2)
     x_slots = x_hat.reshape(len(y), cfg.n_slots, cfg.n_t)
     scores = np.abs(x_slots).max(axis=-1)
     order = np.argsort(-scores, axis=-1, kind="stable")
@@ -463,8 +485,7 @@ def mmse_detect(y: np.ndarray, ch: ChannelRealization, sigma2: float, cfg: StimC
     est = x_slots[np.arange(len(y))[:, None], sap, antennas]
     pts = cfg.alphabet.points
     symbols = pts[np.argmin(np.abs(est[..., None] - pts), axis=-1)]
-    diag = {"iterations_run": 0, "sap_repaired": repaired}
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return _finalize(sap, antennas, symbols, cfg, {"sap_repaired": repaired})
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +561,7 @@ def _frame_max(a: np.ndarray, n_frames: int) -> np.ndarray:
 
 def ssd2_detect(
     y: np.ndarray,
-    ch: ChannelRealization,
+    taps: np.ndarray,
     sigma2: float,
     cfg: StimConfig,
     mp: MpParams = MpParams(),
@@ -555,24 +576,23 @@ def ssd2_detect(
     moments use the composite per-slot belief (activity prior times the
     product of observation messages) rather than per-edge beliefs.
     """
-    _check_channel(y, ch, cfg)
+    _check_channel(y, taps, cfg)
     b, n, k, n_r, l_taps = len(y), cfg.n_slots, cfg.k, cfg.n_r, cfg.l_taps
     f = b * n
-    _, ant_idx = mmse_stage(y, ch, sigma2)
+    _, ant_idx = mmse_stage(y, taps, sigma2)
     edge_slot, obs_at = _edge_maps(b, n, l_taps)
     # edge (tap l, rx a, frame-slot f): gain of the picked antenna of the slot it meets
-    g = ch.taps[edge_slot // n, np.arange(l_taps)[:, None], :, ant_idx.ravel()[edge_slot]]
+    g = taps[edge_slot // n, np.arange(l_taps)[:, None], :, ant_idx.ravel()[edge_slot]]
     g = np.ascontiguousarray(g.transpose(0, 2, 1))
     g_abs2 = np.abs(g) ** 2
-    y_t = np.ascontiguousarray(y.reshape(b, n, n_r).transpose(2, 0, 1)).reshape(n_r, f)
+    observe = _observation_step(y, n_r, sigma2)
 
     vals = np.concatenate([[0.0 + 0.0j], cfg.alphabet.points])
     vals_abs2 = np.abs(vals) ** 2
     n_v = vals.size
     g_vals = np.multiply(g, vals[:, None, None, None])
     # the per-call workspace: edge tensors are (value, tap, rx, frame-slot)
-    m_e, mu_sum = np.empty(g.shape, complex), np.empty((n_r, f), complex)
-    v_e, v_sum = np.empty(g.shape), np.empty((n_r, f))
+    m_e, v_e = np.empty(g.shape, complex), np.empty(g.shape)
     diff = np.empty(g_vals.shape, complex)
     log_v, expo = np.empty(g_vals.shape), np.empty(g_vals.shape)
     totals = _slot_totals_work(n_v, l_taps, f)
@@ -593,17 +613,9 @@ def ssd2_detect(
         var_z = (np.add.reduce(vals_abs2[:, None] * beliefs, axis=0) - np.abs(mean_z) ** 2).clip(min=0.0)
         np.multiply(g, mean_z[edge_slot][:, None], out=m_e)
         np.multiply(g_abs2, var_z[edge_slot][:, None], out=v_e)
-        mu = np.subtract(np.add.reduce(m_e, axis=0, out=mu_sum), m_e, out=m_e)
-        sig2 = np.subtract(np.add.reduce(v_e, axis=0, out=v_sum), v_e, out=v_e)
-        sig2 += sigma2
-        sig2.clip(min=_ZF_EPS, out=sig2)
 
         # layer 1: observation-node messages over alphabet+{0}
-        np.subtract(np.subtract(y_t, mu, out=mu), g_vals, out=diff)
-        np.abs(diff, out=log_v)
-        np.square(log_v, out=log_v)
-        log_v /= sig2
-        np.negative(log_v, out=log_v)
+        observe(m_e, v_e, g_vals, diff, log_v)
         log_v -= np.maximum.reduce(log_v, axis=0)
         np.exp(log_v, out=expo)
         log_v -= np.log(np.add.reduce(expo, axis=0))
@@ -659,7 +671,7 @@ def ssd2_detect(
 
 def ssd3_detect(
     y: np.ndarray,
-    ch: ChannelRealization,
+    taps: np.ndarray,
     sigma2: float,
     cfg: StimConfig,
     mp: MpParams = MpParams(),
@@ -673,7 +685,7 @@ def ssd3_detect(
     Gaussian-approximated interference from the other used slots. The band
     spans all N slots, and the unused slots' edges carry no interference.
     """
-    res2 = ssd2_detect(y, ch, sigma2, cfg, mp)
+    res2 = ssd2_detect(y, taps, sigma2, cfg, mp)
     slots = res2.sap
     b, n, k, n_t, n_r, l_taps = len(y), cfg.n_slots, cfg.k, cfg.n_t, cfg.n_r, cfg.l_taps
     f = b * n
@@ -693,13 +705,13 @@ def ssd3_detect(
     # the per-call workspace: edge tensors are (candidate, tap, rx, frame-slot)
     edges = (n_m, l_taps, n_r, f)
     p_eff = np.empty((n_m, l_taps, n_r, b, n), complex)
-    p_eff[...] = (ch.taps[..., ant_of] * pts[sym_of]).transpose(3, 1, 2, 0)[..., None]
+    p_eff[...] = (taps[..., ant_of] * pts[sym_of]).transpose(3, 1, 2, 0)[..., None]
     p_eff = p_eff.reshape(edges)
     p_abs2 = np.abs(p_eff) ** 2
-    y_t = np.ascontiguousarray(y.reshape(b, n, n_r).transpose(2, 0, 1)).reshape(n_r, f)
+    observe = _observation_step(y, n_r, sigma2)
     terms, diff = np.empty(edges), np.empty(edges, complex)
-    me, me_sum, mag2 = np.empty(edges[1:], complex), np.empty((n_r, f), complex), np.empty(edges[1:])
-    ve, ve_sum, edge_moved = np.empty(edges[1:]), np.empty((n_r, f)), np.empty(edges[1:])
+    me, mag2 = np.empty(edges[1:], complex), np.empty(edges[1:])
+    ve, edge_moved = np.empty(edges[1:]), np.empty(edges[1:])
     at_edges = np.empty((n_m, l_taps, 1, f))
     totals = _slot_totals_work(n_m, l_taps, f)
 
@@ -713,14 +725,7 @@ def ssd3_detect(
         np.subtract(ve, mag2, out=ve).clip(min=0.0, out=ve)
         np.copyto(me, 0.0, where=edge_unused)
         np.copyto(ve, 0.0, where=edge_unused)
-        mu = np.subtract(np.add.reduce(me, axis=0, out=me_sum), me, out=me)
-        s2 = np.subtract(np.add.reduce(ve, axis=0, out=ve_sum), ve, out=ve)
-        s2 += sigma2
-        s2.clip(min=_ZF_EPS, out=s2)
-        np.subtract(np.subtract(y_t, mu, out=mu), p_eff, out=diff)
-        np.square(np.abs(diff, out=out), out=out)
-        out /= s2
-        return np.negative(out, out=out)
+        return observe(me, ve, p_eff, diff, out)
 
     pbar = np.full(edges, 1.0 / n_m)
     log_msg = np.empty(edges)
@@ -774,14 +779,14 @@ def ssd3_detect(
 DETECTORS = ("ml", "mmse", "2ssd", "3ssd")
 
 
-def detect(name: str, y, ch, sigma2, cfg, mp: MpParams = MpParams(), ml_cap: int = DEFAULT_ML_CAP):
+def detect(name: str, y, taps, sigma2, cfg, mp: MpParams = MpParams(), ml_cap: int = DEFAULT_ML_CAP):
     """Dispatch by detector name ("ml" | "mmse" | "2ssd" | "3ssd")."""
     if name == "ml":
-        return ml_detect(y, ch, cfg, cap=ml_cap)
+        return ml_detect(y, taps, cfg, cap=ml_cap)
     if name == "mmse":
-        return mmse_detect(y, ch, sigma2, cfg)
+        return mmse_detect(y, taps, sigma2, cfg)
     if name == "2ssd":
-        return ssd2_detect(y, ch, sigma2, cfg, mp)
+        return ssd2_detect(y, taps, sigma2, cfg, mp)
     if name == "3ssd":
-        return ssd3_detect(y, ch, sigma2, cfg, mp)
+        return ssd3_detect(y, taps, sigma2, cfg, mp)
     raise ValueError(f"unknown detector {name!r}")

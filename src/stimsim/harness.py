@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,8 +71,16 @@ class SweepSpec:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.system == "ofdm" and self.detector != "ml":
             raise ValueError("the OFDM baseline supports only ML detection")
+        want = StimConfig if self.system == "stim" else OfdmConfig
+        if not isinstance(self.cfg, want):
+            raise ValueError(f"system {self.system!r} needs cfg of type {want.__name__}, "
+                             f"got {type(self.cfg).__name__}")
         if not self.snr_points:
             raise ValueError("snr_points must be nonempty")
+        # +inf is the noiseless point; NaN and -inf have no noise variance
+        bad = [snr for snr in self.snr_points if math.isnan(snr) or snr == -math.inf]
+        if bad:
+            raise ValueError(f"SNR points must be finite or +inf, got {bad[0]:g}")
         if len(set(self.snr_points)) != len(self.snr_points):
             # the point index keys the RNG substream, so a repeat would replay it
             raise ValueError(f"duplicate SNR points in {self.snr_points}")
@@ -149,9 +158,9 @@ def _draw_trial(spec: SweepSpec, point_index: int, trial: int, n_bits: int):
     standard normals of the noise."""
     rng = trial_rng(spec.seed, point_index, trial)
     cfg = spec.cfg
-    taps = tap_normals(rng, cfg)
+    tap_draws = tap_normals(rng, cfg)
     bits = rng.integers(0, 2, n_bits, dtype=np.int8)
-    return taps, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
+    return tap_draws, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
 
 
 def _run_trial_range(args):
@@ -173,14 +182,14 @@ def _run_trial_range(args):
     step = _chunk_frames(cfg)
     for start in range(lo, hi, step):
         draws = [_draw_trial(spec, point_index, t, n_bits) for t in range(start, min(start + step, hi))]
-        taps, bits, normals = (np.stack(a) for a in zip(*draws))
-        ch = draw_channel(taps)
+        tap_draws, bits, normals = (np.stack(a) for a in zip(*draws))
+        taps = draw_channel(tap_draws)
         if spec.system == "stim":
-            y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
-            detected = detect(spec.detector, y, ch, sigma2, cfg, spec.mp, spec.ml_cap).bits
+            y = transmit(encode_frame(bits, cfg), taps, sigma2, normals)
+            detected = detect(spec.detector, y, taps, sigma2, cfg, spec.mp, spec.ml_cap).bits
         else:
-            y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, normals)
-            detected = ofdm_detect(y, ch, cfg)
+            y = ofdm_transmit(ofdm_modulate(bits, cfg), taps, sigma2, normals)
+            detected = ofdm_detect(y, taps, cfg)
         wrong = detected != bits
         acc += [seg.sum() for seg in np.split(wrong, bounds, axis=1)] + [wrong.any(axis=1).sum()]
     return acc

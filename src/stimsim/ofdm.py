@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Alphabet, ConfigError, pack_bits, unpack_bits
-from .channel import ChannelRealization, apply_channel, awgn
+from .channel import apply_channel, awgn
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ def ofdm_modulate(bits, cfg: OfdmConfig) -> np.ndarray:
     return np.fft.ifft(freq, axis=-1, norm="ortho")
 
 
-def ofdm_transmit(
-    samples: np.ndarray, ch: ChannelRealization, sigma2: float, normals: np.ndarray
-) -> np.ndarray:
+def ofdm_transmit(samples: np.ndarray, taps: np.ndarray, sigma2: float, normals: np.ndarray) -> np.ndarray:
     """Push N time samples through the multipath channel.
 
     Returns the (n_r, N) received samples after CP removal: the circular
@@ -61,26 +59,26 @@ def ofdm_transmit(
     shape (2, n_r N) (see channel.awgn). A chunk of (B, N) samples with taps
     (B, L, n_r, 1) and normals (B, 2, n_r N) gives (B, n_r, N).
     """
-    if ch.taps.shape[-1] != 1:
+    if taps.shape[-1] != 1:
         raise ValueError("OFDM baseline is single-transmit-antenna")
-    y = apply_channel(ch, samples[..., None]).swapaxes(-1, -2)
+    y = apply_channel(taps, samples[..., None]).swapaxes(-1, -2)
     return y + awgn(sigma2, normals).reshape(y.shape)
 
 
-def ofdm_detect(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_detect(y: np.ndarray, taps: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Per-subcarrier ML over the diagonalized channel, demapped to bits.
 
     Takes a batch of B frames, y of shape (B, n_r, N) with taps
     (B, L, n_r, 1), and gives (B, bits).
     """
     want_y, want_taps = (cfg.n_r, cfg.n_slots), (cfg.l_taps, cfg.n_r, 1)
-    if y.shape[1:] != want_y or ch.taps.shape[1:] != want_taps or len(y) != len(ch.taps):
-        raise ValueError(f"y {y.shape} and taps {ch.taps.shape} do not fit the config, which needs "
+    if y.shape[1:] != want_y or taps.shape[1:] != want_taps or len(y) != len(taps):
+        raise ValueError(f"y {y.shape} and taps {taps.shape} do not fit the config, which needs "
                          f"a batch of B frames: y (B, {cfg.n_r}, {cfg.n_slots}) and taps "
                          f"(B, {cfg.l_taps}, {cfg.n_r}, 1)")
     freq_rx = np.fft.fft(y, axis=-1, norm="ortho")  # (B, n_r, N)
     # (B, n_r, N) frequency response
-    lam = np.fft.fft(ch.taps[..., 0], n=cfg.n_slots, axis=1).swapaxes(1, 2)
+    lam = np.fft.fft(taps[..., 0], n=cfg.n_slots, axis=1).swapaxes(1, 2)
     pts = cfg.alphabet.points
     metric = np.abs(freq_rx[..., None] - lam[..., None] * pts) ** 2
     return unpack_bits(np.argmin(metric.sum(axis=1), axis=-1), cfg.alphabet.m_bits)

@@ -1,12 +1,12 @@
 """Exact, slow reference implementations that the tests compare the
-simulator's fast paths against."""
+simulator's fast paths against, and the seeded link draws the tests share."""
 
 import math
 
 import numpy as np
 
 from stimsim.alphabet import Alphabet
-from stimsim.channel import ChannelRealization, build_block_circulant
+from stimsim.channel import build_block_circulant, draw_channel, tap_normals
 from stimsim.codec import StimConfig, bit_partition, decode_frame, encode_frame, repair_sap
 from stimsim.detectors import (
     _CONVERGENCE_TOL,
@@ -56,6 +56,15 @@ def brute_force_optimal_n(params: RateParams, n_max: int = 512) -> int:
     return best_n
 
 
+def draw_links(rng: np.random.Generator, cfg: StimConfig | OfdmConfig, frames: int):
+    """(bits, taps, normals) of frames links stacked on a leading axis: each
+    link draws its bits, its channel taps and its noise normals in turn."""
+    n_bits = cfg.bits_per_frame if isinstance(cfg, OfdmConfig) else bit_partition(cfg).total
+    draws = [(rng.integers(0, 2, n_bits, dtype=np.int8), draw_channel(tap_normals(rng, cfg)),
+              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
+    return tuple(np.stack(a) for a in zip(*draws))
+
+
 def normalize_messages(raw: np.ndarray) -> np.ndarray:
     """Scale a nonnegative vector to a pmf; all-zero input becomes uniform."""
     raw = np.asarray(raw, dtype=float)
@@ -75,37 +84,37 @@ def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def circular_convolution_reference(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+def circular_convolution_reference(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Per-antenna circular convolution of the (N, n_t) transmit slots with the taps.
 
     Independent oracle for the block-circulant product: entry (slot j, rx r)
     is sum_l sum_i taps[l, r, i] * x[(j - l) mod N, i].
     """
-    l_taps, n_r, n_t = ch.taps.shape
+    l_taps, n_r, n_t = taps.shape
     n = x.shape[0]
     y = np.zeros((n, n_r), dtype=np.complex128)
     for j in range(n):
         for l in range(l_taps):
-            y[j] += ch.taps[l] @ x[(j - l) % n]
+            y[j] += taps[l] @ x[(j - l) % n]
     return y.reshape(-1)
 
 
-def linear_convolution_ofdm_reference(block: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+def linear_convolution_ofdm_reference(block: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Noiseless OFDM receive samples, (n_r, N): per-antenna linear convolution
     of the CP-extended block with the taps, keeping samples L-1 .. N+L-2."""
-    l_taps, n_r, _ = ch.taps.shape
+    l_taps, n_r, _ = taps.shape
     n = block.size - (l_taps - 1)
     y = np.empty((n_r, n), dtype=np.complex128)
     for r in range(n_r):
-        y[r] = np.convolve(block, ch.taps[:, r, 0])[l_taps - 1 : l_taps - 1 + n]
+        y[r] = np.convolve(block, taps[:, r, 0])[l_taps - 1 : l_taps - 1 + n]
     return y
 
 
-def joint_ml_reference(y: np.ndarray, ch: ChannelRealization, cfg: OfdmConfig) -> np.ndarray:
+def joint_ml_reference(y: np.ndarray, taps: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     """Exhaustive joint ML over all |alphabet|^N OFDM frames."""
     n, m = cfg.n_slots, cfg.alphabet.m_bits
     pts = cfg.alphabet.points
-    lam = np.fft.fft(ch.taps[:, :, 0], n=n, axis=0).T
+    lam = np.fft.fft(taps[:, :, 0], n=n, axis=0).T
     freq_rx = np.fft.fft(y, axis=1, norm="ortho")
     best_bits, best_val = None, np.inf
     for v in range(pts.size**n):
@@ -133,17 +142,17 @@ def encode_table(cfg: StimConfig):
     return bits, encode_frame(bits, cfg).reshape(len(bits), -1)
 
 
-def exhaustive_ml(y, ch: ChannelRealization, cfg: StimConfig, table):
+def exhaustive_ml(y, taps: np.ndarray, cfg: StimConfig, table):
     """(bits, metric): ||y - H x||^2 with the dense H for every row x of
     encode_table(cfg), and the bits of the lowest index among its exact
     minima, that is the lowest bits."""
     bits, x = table
-    h = build_block_circulant(ch, cfg.n_slots)
+    h = build_block_circulant(taps, cfg.n_slots)
     metric = np.sum(np.abs(y - x @ h.T) ** 2, axis=1)
     return bits[np.argmin(metric)], metric
 
 
-def ml_pattern_metric(y, ch: ChannelRealization, cfg: StimConfig, sap):
+def ml_pattern_metric(y, taps: np.ndarray, cfg: StimConfig, sap):
     """||y - H x||^2 - ||y||^2 with the dense H for every candidate x whose
     used slots are sap. Candidate f makes k per-slot choices, the digits of f
     in base n_t |A| with the first slot most significant; choice d sends
@@ -155,7 +164,7 @@ def ml_pattern_metric(y, ch: ChannelRealization, cfg: StimConfig, sap):
     digits = flat[:, None] // n_m ** np.arange(k - 1, -1, -1) % n_m
     x = np.zeros((flat.size, cfg.n_slots * cfg.n_t), dtype=np.complex128)
     x[flat[:, None], np.asarray(sap) * cfg.n_t + digits // q] = pts[digits % q]
-    h = build_block_circulant(ch, cfg.n_slots)
+    h = build_block_circulant(taps, cfg.n_slots)
     return np.sum(np.abs(y - x @ h.T) ** 2, axis=1) - np.sum(np.abs(y) ** 2)
 
 

@@ -12,16 +12,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import brute_force_optimal_n, circular_convolution_reference
+from oracles import brute_force_optimal_n, circular_convolution_reference, draw_links
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import (
-    ChannelRealization,
-    build_block_circulant,
-    draw_channel,
-    snr_to_sigma2,
-    tap_normals,
-    transmit,
-)
+from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, tap_normals, transmit
 from stimsim.cli import main
 from stimsim.codec import StimConfig, bit_partition, encode_frame
 from stimsim.detectors import MpParams, ssd2_detect
@@ -129,9 +122,9 @@ def test_c05_channel_oracle():
         n, l, n_t, n_r = shapes[i % len(shapes)]
         cfg = StimConfig(n_t, n_r, n, n - 1 if n > 1 else 1, l, QAM4)
         x = encode_frame(rng.integers(0, 2, (1, bit_partition(cfg).total), dtype=np.int8), cfg)[0]
-        ch = draw_channel(tap_normals(rng, cfg))
-        h = build_block_circulant(ch, n)
-        err = np.abs(h @ x.reshape(-1) - circular_convolution_reference(x, ch)).max()
+        taps = draw_channel(tap_normals(rng, cfg))
+        h = build_block_circulant(taps, n)
+        err = np.abs(h @ x.reshape(-1) - circular_convolution_reference(x, taps)).max()
         worst = max(worst, err)
     assert worst < 1e-10
     report(5, "channel oracle", f"max |Hx - circconv| = {worst:.2e} over 100 pairs")
@@ -263,15 +256,12 @@ def test_c09_exact_posterior_oracle():
         return q
 
     trials = 1000
-    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
-              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(trials)]
-    bits, taps, normals = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(taps)
-    y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
-    q_mp = ssd2_detect(y, ch, sigma2, cfg).diagnostics["slot_posteriors"]
+    bits, taps, normals = draw_links(rng, cfg, trials)
+    y = transmit(encode_frame(bits, cfg), taps, sigma2, normals)
+    q_mp = ssd2_detect(y, taps, sigma2, cfg).diagnostics["slot_posteriors"]
     tv_sum = 0.0
     for i in range(trials):
-        h = build_block_circulant(ChannelRealization(taps[i]), cfg.n_slots)
+        h = build_block_circulant(taps[i], cfg.n_slots)
         tv_sum += 0.5 * np.abs(q_mp[i] - exact_posterior(y[i], h)).sum(axis=1).mean()
     mean_tv = tv_sum / trials
     assert mean_tv <= 0.05, mean_tv

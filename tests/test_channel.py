@@ -4,7 +4,6 @@ import pytest
 from oracles import circular_convolution_reference
 from stimsim.alphabet import ConfigError, build_alphabet
 from stimsim.channel import (
-    ChannelRealization,
     band_index,
     build_block_circulant,
     draw_channel,
@@ -32,7 +31,7 @@ def normals(rng, cfg):
 def test_tap_variances_follow_pdp():
     rng = np.random.default_rng(0)
     cfg = make_cfg(n_t=2, n_r=2, l=3)
-    samples = draw_channel(np.stack([tap_normals(rng, cfg) for _ in range(50_000)])).taps
+    samples = draw_channel(np.stack([tap_normals(rng, cfg) for _ in range(50_000)]))
     var = np.mean(np.abs(samples) ** 2, axis=(0, 2, 3))
     # 50k draws x 4 entries: standard error of the variance ~ e^-l / sqrt(2e5)
     for l in range(3):
@@ -43,40 +42,40 @@ def test_tap_variances_follow_pdp():
 def test_chunk_taps_equal_each_realization_drawn_alone():
     cfg = make_cfg(n_t=2, n_r=4, l=3)
     chunk = draw_channel(np.stack([tap_normals(np.random.default_rng(9), cfg)] * 2
-                                  + [tap_normals(np.random.default_rng(10), cfg)])).taps
+                                  + [tap_normals(np.random.default_rng(10), cfg)]))
     shape = (cfg.l_taps, cfg.n_r, cfg.n_t)
     scale = np.sqrt(np.exp(-np.arange(cfg.l_taps)) / 2)[:, None, None]
     for taps, seed in zip(chunk, (9, 9, 10)):
         rng = np.random.default_rng(seed)
         # a realization draws all of its real parts, then all of its imaginary ones
         assert np.array_equal(taps, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
-        assert np.array_equal(taps, draw_channel(tap_normals(np.random.default_rng(seed), cfg)).taps)
+        assert np.array_equal(taps, draw_channel(tap_normals(np.random.default_rng(seed), cfg)))
 
 
 def test_draw_deterministic_given_seed():
     cfg = make_cfg()
     a = draw_channel(tap_normals(np.random.default_rng(42), cfg))
     b = draw_channel(tap_normals(np.random.default_rng(42), cfg))
-    assert np.array_equal(a.taps, b.taps)
+    assert np.array_equal(a, b)
 
 
 def test_single_tap_block_diagonal():
     rng = np.random.default_rng(1)
     cfg = make_cfg(n_r=2, l=1)
-    ch = draw_channel(tap_normals(rng, cfg))
-    h = build_block_circulant(ch, 4)
+    taps = draw_channel(tap_normals(rng, cfg))
+    h = build_block_circulant(taps, 4)
     for r in range(4):
         for c in range(4):
             block = h[r * 2 : (r + 1) * 2, c * 2 : (c + 1) * 2]
             if r == c:
-                assert np.array_equal(block, ch.taps[0])
+                assert np.array_equal(block, taps[0])
             else:
                 assert np.all(block == 0)
 
 
 def test_scalar_circulant_structure():
     taps = np.array([[[2.0 + 0j]], [[5.0 + 0j]]])  # h0=2, h1=5
-    h = build_block_circulant(ChannelRealization(taps), 3)
+    h = build_block_circulant(taps, 3)
     expected = np.array([[2, 0, 5], [5, 2, 0], [0, 5, 2]], dtype=complex)
     assert np.array_equal(h, expected)
 
@@ -92,9 +91,9 @@ def test_band_index_is_shared_and_read_only():
 
 def test_block_circulant_requires_n_ge_l():
     rng = np.random.default_rng(2)
-    ch = draw_channel(tap_normals(rng, make_cfg(l=2)))
+    taps = draw_channel(tap_normals(rng, make_cfg(l=2)))
     with pytest.raises(ConfigError):
-        build_block_circulant(ch, 1)
+        build_block_circulant(taps, 1)
 
 
 @pytest.mark.parametrize("n,l,n_t,n_r", [
@@ -106,13 +105,13 @@ def test_block_circulant_matches_convolution_oracle(n, l, n_t, n_r):
     cfg = StimConfig(n_t, n_r, n, max(1, n - 1), l, QAM4)
     for _ in range(25):
         slots = random_frame(rng, cfg)
-        ch = draw_channel(tap_normals(rng, cfg))
-        h = build_block_circulant(ch, n)
+        taps = draw_channel(tap_normals(rng, cfg))
+        h = build_block_circulant(taps, n)
         x = slots.reshape(-1)
-        ref = circular_convolution_reference(slots, ch)
+        ref = circular_convolution_reference(slots, taps)
         assert np.abs(h @ x - ref).max() < 1e-10
         # the band product that transmit uses agrees with both
-        y = transmit(slots, ch, 0.0, normals(rng, cfg))
+        y = transmit(slots, taps, 0.0, normals(rng, cfg))
         assert np.abs(y - h @ x).max() < 1e-12
         assert np.abs(y - ref).max() < 1e-12
 
@@ -121,8 +120,8 @@ def test_transmit_identity_channel():
     cfg = StimConfig(1, 1, 4, 4, 1, QAM4)
     rng = np.random.default_rng(4)
     slots = random_frame(rng, cfg)
-    ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex))
-    y = transmit(slots, ch, 0.0, normals(rng, cfg))
+    taps = np.ones((1, 1, 1), dtype=complex)
+    y = transmit(slots, taps, 0.0, normals(rng, cfg))
     assert np.allclose(y, slots[:, 0])
 
 
@@ -131,9 +130,9 @@ def test_transmit_noiseless_equals_hx():
     cfg = make_cfg()
     for _ in range(20):
         slots = random_frame(rng, cfg)
-        ch = draw_channel(tap_normals(rng, cfg))
-        y = transmit(slots, ch, 0.0, normals(rng, cfg))
-        assert np.abs(y - circular_convolution_reference(slots, ch)).max() < 1e-10
+        taps = draw_channel(tap_normals(rng, cfg))
+        y = transmit(slots, taps, 0.0, normals(rng, cfg))
+        assert np.abs(y - circular_convolution_reference(slots, taps)).max() < 1e-10
 
 
 def test_noise_energy():
@@ -141,11 +140,11 @@ def test_noise_energy():
     cfg = make_cfg(n_t=1, n_r=2, n=8, k=8, l=1)
     sigma2 = 0.7
     slots = random_frame(rng, cfg)
-    ch = ChannelRealization(np.zeros((1, 2, 1), dtype=complex))  # noise only
+    taps = np.zeros((1, 2, 1), dtype=complex)  # noise only
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        y = transmit(slots, ch, sigma2, normals(rng, cfg))
+        y = transmit(slots, taps, sigma2, normals(rng, cfg))
         total += np.sum(np.abs(y) ** 2)
     mean_energy = total / trials
     expected = 8 * 2 * sigma2
@@ -161,9 +160,9 @@ def test_snr_to_sigma2():
 def test_transmit_dimension_mismatch():
     rng = np.random.default_rng(7)
     slots = random_frame(rng, make_cfg(n_t=2))
-    ch = draw_channel(tap_normals(rng, StimConfig(1, 4, 8, 7, 2, QAM4)))
+    taps = draw_channel(tap_normals(rng, StimConfig(1, 4, 8, 7, 2, QAM4)))
     with pytest.raises(ValueError):
-        transmit(slots, ch, 0.0, normals(rng, make_cfg()))
+        transmit(slots, taps, 0.0, normals(rng, make_cfg()))
 
 
 @pytest.mark.parametrize("n,l,n_t,n_r", [(8, 2, 2, 4), (6, 2, 2, 4), (32, 4, 2, 4), (5, 3, 4, 1)])
@@ -171,11 +170,11 @@ def test_chunk_transmit_equals_per_frame(n, l, n_t, n_r):
     rng = np.random.default_rng(8)
     cfg = StimConfig(n_t, n_r, n, n - 1, l, QAM4)
     bits = rng.integers(0, 2, (9, bit_partition(cfg).total), dtype=np.int8)
-    taps = np.stack([draw_channel(tap_normals(rng, cfg)).taps for _ in bits])
+    taps = np.stack([draw_channel(tap_normals(rng, cfg)) for _ in bits])
     noise = rng.standard_normal((9, 2, n * n_r))
     sigma2 = snr_to_sigma2(6.0, l)
-    chunk = transmit(encode_frame(bits, cfg), ChannelRealization(taps), sigma2, noise)
+    chunk = transmit(encode_frame(bits, cfg), taps, sigma2, noise)
     assert chunk.shape == (9, n * n_r)
     for i in range(9):
-        one = transmit(encode_frame(bits[i : i + 1], cfg)[0], ChannelRealization(taps[i]), sigma2, noise[i])
+        one = transmit(encode_frame(bits[i : i + 1], cfg)[0], taps[i], sigma2, noise[i])
         assert np.array_equal(chunk[i], one)

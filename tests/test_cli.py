@@ -243,6 +243,13 @@ def test_seed_out_of_range_names_the_flag(command, seed, capsys):
     assert f"--seed must be in [0, 2**128), got {seed}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("command,flag", [(["roundtrip", "--frames", "4"], "--snr"), (["ber"], "--snr-db")])
+def test_non_finite_snr_is_an_error(command, flag, snr, capsys):
+    assert main(command + [f"{flag}={snr}", "--n-slots", "8", "--k", "7"]) == 1
+    assert f"error: SNR points must be finite or +inf, got {snr}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
 def test_workers_below_one_names_the_flag(command, workers, capsys):

@@ -9,6 +9,7 @@ from oracles import (
     dense_mmse_stage,
     dense_ssd2_detect,
     dense_ssd3_detect,
+    draw_links,
     encode_table,
     exhaustive_ml,
     ml_pattern_metric,
@@ -17,14 +18,7 @@ from oracles import (
     reduce_model,
 )
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import (
-    ChannelRealization,
-    build_block_circulant,
-    draw_channel,
-    snr_to_sigma2,
-    tap_normals,
-    transmit,
-)
+from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, tap_normals, transmit
 from stimsim import codec, detectors
 from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
 from stimsim.detectors import (
@@ -57,21 +51,17 @@ FIG4 = StimConfig(2, 4, 6, 5, 2, QAM4)
 
 
 def run_links(rng, cfg, snr_db, frames=1):
-    """(bits, slots, ch, y, sigma2) of frames links stacked on a leading axis;
-    each link draws its bits, channel taps and noise normals in turn."""
-    part = bit_partition(cfg)
-    draws = [(rng.integers(0, 2, part.total, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
-              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
-    bits, taps, normals = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(taps)
+    """(bits, slots, taps, y, sigma2) of frames links stacked on a leading
+    axis (draw_links); snr_db None is sigma2 = 0."""
+    bits, taps, normals = draw_links(rng, cfg, frames)
     slots = encode_frame(bits, cfg)
     sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
-    return bits, slots, ch, transmit(slots, ch, sigma2, normals), sigma2
+    return bits, slots, taps, transmit(slots, taps, sigma2, normals), sigma2
 
 
-def dense_h(ch, i, cfg):
+def dense_h(taps, i, cfg):
     """Frame i's dense block-circulant H."""
-    return build_block_circulant(ChannelRealization(ch.taps[i]), cfg.n_slots)
+    return build_block_circulant(taps[i], cfg.n_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +106,22 @@ def test_normalize_log_rows_matches_trailing_rows(n):
 
 def test_ml_noiseless_recovery():
     rng = np.random.default_rng(1)
-    bits, _, ch, y, _ = run_links(rng, FIG4, None, 20)
-    assert np.array_equal(ml_detect(y, ch, FIG4).bits, bits)
+    bits, _, taps, y, _ = run_links(rng, FIG4, None, 20)
+    assert np.array_equal(ml_detect(y, taps, FIG4).bits, bits)
 
 
 def test_ml_candidate_count_fig4():
     rng = np.random.default_rng(2)
-    _, _, ch, y, _ = run_links(rng, FIG4, 10.0)
-    res = ml_detect(y, ch, FIG4)
+    _, _, taps, y, _ = run_links(rng, FIG4, 10.0)
+    res = ml_detect(y, taps, FIG4)
     assert res.diagnostics["candidates"] == 2**17
 
 
 def test_ml_beats_random_candidates():
     rng = np.random.default_rng(3)
-    bits, _, ch, y, _ = run_links(rng, FIG4, 6.0)
-    res = ml_detect(y, ch, FIG4)
-    h = dense_h(ch, 0, FIG4)
+    bits, _, taps, y, _ = run_links(rng, FIG4, 6.0)
+    res = ml_detect(y, taps, FIG4)
+    h = dense_h(taps, 0, FIG4)
     x_ml = np.zeros(FIG4.n_slots * FIG4.n_t, dtype=complex)
     x_ml[res.sap[0] * FIG4.n_t + res.antennas[0]] = res.symbols[0]
     residual = np.sum(np.abs(y[0] - h @ x_ml) ** 2)
@@ -143,9 +133,9 @@ def test_ml_beats_random_candidates():
 
 def test_ml_cap_refusal():
     rng = np.random.default_rng(4)
-    _, _, ch, y, _ = run_links(rng, FIG5, 10.0)
+    _, _, taps, y, _ = run_links(rng, FIG5, 10.0)
     with pytest.raises(ValueError, match="2ssd"):
-        ml_detect(y, ch, FIG5, cap=2**22)
+        ml_detect(y, taps, FIG5, cap=2**22)
 
 
 # Fig. 4 with the normalized and the integer-grid alphabet, and with n_t = 1 BPSK
@@ -160,10 +150,10 @@ def test_ml_matches_exhaustive_oracle(cfg):
     table = encode_table(cfg)
     checked = 0
     for snr in (None, 3.0, 9.0, 12.0):
-        _, _, ch, y, _ = run_links(rng, cfg, snr, 6)
-        res = ml_detect(y, ch, cfg)
+        _, _, taps, y, _ = run_links(rng, cfg, snr, 6)
+        res = ml_detect(y, taps, cfg)
         for i in range(6):
-            want, metric = exhaustive_ml(y[i], ChannelRealization(ch.taps[i]), cfg, table)
+            want, metric = exhaustive_ml(y[i], taps[i], cfg, table)
             best, second = np.partition(metric, 1)[:2]
             if second - best > 1e-9 * second:
                 assert np.array_equal(res.bits[i], want), (snr, i)
@@ -218,12 +208,12 @@ def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
     rng = np.random.default_rng(32)
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
     for snr in (None, 3.0, 12.0):
-        _, _, ch, y, _ = run_links(rng, cfg, snr, 3)
-        entries, work = _ml_entries(y, ch.taps), _ml_workspace(cand, 3)
+        _, _, taps, y, _ = run_links(rng, cfg, snr, 3)
+        entries, work = _ml_entries(y, taps), _ml_workspace(cand, 3)
         for rank in range(cand.n_rank):
             frames = 0
             for i, metric in enumerate(_rank_metrics(entries, rank, cand, work)):
-                want = ml_pattern_metric(y[i], ChannelRealization(ch.taps[i]), cfg, cand.saps[rank])
+                want = ml_pattern_metric(y[i], taps[i], cfg, cand.saps[rank])
                 got = metric.ravel()
                 assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
                 frames += 1
@@ -242,14 +232,14 @@ def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
     rng = np.random.default_rng(34)
     cfg = StimConfig(*shape, QAM4)
     n, n_t = cfg.n_slots, cfg.n_t
-    _, _, ch, y, _ = run_links(rng, cfg, 6.0, frames)
-    rows = _ml_entries(y, ch.taps).view(complex)
+    _, _, taps, y, _ = run_links(rng, cfg, 6.0, frames)
+    rows = _ml_entries(y, taps).view(complex)
     g = rows[:, : n * n_t * n_t].reshape(frames, n, n_t, n_t)
     c = rows[:, n * n_t * n_t :]
     lag = (np.arange(n)[:, None] - np.arange(n)) % n  # block (s, s') of G is g[(s - s') mod N]
     gram = g[:, lag].transpose(0, 1, 3, 2, 4).reshape(frames, n * n_t, n * n_t)
     for i in range(frames):
-        h = dense_h(ch, i, cfg)
+        h = dense_h(taps, i, cfg)
         want_g, want_c = h.conj().T @ h, h.conj().T @ y[i]
         assert np.abs(gram[i] - want_g).max() <= 1e-13 * np.abs(want_g).max(), i
         assert np.abs(c[i] - want_c).max() <= 1e-13 * np.abs(want_c).max(), i
@@ -267,11 +257,11 @@ def test_ml_call_allocates_little():
     # one Fig. 4 chunk as the harness sends it: the per-call workspace and
     # the chunk's G and c entries and a block's half terms stay under 1 MiB
     rng = np.random.default_rng(35)
-    _, _, ch, y, _ = run_links(rng, FIG4, 6.0, 42)
-    ml_detect(y, ch, FIG4)  # the cached tables are built once
+    _, _, taps, y, _ = run_links(rng, FIG4, 6.0, 42)
+    ml_detect(y, taps, FIG4)  # the cached tables are built once
     tracemalloc.start()
     try:
-        ml_detect(y, ch, FIG4)
+        ml_detect(y, taps, FIG4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,10 +274,10 @@ def test_interleaved_ml_calls_match_separate_calls():
     rng = np.random.default_rng(33)
     cfgs = ML_ORACLE_CONFIGS[::2]
     links = [run_links(rng, cfg, 6.0, 5)[2:4] for cfg in cfgs]
-    separate = [ml_detect(y, ch, cfg).bits for cfg, (ch, y) in zip(cfgs, links)]
+    separate = [ml_detect(y, taps, cfg).bits for cfg, (taps, y) in zip(cfgs, links)]
     for i in range(5):
-        for cfg, (ch, y), want in zip(cfgs, links, separate):
-            got = ml_detect(y[i : i + 1], ChannelRealization(ch.taps[i : i + 1]), cfg).bits
+        for cfg, (taps, y), want in zip(cfgs, links, separate):
+            got = ml_detect(y[i : i + 1], taps[i : i + 1], cfg).bits
             assert np.array_equal(got[0], want[i])
 
 
@@ -311,25 +301,25 @@ def test_mmse_zero_forcing_limit():
     # mmse_stage takes H to be block-circulant: with sigma2 = 0 it inverts it
     rng = np.random.default_rng(5)
     cfg = StimConfig(2, 2, 6, 5, 3, QAM4)
-    ch = draw_channel(tap_normals(rng, cfg))
-    h = build_block_circulant(ch, cfg.n_slots)
+    taps = draw_channel(tap_normals(rng, cfg))
+    h = build_block_circulant(taps, cfg.n_slots)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    x_hat, _ = mmse_stage((h @ x)[None], ChannelRealization(ch.taps[None]), 0.0)
+    x_hat, _ = mmse_stage((h @ x)[None], taps[None], 0.0)
     assert np.abs(x_hat[0] - x).max() < 1e-5
 
 
 def test_mmse_single_antenna_indices():
     rng = np.random.default_rng(6)
     cfg = StimConfig(1, 2, 4, 3, 2, QAM4)
-    _, _, ch, y, s2 = run_links(rng, cfg, 10.0)
-    _, idx = mmse_stage(y, ch, s2)
+    _, _, taps, y, s2 = run_links(rng, cfg, 10.0)
+    _, idx = mmse_stage(y, taps, s2)
     assert np.array_equal(idx, np.zeros((1, 4), dtype=int))
 
 
 def test_mmse_antenna_accuracy_high_snr():
     rng = np.random.default_rng(7)
-    _, slots, ch, y, s2 = run_links(rng, FIG5, 30.0, 200)
-    _, idx = mmse_stage(y, ch, s2)
+    _, slots, taps, y, s2 = run_links(rng, FIG5, 30.0, 200)
+    _, idx = mmse_stage(y, taps, s2)
     sap, antennas, _ = slot_fields(slots, FIG5.k)
     assert np.mean(np.take_along_axis(idx, sap, axis=1) == antennas) > 0.95
 
@@ -375,9 +365,9 @@ def test_mmse_stage_matches_dense_solve(shape):
     rng = np.random.default_rng(20)
     cfg = StimConfig(*shape, QAM4)
     for snr in (0.0, 10.0, 30.0):
-        _, _, ch, y, s2 = run_links(rng, cfg, snr)
-        x_hat, idx = mmse_stage(y, ch, s2)
-        x_ref, idx_ref = dense_mmse_stage(y[0], dense_h(ch, 0, cfg), s2, cfg.n_t)
+        _, _, taps, y, s2 = run_links(rng, cfg, snr)
+        x_hat, idx = mmse_stage(y, taps, s2)
+        x_ref, idx_ref = dense_mmse_stage(y[0], dense_h(taps, 0, cfg), s2, cfg.n_t)
         assert np.abs(x_hat[0] - x_ref).max() < 1e-9
         assert np.array_equal(idx[0], idx_ref)
 
@@ -407,10 +397,10 @@ def test_banded_mp_matches_dense(shape, alphabet, snrs):
     rng = np.random.default_rng(21)
     cfg = StimConfig(*shape, alphabet)
     for snr in snrs:
-        _, _, ch, y, s2 = run_links(rng, cfg, snr, 2)
-        res2, res3 = ssd2_detect(y, ch, s2, cfg), ssd3_detect(y, ch, s2, cfg)
+        _, _, taps, y, s2 = run_links(rng, cfg, snr, 2)
+        res2, res3 = ssd2_detect(y, taps, s2, cfg), ssd3_detect(y, taps, s2, cfg)
         for i in range(2):
-            h = dense_h(ch, i, cfg)
+            h = dense_h(taps, i, cfg)
             ref2, ref3 = dense_ssd2_detect(y[i], h, s2, cfg), dense_ssd3_detect(y[i], h, s2, cfg)
             for res, ref in ((res2, ref2), (res3, ref3)):
                 for name in ("bits", "sap", "antennas", "symbols"):
@@ -432,10 +422,10 @@ def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
     # off-band edges of the full graph as well as the band's
     rng = np.random.default_rng(22)
     cfg = StimConfig(*shape, alphabet)
-    _, _, ch, y, s2 = run_links(rng, cfg, snr, 25)
-    res = ssd3_detect(y, ch, s2, cfg, mp)
+    _, _, taps, y, s2 = run_links(rng, cfg, snr, 25)
+    res = ssd3_detect(y, taps, s2, cfg, mp)
     for i in range(25):
-        ref = dense_ssd3_detect(y[i], dense_h(ch, i, cfg), s2, cfg, mp)
+        ref = dense_ssd3_detect(y[i], dense_h(taps, i, cfg), s2, cfg, mp)
         assert res.diagnostics["frame_iterations"][i] == ref.diagnostics["iterations_run"]
         assert np.array_equal(res.bits[i], ref.bits)
     assert (res.diagnostics["frame_iterations"] < mp.max_iterations).any()
@@ -469,10 +459,9 @@ MIXED_BATCHES = [
 def test_batch_matches_single_frames(name, shape, mp, snr):
     rng = np.random.default_rng(27)
     cfg = StimConfig(*shape, QAM4)
-    _, _, ch, y, s2 = run_links(rng, cfg, snr, 12)
-    chs = [ChannelRealization(ch.taps[i : i + 1]) for i in range(12)]
-    batch = detect(name, y, ch, s2, cfg, mp)
-    singles = [detect(name, y[i : i + 1], chs[i], s2, cfg, mp) for i in range(12)]
+    _, _, taps, y, s2 = run_links(rng, cfg, snr, 12)
+    batch = detect(name, y, taps, s2, cfg, mp)
+    singles = [detect(name, y[i : i + 1], taps[i : i + 1], s2, cfg, mp) for i in range(12)]
     for i, one in enumerate(singles):
         bits, sap, antennas, symbols, diag = frame_of(batch, i)
         for got, want in ((bits, one.bits), (sap, one.sap), (antennas, one.antennas),
@@ -488,9 +477,9 @@ def test_batch_matches_single_frames(name, shape, mp, snr):
         assert batch.diagnostics["iterations_run"] == max(counts)
         assert all(one.diagnostics["iterations_run"] == c for one, c in zip(singles, counts))
     if name == "mmse":
-        x_hat, idx = mmse_stage(y, ch, s2)
+        x_hat, idx = mmse_stage(y, taps, s2)
         for i in range(12):
-            x_one, idx_one = mmse_stage(y[i : i + 1], chs[i], s2)
+            x_one, idx_one = mmse_stage(y[i : i + 1], taps[i : i + 1], s2)
             assert np.array_equal(x_hat[i : i + 1], x_one) and np.array_equal(idx[i : i + 1], idx_one)
 
 
@@ -515,9 +504,9 @@ def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
 
 def test_batch_rejects_channels_that_do_not_match_its_frames():
     rng = np.random.default_rng(28)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
+    _, _, taps, y, s2 = run_links(rng, FIG5, 10.0)
     with pytest.raises(ValueError, match="2 channels for 3 frames"):
-        detect("mmse", np.repeat(y, 3, axis=0), ChannelRealization(np.repeat(ch.taps, 2, axis=0)), s2, FIG5)
+        detect("mmse", np.repeat(y, 3, axis=0), np.repeat(taps, 2, axis=0), s2, FIG5)
 
 
 def test_count_messages_match_convolutions():
@@ -536,8 +525,8 @@ def test_ssd3_noiseless_paper_scale(n_slots, k):
     rng = np.random.default_rng(24)
     cfg = StimConfig(2, 4, n_slots, k, 4, QAM4)
     s2 = snr_to_sigma2(60.0, cfg.l_taps)
-    bits, _, ch, y, _ = run_links(rng, cfg, 60.0, 3)
-    assert np.array_equal(ssd3_detect(y, ch, s2, cfg).bits, bits)
+    bits, _, taps, y, _ = run_links(rng, cfg, 60.0, 3)
+    assert np.array_equal(ssd3_detect(y, taps, s2, cfg).bits, bits)
 
 
 @pytest.mark.parametrize("shape,frames", [((2, 4, 128, 114, 4), 1), ((2, 4, 8, 7, 2), 32)],
@@ -546,11 +535,11 @@ def test_ssd3_call_allocates_little(shape, frames):
     # the per-call workspace stays well inside the 5 % peak-RSS bound (~2 MB)
     rng = np.random.default_rng(30)
     cfg = StimConfig(*shape, QAM4)
-    _, _, ch, y, s2 = run_links(rng, cfg, 8.0, frames)
-    ssd3_detect(y, ch, s2, cfg)  # the cached tables are built once
+    _, _, taps, y, s2 = run_links(rng, cfg, 8.0, frames)
+    ssd3_detect(y, taps, s2, cfg)  # the cached tables are built once
     tracemalloc.start()
     try:
-        ssd3_detect(y, ch, s2, cfg)
+        ssd3_detect(y, taps, s2, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,33 +597,33 @@ def reference_ssd2_posteriors(y, h, sigma2, cfg, iters, damp):
 def test_ssd2_matches_loop_reference(damp):
     rng = np.random.default_rng(10)
     cfg = StimConfig(2, 2, 4, 3, 2, QAM4)
-    _, _, ch, y, s2 = run_links(rng, cfg, 9.0, 5)
-    res = ssd2_detect(y, ch, s2, cfg, MpParams(max_iterations=3, damping=damp))
+    _, _, taps, y, s2 = run_links(rng, cfg, 9.0, 5)
+    res = ssd2_detect(y, taps, s2, cfg, MpParams(max_iterations=3, damping=damp))
     for i in range(5):
-        q_ref = reference_ssd2_posteriors(y[i], dense_h(ch, i, cfg), s2, cfg, 3, damp)
+        q_ref = reference_ssd2_posteriors(y[i], dense_h(taps, i, cfg), s2, cfg, 3, damp)
         assert np.abs(res.diagnostics["slot_posteriors"][i] - q_ref).max() < 1e-9
 
 
 def test_ssd2_posteriors_are_pmfs():
     rng = np.random.default_rng(11)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 6.0, 10)
-    q = ssd2_detect(y, ch, s2, FIG5).diagnostics["slot_posteriors"]
+    _, _, taps, y, s2 = run_links(rng, FIG5, 6.0, 10)
+    q = ssd2_detect(y, taps, s2, FIG5).diagnostics["slot_posteriors"]
     assert np.all(q >= 0)
     assert np.abs(q.sum(axis=-1) - 1.0).max() < 1e-9
 
 
 def test_ssd2_noiseless_consistency():
     rng = np.random.default_rng(12)
-    bits, _, ch, y, s2 = run_links(rng, FIG5, 60.0, 25)
-    assert np.array_equal(ssd2_detect(y, ch, s2, FIG5).bits, bits)
+    bits, _, taps, y, s2 = run_links(rng, FIG5, 60.0, 25)
+    assert np.array_equal(ssd2_detect(y, taps, s2, FIG5).bits, bits)
 
 
 def test_ssd2_internal_consistency():
     from stimsim.codec import decode_frame
 
     rng = np.random.default_rng(13)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 5.0, 10)
-    res = ssd2_detect(y, ch, s2, FIG5)
+    _, _, taps, y, s2 = run_links(rng, FIG5, 5.0, 10)
+    res = ssd2_detect(y, taps, s2, FIG5)
     assert np.array_equal(decode_frame(res.sap, res.antennas, res.symbols, FIG5), res.bits)
 
 
@@ -645,8 +634,8 @@ def test_ssd2_internal_consistency():
 
 def test_ssd3_noiseless_consistency():
     rng = np.random.default_rng(14)
-    bits, _, ch, y, s2 = run_links(rng, FIG5, 60.0, 25)
-    assert np.array_equal(ssd3_detect(y, ch, s2, FIG5).bits, bits)
+    bits, _, taps, y, s2 = run_links(rng, FIG5, 60.0, 25)
+    assert np.array_equal(ssd3_detect(y, taps, s2, FIG5).bits, bits)
 
 
 def test_ssd3_single_slot_matched_filter():
@@ -655,11 +644,11 @@ def test_ssd3_single_slot_matched_filter():
     rng = np.random.default_rng(15)
     cfg = StimConfig(2, 8, 2, 1, 2, QAM4)
     pts = cfg.alphabet.points
-    _, _, ch, y, s2 = run_links(rng, cfg, 6.0, 25)
-    res = ssd3_detect(y, ch, s2, cfg)
+    _, _, taps, y, s2 = run_links(rng, cfg, 6.0, 25)
+    res = ssd3_detect(y, taps, s2, cfg)
     for i in range(25):
         slot = int(res.sap[i, 0])
-        g = dense_h(ch, i, cfg)[:, slot * 2 : slot * 2 + 2]
+        g = dense_h(taps, i, cfg)[:, slot * 2 : slot * 2 + 2]
         best = None
         for t in range(2):
             for m in range(4):
@@ -674,9 +663,9 @@ def test_ssd3_single_slot_matched_filter():
 
 def test_ssd3_not_worse_than_ssd2():
     rng = np.random.default_rng(16)
-    bits, _, ch, y, s2 = run_links(rng, FIG5, 8.0, 800)
-    e2 = int((ssd2_detect(y, ch, s2, FIG5).bits != bits).sum())
-    e3 = int((ssd3_detect(y, ch, s2, FIG5).bits != bits).sum())
+    bits, _, taps, y, s2 = run_links(rng, FIG5, 8.0, 800)
+    e2 = int((ssd2_detect(y, taps, s2, FIG5).bits != bits).sum())
+    e3 = int((ssd3_detect(y, taps, s2, FIG5).bits != bits).sum())
     bits_seen = bits.size
     p2, p3 = e2 / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((p2 * (1 - p2) + p3 * (1 - p3)) / bits_seen)
@@ -685,9 +674,9 @@ def test_ssd3_not_worse_than_ssd2():
 
 def test_ml_not_worse_than_ssd3():
     rng = np.random.default_rng(17)
-    bits, _, ch, y, s2 = run_links(rng, FIG4, 8.0, 1200)
-    em = int((ml_detect(y, ch, FIG4).bits != bits).sum())
-    e3 = int((ssd3_detect(y, ch, s2, FIG4).bits != bits).sum())
+    bits, _, taps, y, s2 = run_links(rng, FIG4, 8.0, 1200)
+    em = int((ml_detect(y, taps, FIG4).bits != bits).sum())
+    e3 = int((ssd3_detect(y, taps, s2, FIG4).bits != bits).sum())
     bits_seen = bits.size
     pm, p3 = em / bits_seen, e3 / bits_seen
     margin = 2 * np.sqrt((pm * (1 - pm) + p3 * (1 - p3)) / bits_seen)
@@ -701,25 +690,25 @@ def test_ml_not_worse_than_ssd3():
 
 def test_mmse_detect_high_snr():
     rng = np.random.default_rng(18)
-    bits, _, ch, y, s2 = run_links(rng, FIG5, 40.0, 50)
-    assert np.array_equal(mmse_detect(y, ch, s2, FIG5).bits, bits)
+    bits, _, taps, y, s2 = run_links(rng, FIG5, 40.0, 50)
+    assert np.array_equal(mmse_detect(y, taps, s2, FIG5).bits, bits)
 
 
 def test_detect_dispatch():
     rng = np.random.default_rng(19)
-    bits, _, ch, y, s2 = run_links(rng, FIG4, 30.0)
+    bits, _, taps, y, s2 = run_links(rng, FIG4, 30.0)
     for name in ("ml", "mmse", "2ssd", "3ssd"):
-        res = detect(name, y, ch, s2, FIG4)
+        res = detect(name, y, taps, s2, FIG4)
         assert res.bits.shape == bits.shape
     with pytest.raises(ValueError):
-        detect("zf", y, ch, s2, FIG4)
+        detect("zf", y, taps, s2, FIG4)
 
 
 def test_detectors_reject_taps_that_do_not_fit_the_config():
     # one tap more than cfg.l_taps: no detector may use some of them silently
     rng = np.random.default_rng(25)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
-    longer = ChannelRealization(np.concatenate([ch.taps, ch.taps[:, :1]], axis=1))
+    _, _, taps, y, s2 = run_links(rng, FIG5, 10.0)
+    longer = np.concatenate([taps, taps[:, :1]], axis=1)
     for name in DETECTORS:
         with pytest.raises(ValueError, match=re.escape("(1, 3, 4, 2)") + ".*" + re.escape("(B, 2, 4, 2)")):
             detect(name, y, longer, s2, FIG5)
@@ -727,31 +716,30 @@ def test_detectors_reject_taps_that_do_not_fit_the_config():
 
 def test_detectors_reject_y_that_does_not_fit_the_config():
     rng = np.random.default_rng(26)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
+    _, _, taps, y, s2 = run_links(rng, FIG5, 10.0)
     for name in DETECTORS:
         with pytest.raises(ValueError, match=re.escape("(1, 31)") + ".*" + re.escape("(B, 32)")):
-            detect(name, y[:, :-1], ch, s2, FIG5)
+            detect(name, y[:, :-1], taps, s2, FIG5)
 
 
 def test_detectors_reject_an_unbatched_frame():
     rng = np.random.default_rng(26)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0)
-    one = ChannelRealization(ch.taps[0])
+    _, _, taps, y, s2 = run_links(rng, FIG5, 10.0)
     for name in DETECTORS:
         with pytest.raises(ValueError, match=re.escape("taps (B, 2, 4, 2) and y (B, 32)")):
-            detect(name, y[0], one, s2, FIG5)
+            detect(name, y[0], taps[0], s2, FIG5)
 
 
 def test_mmse_stage_rejects_input_that_is_not_a_batch():
     rng = np.random.default_rng(34)
-    _, _, ch, y, s2 = run_links(rng, FIG5, 10.0, 2)
+    _, _, taps, y, s2 = run_links(rng, FIG5, 10.0, 2)
     shapes = re.escape("y (B, N n_r) and taps (B, L, n_r, n_t)")
     # one frame, one frame with one channel, and N n_r = 30 with n_r = 4
-    for bad_y, bad_ch in [(y[0], ch), (y[0], ChannelRealization(ch.taps[0])), (y[:, :30], ch)]:
+    for bad_y, bad_taps in [(y[0], taps), (y[0], taps[0]), (y[:, :30], taps)]:
         with pytest.raises(ValueError, match=shapes):
-            mmse_stage(bad_y, bad_ch, s2)
+            mmse_stage(bad_y, bad_taps, s2)
     with pytest.raises(ValueError, match="2 channels for 1 frames"):
-        mmse_stage(y[:1], ch, s2)
+        mmse_stage(y[:1], taps, s2)
 
 
 def test_damping_validation():

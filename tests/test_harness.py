@@ -185,6 +185,21 @@ def test_spec_validation():
         small_spec(min_frames=600, max_frames=500)
 
 
+@pytest.mark.parametrize("snr", [float("nan"), -float("inf")])
+def test_non_finite_snr_points_rejected(snr):
+    # NaN and -inf have no noise variance; +inf is the noiseless point
+    with pytest.raises(ValueError, match=f"got {snr}"):
+        small_spec(snr_points=(8.0, snr))
+    assert small_spec(snr_points=(8.0, float("inf"))).snr_points[1] == float("inf")
+
+
+@pytest.mark.parametrize("system,cfg,detector", [("ofdm", FIG5, "ml"),
+                                                 ("stim", OfdmConfig(4, 8, 2, QAM4), "2ssd")])
+def test_system_that_does_not_match_the_config_rejected(system, cfg, detector):
+    with pytest.raises(ValueError, match=f"system {system!r} needs cfg of type"):
+        small_spec(system=system, cfg=cfg, detector=detector)
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_ml_cap_below_one_rejected(cap):
     with pytest.raises(ValueError, match=f"ml_cap must be >= 1, got {cap}"):

@@ -52,8 +52,8 @@ def decisions(shape, alphabet, snr, frames, seed) -> np.ndarray:
     """ML's bits for one case's seeded chunk (run_links: each frame draws
     its bits, channel taps and noise normals in turn)."""
     cfg = StimConfig(*shape, alphabet)
-    _, _, ch, y, _ = run_links(np.random.default_rng(seed), cfg, snr, frames)
-    return ml_detect(y, ch, cfg, cap=CAP).bits
+    _, _, taps, y, _ = run_links(np.random.default_rng(seed), cfg, snr, frames)
+    return ml_detect(y, taps, cfg, cap=CAP).bits
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import draw_links
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2, tap_normals, transmit
-from stimsim.codec import StimConfig, bit_partition, encode_frame
+from stimsim.channel import snr_to_sigma2, transmit
+from stimsim.codec import StimConfig, encode_frame
 from stimsim.detectors import MpParams, ssd2_detect, ssd3_detect
 
 GOLDEN = Path(__file__).with_name("data") / "mp_golden.npz"
@@ -50,15 +51,10 @@ CASES = {
 def outputs(shape, snr, frames, mp, seed, alphabet=QAM4) -> dict[str, np.ndarray]:
     """The recorded 2SSD and 3SSD outputs of one case's seeded chunk."""
     cfg = StimConfig(*shape, alphabet)
-    rng = np.random.default_rng(seed)
-    n_bits = bit_partition(cfg).total
-    draws = [(rng.integers(0, 2, n_bits, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
-              rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
-    bits, taps, normals = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(taps)
+    bits, taps, normals = draw_links(np.random.default_rng(seed), cfg, frames)
     sigma2 = snr_to_sigma2(snr, cfg.l_taps)
-    y = transmit(encode_frame(bits, cfg), ch, sigma2, normals)
-    res2, res3 = ssd2_detect(y, ch, sigma2, cfg, mp), ssd3_detect(y, ch, sigma2, cfg, mp)
+    y = transmit(encode_frame(bits, cfg), taps, sigma2, normals)
+    res2, res3 = ssd2_detect(y, taps, sigma2, cfg, mp), ssd3_detect(y, taps, sigma2, cfg, mp)
     return {
         "ssd2_bits": res2.bits,
         "slot_posteriors": res2.diagnostics["slot_posteriors"],

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import joint_ml_reference, linear_convolution_ofdm_reference
+from oracles import draw_links, joint_ml_reference, linear_convolution_ofdm_reference
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import ChannelRealization, draw_channel, snr_to_sigma2, tap_normals
+from stimsim.channel import draw_channel, snr_to_sigma2, tap_normals
 from stimsim.codec import with_cyclic_prefix
 from stimsim.ofdm import (
     OfdmConfig,
@@ -23,13 +23,9 @@ def normals(rng, cfg):
 
 
 def links(rng, cfg, sigma2, frames):
-    """(bits, ch, y) of frames links stacked on a leading axis; each link
-    draws its bits, channel taps and noise normals in turn."""
-    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), draw_channel(tap_normals(rng, cfg)).taps,
-              normals(rng, cfg)) for _ in range(frames)]
-    bits, taps, noise = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(taps)
-    return bits, ch, ofdm_transmit(ofdm_modulate(bits, cfg), ch, sigma2, noise)
+    """(bits, taps, y) of frames links stacked on a leading axis (draw_links)."""
+    bits, taps, noise = draw_links(rng, cfg, frames)
+    return bits, taps, ofdm_transmit(ofdm_modulate(bits, cfg), taps, sigma2, noise)
 
 
 def test_single_carrier_passthrough():
@@ -58,16 +54,16 @@ def test_modulate_demodulate_identity_channel():
     cfg = OfdmConfig(1, 8, 1, QAM8)
     draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), normals(rng, cfg)) for _ in range(20)]
     bits, noise = (np.stack(a) for a in zip(*draws))
-    ch = ChannelRealization(np.ones((20, 1, 1, 1), dtype=complex))
-    y = ofdm_transmit(ofdm_modulate(bits, cfg), ch, 0.0, noise)
-    assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
+    taps = np.ones((20, 1, 1, 1), dtype=complex)
+    y = ofdm_transmit(ofdm_modulate(bits, cfg), taps, 0.0, noise)
+    assert np.array_equal(ofdm_detect(y, taps, cfg), bits)
 
 
 def test_noiseless_recovery_multipath():
     rng = np.random.default_rng(2)
     cfg = OfdmConfig(4, 8, 3, QAM8)
-    bits, ch, y = links(rng, cfg, 0.0, 20)
-    assert np.array_equal(ofdm_detect(y, ch, cfg), bits)
+    bits, taps, y = links(rng, cfg, 0.0, 20)
+    assert np.array_equal(ofdm_detect(y, taps, cfg), bits)
 
 
 def test_cp_diagonalization():
@@ -77,9 +73,9 @@ def test_cp_diagonalization():
     for _ in range(10):
         bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
         samples = ofdm_modulate(bits, cfg)
-        ch = draw_channel(tap_normals(rng, cfg))
-        y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
-        lam = np.fft.fft(ch.taps[:, :, 0], n=cfg.n_slots, axis=0).T
+        taps = draw_channel(tap_normals(rng, cfg))
+        y = ofdm_transmit(samples, taps, 0.0, normals(rng, cfg))
+        lam = np.fft.fft(taps[:, :, 0], n=cfg.n_slots, axis=0).T
         lhs = np.fft.fft(y, axis=1, norm="ortho")
         rhs = lam * np.fft.fft(samples, norm="ortho")[None, :]
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -93,57 +89,51 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
     for _ in range(10):
         samples = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
         block = with_cyclic_prefix(samples[None], l)[0]
-        ch = draw_channel(tap_normals(rng, cfg))
-        y = ofdm_transmit(samples, ch, 0.0, normals(rng, cfg))
-        assert np.abs(y - linear_convolution_ofdm_reference(block, ch)).max() < 1e-12
+        taps = draw_channel(tap_normals(rng, cfg))
+        y = ofdm_transmit(samples, taps, 0.0, normals(rng, cfg))
+        assert np.abs(y - linear_convolution_ofdm_reference(block, taps)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,alphabet", [(3, QAM4), (4, build_alphabet("bpsk"))])
 def test_per_subcarrier_equals_joint_ml(n, alphabet):
     rng = np.random.default_rng(4)
     cfg = OfdmConfig(2, n, 2, alphabet)
-    _, ch, y = links(rng, cfg, snr_to_sigma2(6.0, cfg.l_taps), 10)
-    detected = ofdm_detect(y, ch, cfg)
+    _, taps, y = links(rng, cfg, snr_to_sigma2(6.0, cfg.l_taps), 10)
+    detected = ofdm_detect(y, taps, cfg)
     for i in range(10):
-        assert np.array_equal(detected[i], joint_ml_reference(y[i], ChannelRealization(ch.taps[i]), cfg))
+        assert np.array_equal(detected[i], joint_ml_reference(y[i], taps[i], cfg))
 
 
 def test_batch_matches_single_frames():
     rng = np.random.default_rng(5)
     cfg = OfdmConfig(4, 6, 2, build_alphabet("qam8"))
-    s2 = snr_to_sigma2(4.0, cfg.l_taps)
-    ys, chs = [], []
-    for _ in range(12):
-        ch = draw_channel(tap_normals(rng, cfg))
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
-        ys.append(ofdm_transmit(ofdm_modulate(bits, cfg), ch, s2, normals(rng, cfg)))
-        chs.append(ch)
-    batch = ofdm_detect(np.stack(ys), ChannelRealization(np.stack([c.taps for c in chs])), cfg)
+    _, taps, y = links(rng, cfg, snr_to_sigma2(4.0, cfg.l_taps), 12)
+    batch = ofdm_detect(y, taps, cfg)
     assert batch.shape == (12, cfg.bits_per_frame)
-    for i, (y, ch) in enumerate(zip(ys, chs)):
-        assert np.array_equal(batch[i : i + 1], ofdm_detect(y[None], ChannelRealization(ch.taps[None]), cfg))
+    for i in range(12):
+        assert np.array_equal(batch[i : i + 1], ofdm_detect(y[i : i + 1], taps[i : i + 1], cfg))
 
 
 def test_detect_rejects_an_unbatched_frame():
     rng = np.random.default_rng(7)
     cfg = OfdmConfig(4, 6, 2, QAM8)
-    _, ch, y = links(rng, cfg, 0.0, 1)
+    _, taps, y = links(rng, cfg, 0.0, 1)
     with pytest.raises(ValueError, match=re.escape("y (B, 4, 6) and taps (B, 2, 4, 1)")):
-        ofdm_detect(y[0], ChannelRealization(ch.taps[0]), cfg)
+        ofdm_detect(y[0], taps[0], cfg)
 
 
 def test_chunk_modulate_and_transmit_equal_per_frame():
     rng = np.random.default_rng(6)
     cfg = OfdmConfig(4, 6, 2, QAM8)
     bits = rng.integers(0, 2, (11, cfg.bits_per_frame), dtype=np.int8)
-    taps = np.stack([draw_channel(tap_normals(rng, cfg)).taps for _ in bits])
+    taps = np.stack([draw_channel(tap_normals(rng, cfg)) for _ in bits])
     noise = rng.standard_normal((11, 2, cfg.n_r * cfg.n_slots))
     s2 = snr_to_sigma2(4.0, cfg.l_taps)
     blocks = ofdm_modulate(bits, cfg)
-    y = ofdm_transmit(blocks, ChannelRealization(taps), s2, noise)
+    y = ofdm_transmit(blocks, taps, s2, noise)
     assert blocks.shape == (11, cfg.n_slots)
     assert y.shape == (11, cfg.n_r, cfg.n_slots)
     for i in range(11):
         block = ofdm_modulate(bits[i], cfg)
         assert np.array_equal(blocks[i], block)
-        assert np.array_equal(y[i], ofdm_transmit(block, ChannelRealization(taps[i]), s2, noise[i]))
+        assert np.array_equal(y[i], ofdm_transmit(block, taps[i], s2, noise[i]))

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stimsim.alphabet import SUPPORTED_KINDS, build_alphabet
-from stimsim.channel import ChannelRealization, draw_channel, tap_normals, transmit
+from oracles import draw_links
+from stimsim.channel import transmit
 from stimsim.codec import (
     StimConfig,
     bit_partition,
@@ -68,8 +69,6 @@ def test_repair_gives_an_encodable_pattern_and_keeps_it(data):
 def test_noiseless_ml_decodes_without_error(cfg, seed):
     total = bit_partition(cfg).total
     assume(total <= 12)
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (2, total), dtype=np.int8)
-    ch = ChannelRealization(np.stack([draw_channel(tap_normals(rng, cfg)).taps for _ in range(2)]))
-    y = transmit(encode_frame(bits, cfg), ch, 0.0, np.zeros((2, 2, cfg.n_slots * cfg.n_r)))
-    assert np.array_equal(ml_detect(y, ch, cfg).bits, bits)
+    bits, taps, normals = draw_links(np.random.default_rng(seed), cfg, 2)
+    y = transmit(encode_frame(bits, cfg), taps, 0.0, normals)
+    assert np.array_equal(ml_detect(y, taps, cfg).bits, bits)
