@@ -8,6 +8,7 @@ acting on the stacked data columns.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -78,10 +79,15 @@ def snr_to_sigma2(snr_db: float, l_taps: int) -> float:
 
     SNR is defined as E_s * sum_l e^{-l} / sigma^2 with E_s = 1 (normalized
     alphabet), one convention shared by STIM and OFDM so that relative gaps
-    are insensitive to it.
+    are insensitive to it. An SNR whose 10^(SNR/10) overflows is noiseless,
+    as +inf is; one whose 10^(SNR/10) underflows to 0 gives +inf.
     """
     p_ch = float(np.sum(tap_powers(l_taps)))
-    return p_ch / 10.0 ** (snr_db / 10.0)
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return 0.0
+    return p_ch / ratio if ratio else math.inf
 
 
 def apply_channel(taps: np.ndarray, x: np.ndarray) -> np.ndarray:

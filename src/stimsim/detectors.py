@@ -25,9 +25,9 @@ stops per frame: a frame whose messages have settled keeps its state while
 the others iterate. Their ``iterations_run`` counts the iterations of the
 call's loop (the largest per-frame count) and ``frame_iterations`` each
 frame's own; every other per-frame diagnostic carries the batch axis. ML forms
-G and H^H y once for the chunk, each slot pattern's gathers and half terms
-once per block of frames, and its metric product and minimum frame by
-frame.
+G and H^H y, each slot pattern's gathers and half terms, and the bits of
+the tied candidates once for the chunk, and its metric product and minimum
+frame by frame.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -53,10 +53,6 @@ from .channel import band_index
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
 DEFAULT_ML_CAP = 2**22
-
-# frames whose ML half terms and factors of A are formed together: a Fig. 4
-# chunk's 42 at once held ~0.2 MB more and raised peak RSS by ~0.3 MB
-_ML_BLOCK = 8
 
 # regularizer for the MMSE solve when sigma2 = 0
 _ZF_EPS = 1e-12
@@ -107,15 +103,18 @@ def _finalize(sap, antennas, symbols, cfg, diagnostics) -> DetectionResult:
     return DetectionResult(decode_frame(sap, antennas, symbols, cfg), sap, antennas, symbols, diagnostics)
 
 
-def _repair_each(sap: np.ndarray, cfg: StimConfig, scores: np.ndarray):
-    """(B, k) patterns -> encodable patterns, (B,) repair flags. The ranks of
-    the whole batch are checked at once; repair_sap runs on the frames whose
-    pattern is out of range, with their scores."""
+def _pick_slots(scores: np.ndarray, ant_idx: np.ndarray, cfg: StimConfig):
+    """(sap, antennas, repaired) from (B, N) slot scores and antenna picks:
+    each frame's k best-scoring slots (ties to the lower slot) in increasing
+    order, their antennas, and whether the pattern was out of range. The
+    ranks of the whole batch are checked at once; repair_sap runs on the
+    frames whose pattern is out of range, with their scores."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    sap = np.sort(order[:, : cfg.k], axis=-1)
     repaired = sap_to_rank(sap, cfg.n_slots) >= 1 << bit_partition(cfg).slot_bits
-    sap = sap.copy()
     for i in np.flatnonzero(repaired):
         sap[i] = repair_sap(sap[i], cfg, scores[i])[0]
-    return sap, repaired
+    return sap, np.take_along_axis(ant_idx, sap, axis=1), repaired
 
 
 def _check_channel(y: np.ndarray, taps: np.ndarray, cfg: StimConfig) -> None:
@@ -158,21 +157,21 @@ def _edge_maps(n_frames: int, n_slots: int, l_taps: int) -> tuple[np.ndarray, np
     return edge_slot, obs_at
 
 
-def _slot_totals(per_edge: np.ndarray, obs_at: np.ndarray, work) -> np.ndarray:
-    """(value, tap, rx, frame-slot) edge terms -> (value, frame-slot) sums
-    over each slot's edges: over rx first, then over the L taps. work is
-    (per_tap, gathered, totals), the (value, tap, frame-slot), (value, tap,
-    frame-slot) and (value, frame-slot) buffers written here; the result is
-    totals."""
-    per_tap, gathered, totals = work
-    np.add.reduce(per_edge, axis=2, out=per_tap)
-    np.take(per_tap.reshape(len(per_tap), -1), obs_at, axis=1, out=gathered)
-    return np.add.reduce(gathered, axis=1, out=totals)
+def _slot_totals(n_vals: int, obs_at: np.ndarray):
+    """totals(per_edge): (value, tap, rx, frame-slot) edge terms with n_vals
+    values -> (value, frame-slot) sums over each slot's edges (obs_at, from
+    _edge_maps): over rx first, then over the L taps. The step owns its
+    buffers, so its result is overwritten at the next call."""
+    l_taps, f = obs_at.shape
+    per_tap, gathered = np.empty((n_vals, l_taps, f)), np.empty((n_vals, l_taps, f))
+    out = np.empty((n_vals, f))
 
+    def totals(per_edge):
+        np.add.reduce(per_edge, axis=2, out=per_tap)
+        np.take(per_tap.reshape(n_vals, -1), obs_at, axis=1, out=gathered)
+        return np.add.reduce(gathered, axis=1, out=out)
 
-def _slot_totals_work(n_vals: int, l_taps: int, f: int):
-    """The buffers of _slot_totals for one call."""
-    return np.empty((n_vals, l_taps, f)), np.empty((n_vals, l_taps, f)), np.empty((n_vals, f))
+    return totals
 
 
 def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
@@ -231,7 +230,7 @@ class _MlCandidates:
 
     One instance is shared by every caller in the process
     (``_ml_candidates``), so its arrays are read-only; the buffers a search
-    writes live in a per-call workspace (``_ml_workspace``).
+    writes are allocated by each call (``_metrics``).
     """
 
     def __init__(self, cfg: StimConfig):
@@ -328,55 +327,38 @@ def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.concatenate([g.reshape(b, -1), c.reshape(b, -1)], axis=1).view(float)
 
 
-def _ml_workspace(cand: _MlCandidates, n_frames: int):
-    """(left, right, metric, terms, cross): the buffers of _rank_metrics for
-    one call of n_frames frames.
+def _metrics(entries: np.ndarray, cand: _MlCandidates):
+    """Yield (rank, frame, metric) for each slot pattern, then frame, of a
+    chunk: metric, one buffer overwritten at the next yield, is
+    x^H G x - 2 Re(x^H c) = ||y - H x||^2 - ||y||^2 of every candidate x of
+    the pattern, (n_a, n_b) over the (half A, half B) combinations.
 
-    left is [2 Re A, -2 Im A, term_a, 1] (n_a rows), right is
-    [Re W_B^T; Im W_B^T; 1; term_b] (n_b columns) and metric = left @ right.
-    Only the A and term columns of left and the term_b row of right change
-    from one frame to the next; the rest is filled here. terms holds one
-    pattern's half terms and cross its right factors of A for a block of
-    up to _ML_BLOCK frames.
+    A pattern's half terms for the whole chunk are one real product of the
+    entries with cand.terms, and its right factors of A one gather. With
+    A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
+    2 Re A Re W_B^T - 2 Im A Im W_B^T, so a frame's metric is the one real
+    product left @ right of [2 Re A, -2 Im A, term_a, 1] and
+    [Re W_B^T; Im W_B^T; 1; term_b], whose constant parts are filled once.
+    The factor 2 is exact in binary floating point.
     """
-    n_a, n_b = len(cand.w_a), len(cand.w_b)
-    width = cand.w_b.shape[1]
+    n_a, width = len(cand.w_a), cand.w_b.shape[1]
     left = np.empty((n_a, 2 * width + 2))
     left[:, -1] = 1.0
-    right = np.empty((2 * width + 2, n_b))
+    right = np.empty((2 * width + 2, len(cand.w_b)))
     right[:width] = cand.w_b.real.T
     right[width : 2 * width] = cand.w_b.imag.T
     right[-2] = 1.0
-    block = min(n_frames, _ML_BLOCK)
-    terms = np.empty((block, n_a + n_b))
-    cross = np.empty((block,) + cand.cross_at.shape[1:])
-    return left, right, np.empty((n_a, n_b)), terms, cross
-
-
-def _rank_metrics(entries: np.ndarray, rank: int, cand: _MlCandidates, work):
-    """Yield x^H G x - 2 Re(x^H c), that is ||y - H x||^2 - ||y||^2, of
-    every candidate x of slot pattern rank, frame by frame, as an
-    (n_a, n_b) matrix over the (half A, half B) combinations; it is work's
-    metric buffer, overwritten at the next frame.
-
-    The half terms of a block of frames are one real product of their
-    entries with cand.terms, and their right factors of A one gather. With
-    A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
-    2 Re A Re W_B^T - 2 Im A Im W_B^T, so per frame the whole metric, half
-    terms included, is the one real product left @ right (_ml_workspace).
-    The factor 2 is exact in binary floating point.
-    """
-    left, right, metric, terms, cross = work
-    n_a, width = len(left), right.shape[0] - 2
-    for first in range(0, len(entries), len(terms)):
-        block = entries[first : first + len(terms)]
-        np.matmul(block[:, cand.term_at[rank]], cand.terms, out=terms[: len(block)])
-        np.multiply(block[:, cand.cross_at[rank]], cand.cross_sign, out=cross[: len(block)])
-        for frame_terms, frame_cross in zip(terms[: len(block)], cross):
-            np.matmul(cand.w_a_ri, frame_cross, out=left[:, :width])
+    metric = np.empty((n_a, len(cand.w_b)))
+    terms = np.empty((len(entries), cand.terms.shape[1]))
+    cross = np.empty((len(entries),) + cand.cross_sign.shape)
+    for rank in range(cand.n_rank):
+        np.matmul(entries[:, cand.term_at[rank]], cand.terms, out=terms)
+        np.multiply(entries[:, cand.cross_at[rank]], cand.cross_sign, out=cross)
+        for frame, (frame_terms, frame_cross) in enumerate(zip(terms, cross)):
+            np.matmul(cand.w_a_ri, frame_cross, out=left[:, : 2 * width])
             left[:, -2] = frame_terms[:n_a]
             right[-1] = frame_terms[n_a:]
-            yield np.matmul(left, right, out=metric)
+            yield rank, frame, np.matmul(left, right, out=metric)
 
 
 def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
@@ -386,14 +368,10 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
     G = H^H H and c = H^H y, which come from the taps (_ml_entries); H is
     never formed. For each slot pattern the active columns form a k n_t
     submodel; splitting the used slots into halves A/B makes the candidate
-    metric separable up to one cross matrix Re(W_A^H G_AB W_B). What does
-    not depend on a single frame (the pattern's gathers, its half terms
-    and the factors of A) runs once per pattern for a block of frames; per
-    frame, the metric of all half-combinations is one real matrix product
-    written into one buffer allocated per call (_rank_metrics), followed by
-    its minimum. Patterns run in turn, each over all frames, and every
-    frame keeps its running minimum and the candidates that tie with it
-    exactly; the tie with the lowest bits wins.
+    metric separable up to one cross matrix Re(W_A^H G_AB W_B) (_metrics).
+    Patterns run in turn, each over all frames, and every frame keeps its
+    running minimum and the candidates that tie with it exactly; the ties
+    of the chunk are decoded together, and each frame takes its lowest bits.
     """
     _check_channel(y, taps, cfg)
     total = bit_partition(cfg).total
@@ -403,24 +381,30 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    entries = _ml_entries(y, taps)
-    work = _ml_workspace(cand, len(y))
-    at_min = np.empty(work[2].shape, dtype=bool)
-    best = [np.inf] * len(y)
-    ties: list[list[tuple[int, np.ndarray]]] = [[] for _ in y]
-    for rank in range(cand.n_rank):
-        for f, metric in enumerate(_rank_metrics(entries, rank, cand, work)):
-            m = float(metric.min())
-            if m <= best[f]:
-                flat = np.flatnonzero(np.equal(metric, m, out=at_min))
-                if m < best[f]:
-                    best[f], ties[f] = m, [(rank, flat)]
-                else:
-                    ties[f].append((rank, flat))
-    ranks, flats = np.array([_lowest_bit_candidate(t, cand, cfg) for t in ties]).T
-    sap, antennas, symbols = _candidate_fields(ranks, flats, cand, cfg)
+    at_min = np.empty((len(cand.w_a), len(cand.w_b)), dtype=bool)
+    best, found = [np.inf] * len(y), []
+    for rank, f, metric in _metrics(_ml_entries(y, taps), cand):
+        m = float(metric.min())
+        if m <= best[f]:
+            best[f] = m
+            found.append((f, rank, m, np.flatnonzero(np.equal(metric, m, out=at_min))))
+    ties = [(f, rank, flat) for f, rank, m, flat in found if m == best[f]]
+    bits, sap, antennas, symbols = _lowest_bit_ties(ties, cand, cfg)
     diag = {"candidates": cand.n_candidates, "sap_repaired": np.zeros(len(y), dtype=bool)}
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return DetectionResult(bits, sap, antennas, symbols, diag)
+
+
+def _lowest_bit_ties(ties, cand: _MlCandidates, cfg: StimConfig):
+    """Each frame's tied candidate with the lowest bits: (bits, sap,
+    antennas, symbols), one row per frame in frame order, from ties of
+    (frame, rank, flat indices), all decoded in one call."""
+    frames, ranks = np.repeat([t[:2] for t in ties], [flat.size for *_, flat in ties], axis=0).T
+    fields = _candidate_fields(ranks, np.concatenate([flat for *_, flat in ties]), cand, cfg)
+    bits = decode_frame(*fields, cfg)
+    # sorted by frame, then by bits with the first most significant
+    order = np.lexsort(np.vstack([bits.T[::-1], frames]))
+    pick = order[np.flatnonzero(np.diff(frames[order], prepend=-1))]
+    return (bits[pick],) + tuple(field[pick] for field in fields)
 
 
 def _candidate_fields(rank, flat, cand: _MlCandidates, cfg: StimConfig):
@@ -430,17 +414,6 @@ def _candidate_fields(rank, flat, cand: _MlCandidates, cfg: StimConfig):
     m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=-1)
     q = cfg.alphabet.size
     return cand.saps[rank], m_digits // q, cfg.alphabet.points[m_digits % q]
-
-
-def _lowest_bit_candidate(ties, cand: _MlCandidates, cfg: StimConfig):
-    """(rank, flat) of the tied candidate whose decoded bits are lowest."""
-    if len(ties) == 1 and ties[0][1].size == 1:
-        return ties[0][0], int(ties[0][1][0])
-    ranks = np.concatenate([np.full(flats.size, rank) for rank, flats in ties])
-    flats = np.concatenate([flats for _, flats in ties])
-    bits = decode_frame(*_candidate_fields(ranks, flats, cand, cfg), cfg)
-    i = np.lexsort(bits.T[::-1])[0]  # the first bit is the primary key
-    return int(ranks[i]), int(flats[i])
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +450,7 @@ def mmse_detect(y: np.ndarray, taps: np.ndarray, sigma2: float, cfg: StimConfig)
     _check_channel(y, taps, cfg)
     x_hat, ant_idx = mmse_stage(y, taps, sigma2)
     x_slots = x_hat.reshape(len(y), cfg.n_slots, cfg.n_t)
-    scores = np.abs(x_slots).max(axis=-1)
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    sap = np.sort(order[:, : cfg.k], axis=-1)
-    sap, repaired = _repair_each(sap, cfg, scores)
-    antennas = np.take_along_axis(ant_idx, sap, axis=1)
+    sap, antennas, repaired = _pick_slots(np.abs(x_slots).max(axis=-1), ant_idx, cfg)
     est = x_slots[np.arange(len(y))[:, None], sap, antennas]
     pts = cfg.alphabet.points
     symbols = pts[np.argmin(np.abs(est[..., None] - pts), axis=-1)]
@@ -595,7 +564,7 @@ def ssd2_detect(
     m_e, v_e = np.empty(g.shape, complex), np.empty(g.shape)
     diff = np.empty(g_vals.shape, complex)
     log_v, expo = np.empty(g_vals.shape), np.empty(g_vals.shape)
-    totals = _slot_totals_work(n_v, l_taps, f)
+    slot_totals = _slot_totals(n_v, obs_at)
 
     # slot state: value-major (n_v, B N) and (2, B N) pmfs
     beliefs = np.full((n_v, f), 1.0 / n_v)
@@ -619,7 +588,7 @@ def ssd2_detect(
         log_v -= np.maximum.reduce(log_v, axis=0)
         np.exp(log_v, out=expo)
         log_v -= np.log(np.add.reduce(expo, axis=0))
-        sv_new = _slot_totals(log_v, obs_at, totals)
+        sv_new = slot_totals(log_v)
 
         # layer 2: count-constraint messages from the previous activity state
         u = _slot_count_messages(q.T.reshape(b, n, 2), k)
@@ -648,11 +617,7 @@ def ssd2_detect(
         if not active.any():
             break
 
-    q_used = q[1].reshape(b, n)
-    order = np.argsort(-q_used, axis=-1, kind="stable")
-    sap = np.sort(order[:, :k], axis=-1)
-    sap, repaired = _repair_each(sap, cfg, q_used)
-    antennas = np.take_along_axis(ant_idx, sap, axis=1)
+    sap, antennas, repaired = _pick_slots(q[1].reshape(b, n), ant_idx, cfg)
     sv_used = sv.reshape(n_v, b, n)[:, np.arange(b)[:, None], sap]
     symbols = cfg.alphabet.points[np.argmax(sv_used[1:], axis=0)]
     diag = {
@@ -713,7 +678,7 @@ def ssd3_detect(
     me, mag2 = np.empty(edges[1:], complex), np.empty(edges[1:])
     ve, edge_moved = np.empty(edges[1:]), np.empty(edges[1:])
     at_edges = np.empty((n_m, l_taps, 1, f))
-    totals = _slot_totals_work(n_m, l_taps, f)
+    slot_totals = _slot_totals(n_m, obs_at)
 
     def observation_messages(pbar, out):
         """Log messages per edge from the Gaussian moments of pbar, written
@@ -737,7 +702,7 @@ def ssd3_detect(
     iterations = np.zeros(b, dtype=np.int64)
     for _ in range(mp.max_iterations):
         observation_messages(pbar, log_msg)
-        tot = _slot_totals(log_msg, obs_at, totals)  # (n_m, B N), inclusive over edges
+        tot = slot_totals(log_msg)  # (n_m, B N), inclusive over edges
         # the new edge beliefs, in log_msg's buffer: the slot's total less the edge's message
         np.take(tot, edge_slot, axis=1, out=at_edges[:, :, 0])
         pnew = _normalize_log_rows(np.subtract(at_edges, log_msg, out=log_msg))
@@ -760,7 +725,7 @@ def ssd3_detect(
             break
 
     # final inclusive beliefs from the final message state
-    tot = _slot_totals(observation_messages(pbar, log_msg), obs_at, totals)
+    tot = slot_totals(observation_messages(pbar, log_msg))
     tot = tot[:, used_at].reshape(n_m, b, k)
 
     w_hat = np.argmax(tot, axis=0)

@@ -81,9 +81,14 @@ class SweepSpec:
         bad = [snr for snr in self.snr_points if math.isnan(snr) or snr == -math.inf]
         if bad:
             raise ValueError(f"SNR points must be finite or +inf, got {bad[0]:g}")
-        if len(set(self.snr_points)) != len(self.snr_points):
-            # the point index keys the RNG substream, so a repeat would replay it
-            raise ValueError(f"duplicate SNR points in {self.snr_points}")
+        bad = [snr for snr in self.snr_points if not math.isfinite(snr_to_sigma2(snr, self.cfg.l_taps))]
+        if bad:
+            raise ValueError(f"SNR point {bad[0]:g} dB is too low to have a finite noise variance")
+        # rows are told apart by their labels (csv_row); an exact repeat would
+        # also replay the first one's RNG substream, keyed by the point's index
+        labels = [f"{snr:g}" for snr in self.snr_points]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate SNR points in {self.snr_points}: their CSV labels are {labels}")
         if not 0 < self.min_frames <= self.max_frames:
             raise ValueError("need 0 < min_frames <= max_frames")
         if not 0 <= self.seed < SEED_LIMIT:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,16 @@ def test_snr_to_sigma2():
     assert snr_to_sigma2(0.0, 1) == pytest.approx(1.0)
     assert snr_to_sigma2(10.0, 2) == pytest.approx((1 + np.exp(-1)) / 10)
     assert snr_to_sigma2(300.0, 2) < 1e-29
+
+
+def test_snr_to_sigma2_beyond_the_float_range():
+    p_ch = 1 + np.exp(-1)
+    # every SNR with a finite noise variance keeps the one formula
+    for snr in (-3000.0, -30.0, 0.0, 6.0, 9.5, 300.0, 3000.0):
+        assert snr_to_sigma2(snr, 2) == p_ch / 10.0 ** (snr / 10.0)
+    # 10^(SNR/10) overflows: noiseless, as at +inf; it underflows to 0: no finite variance
+    assert snr_to_sigma2(4000.0, 2) == snr_to_sigma2(1e308, 2) == snr_to_sigma2(math.inf, 2) == 0.0
+    assert snr_to_sigma2(-4000.0, 2) == snr_to_sigma2(-3085.0, 2) == math.inf
 
 
 def test_transmit_dimension_mismatch():

@@ -250,6 +250,26 @@ def test_non_finite_snr_is_an_error(command, flag, snr, capsys):
     assert f"error: SNR points must be finite or +inf, got {snr}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [(["roundtrip", "--frames", "4"], "--snr"), (["ber"], "--snr-db")])
+def test_snr_too_low_for_a_noise_variance_is_an_error(command, flag, capsys):
+    assert main(command + [f"{flag}=-4000", "--n-slots", "8", "--k", "7"]) == 1
+    assert "error: SNR point -4000 dB is too low" in capsys.readouterr().err
+
+
+def test_snr_beyond_the_float_range_runs_noiseless(capsys):
+    # 10^(SNR/10) overflows: no noise, as at +inf
+    assert main(["roundtrip", "--snr=1e308", "--frames", "4", "--n-slots", "8", "--k", "7"]) == 0
+    assert "total=0/96" in capsys.readouterr().out
+    assert main(["ber", "--snr-db=4000", "--n-slots", "8", "--k", "7", "--min-frames", "8",
+                 "--max-frames", "8", "--deterministic"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("4000,8,192,0,")
+
+
+def test_snr_points_that_share_a_csv_label_are_an_error(capsys):
+    assert main(["ber", "--snr-db", "6,6.0000001", "--n-slots", "8", "--k", "7"]) == 1
+    assert "error: duplicate SNR points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
 def test_workers_below_one_names_the_flag(command, workers, capsys):

@@ -24,13 +24,12 @@ from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
-    _lowest_bit_candidate,
+    _lowest_bit_ties,
+    _metrics,
     _ml_candidates,
     _ml_entries,
-    _ml_workspace,
     _normalize_log_rows,
-    _rank_metrics,
-    _repair_each,
+    _pick_slots,
     _slot_count_messages,
     detect,
     ml_detect,
@@ -166,11 +165,11 @@ def test_ml_matches_exhaustive_oracle(cfg):
     StimConfig(2, 1, 5, 3, 1, build_alphabet("qam8", normalize=False)),
 ], ids=["qam4", "qam4_raw", "nt1_bpsk", "nt4_qam8", "qam8_raw"])
 def test_ml_ties_go_to_the_lowest_bits(cfg):
-    # random tie sets, shaped as the search builds them: ranks in increasing
-    # order, each with its sorted flat indices
+    # chunks of random tie sets, shaped as the search builds them: per
+    # frame, distinct ranks, each with its sorted flat indices
     rng = np.random.default_rng(31)
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    _, table = encode_table(cfg)
+    bits, table = encode_table(cfg)
     value_of = {row.tobytes(): v for v, row in enumerate(table)}
     n_b = cand.w_b.shape[0]
 
@@ -181,12 +180,24 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
         x[cand.saps[rank]] = np.concatenate([cand.w_a[ia], cand.w_b[ib]]).reshape(cfg.k, cfg.n_t)
         return value_of[x.tobytes()]
 
-    for _ in range(300):
+    def frame_ties():
         ranks = np.sort(rng.choice(cand.n_rank, rng.integers(1, cand.n_rank + 1), replace=False))
-        ties = [(int(r), np.sort(rng.choice(cand.w_a.shape[0] * n_b, rng.integers(1, 6), replace=False)))
+        return [(int(r), np.sort(rng.choice(cand.w_a.shape[0] * n_b, rng.integers(1, 6), replace=False)))
                 for r in ranks]
-        want = min((value(r, int(f)), r, int(f)) for r, flats in ties for f in flats)
-        assert _lowest_bit_candidate(ties, cand, cfg) == want[1:]
+
+    for _ in range(60):
+        frames = [frame_ties() for _ in range(rng.integers(1, 8))]
+        # in the search's order: pattern by pattern, each over all frames
+        ties = sorted(((i, r, flats) for i, frame in enumerate(frames) for r, flats in frame),
+                      key=lambda tie: tie[1::-1])
+        got = _lowest_bit_ties(ties, cand, cfg)
+        assert all(len(field) == len(frames) for field in got)
+        for i, frame in enumerate(frames):
+            want = min(value(r, int(f)) for r, flats in frame for f in flats)
+            assert np.array_equal(got[0][i], bits[want]), i
+            x = np.zeros((cfg.n_slots, cfg.n_t), dtype=complex)
+            x[got[1][i], got[2][i]] = got[3][i]
+            assert value_of[x.tobytes()] == want, i
 
 
 # the oracle configs, plus k = 1 (half B is empty, so the product has only
@@ -200,24 +211,20 @@ METRIC_CONFIGS = ML_ORACLE_CONFIGS + [
 
 @pytest.mark.parametrize("cfg", METRIC_CONFIGS,
                          ids=["qam4", "qam4_raw", "nt1_bpsk", "k1", "k_eq_n", "nt4_qam8"])
-def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
+def test_rank_metric_matches_dense_oracle(cfg):
     # every candidate of every slot pattern in every frame of a chunk,
-    # relative to the pattern's largest metric; blocks of 2 frames make
-    # the chunk of 3 end in a partial block
-    monkeypatch.setattr(detectors, "_ML_BLOCK", 2)
+    # relative to the pattern's largest metric
     rng = np.random.default_rng(32)
     cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
     for snr in (None, 3.0, 12.0):
         _, _, taps, y, _ = run_links(rng, cfg, snr, 3)
-        entries, work = _ml_entries(y, taps), _ml_workspace(cand, 3)
-        for rank in range(cand.n_rank):
-            frames = 0
-            for i, metric in enumerate(_rank_metrics(entries, rank, cand, work)):
-                want = ml_pattern_metric(y[i], taps[i], cfg, cand.saps[rank])
-                got = metric.ravel()
-                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
-                frames += 1
-            assert frames == 3
+        seen = []
+        for rank, i, metric in _metrics(_ml_entries(y, taps), cand):
+            want = ml_pattern_metric(y[i], taps[i], cfg, cand.saps[rank])
+            got = metric.ravel()
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
+            seen.append((rank, i))
+        assert sorted(seen) == [(rank, i) for rank in range(cand.n_rank) for i in range(3)]
 
 
 # (n_t, n_r, N, k, L): N = L, N = L = 1, n_t = 1, n_r = 1, L = N - 1, and Fig. 4
@@ -254,8 +261,8 @@ def test_ml_tables_are_read_only():
 
 
 def test_ml_call_allocates_little():
-    # one Fig. 4 chunk as the harness sends it: the per-call workspace and
-    # the chunk's G and c entries and a block's half terms stay under 1 MiB
+    # one Fig. 4 chunk as the harness sends it: the per-call buffers, the
+    # chunk's G and c entries and a pattern's half terms stay under 1 MiB
     rng = np.random.default_rng(35)
     _, _, taps, y, _ = run_links(rng, FIG4, 6.0, 42)
     ml_detect(y, taps, FIG4)  # the cached tables are built once
@@ -484,9 +491,13 @@ def test_batch_matches_single_frames(name, shape, mp, snr):
 
 
 def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
-    # N = 6, k = 5: patterns of rank 4 and 5 are not encodable
+    # N = 6, k = 5: patterns of rank 4 and 5 are not encodable; the used
+    # slots of saps score above the others
     saps = np.array([[1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 2, 3, 4, 5], [0, 1, 2, 4, 5]] * 3)
-    scores = np.random.default_rng(29).random((12, 6))
+    rng = np.random.default_rng(29)
+    scores = rng.random((12, 6))
+    scores[np.arange(12)[:, None], saps] += 1.0
+    ant_idx = rng.integers(0, 2, (12, 6))
     calls = []
 
     def counted(sap, cfg, slot_scores=None):
@@ -494,11 +505,12 @@ def test_chunk_repair_matches_per_frame_repair_sap(monkeypatch):
         return codec.repair_sap(sap, cfg, slot_scores)
 
     monkeypatch.setattr(detectors, "repair_sap", counted)
-    fixed, flags = _repair_each(saps, FIG4, scores)
+    fixed, antennas, flags = _pick_slots(scores, ant_idx, FIG4)
     assert len(calls) == 6  # only the out-of-range patterns
     for i in range(12):
         want, flag = codec.repair_sap(saps[i], FIG4, scores[i])
         assert np.array_equal(fixed[i], want)
+        assert np.array_equal(antennas[i], ant_idx[i, want])
         assert flags[i] == flag == (i % 2 == 0)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import multiprocessing
 
 import numpy as np
@@ -181,6 +183,8 @@ def test_spec_validation():
         small_spec(snr_points=())
     with pytest.raises(ValueError, match="duplicate"):
         small_spec(snr_points=(6.0, 6.0))
+    with pytest.raises(ValueError, match="duplicate"):  # both are labelled 6 in the CSV
+        small_spec(snr_points=(6.0, 6.0000001))
     with pytest.raises(ValueError):
         small_spec(min_frames=600, max_frames=500)
 
@@ -191,6 +195,21 @@ def test_non_finite_snr_points_rejected(snr):
     with pytest.raises(ValueError, match=f"got {snr}"):
         small_spec(snr_points=(8.0, snr))
     assert small_spec(snr_points=(8.0, float("inf"))).snr_points[1] == float("inf")
+
+
+@pytest.mark.parametrize("snr", [-4000.0, -3085.0])
+def test_snr_points_without_a_finite_noise_variance_rejected(snr):
+    # 10^(SNR/10) underflows to 0 (-4000) or sigma2 overflows (-3085)
+    with pytest.raises(ValueError, match=f"SNR point {snr:g} dB is too low"):
+        small_spec(snr_points=(8.0, snr))
+
+
+def test_snr_points_beyond_the_float_range_are_noiseless():
+    # 10^(SNR/10) overflows: the point runs as +inf does, on the same draws
+    def point(snr):
+        return run_ber_point(small_spec(snr_points=(snr,), min_frames=64, max_frames=64), snr)
+
+    assert dataclasses.replace(point(4000.0), snr_db=math.inf) == point(math.inf)
 
 
 @pytest.mark.parametrize("system,cfg,detector", [("ofdm", FIG5, "ml"),
@@ -241,6 +260,9 @@ def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
         small_spec(detector="mmse", snr_points=(6.0,), min_frames=300, max_frames=300),
         SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 6, 2, build_alphabet("qam8")),
                   snr_points=(4.0,), min_frames=90, max_frames=90),
+        # Fig. 4 STIM ML: a slot pattern's half terms are one product over the chunk
+        small_spec(detector="ml", cfg=StimConfig(2, 4, 6, 5, 2, QAM4), snr_points=(4.0, 8.0),
+                   min_frames=90, max_frames=90),
     ]
     default = [run_sweep(spec) for spec in specs]
     monkeypatch.setattr(harness, "_chunk_frames", lambda cfg: chunk)
