@@ -6,10 +6,13 @@ when the way they are computed changes (how G = H^H H and c = H^H y are
 formed, how the products are batched), so the decisions are what must
 hold: a change to how the search is computed must reproduce them exactly.
 
-Regenerate the file only for a change that is meant to move decisions, and
-list the frames that moved where the change is recorded:
+Running this file writes the cases that the file does not hold yet and
+leaves every case it holds as it is:
 
     PYTHONPATH=src python tests/test_ml_golden.py
+
+To move a case's decisions on purpose, delete it from the file, rerun, and
+list the frames that moved where the change is recorded.
 """
 
 from pathlib import Path
@@ -30,6 +33,10 @@ FIG5 = (2, 4, 8, 7, 2)
 # Fig. 5 has 2^24 candidates, above the default cap
 CAP = 2**24
 
+# y = 0 on the chunk's even frames: there every candidate ties with its
+# negation, so the search must settle those frames by exhaustive ties
+HALF_ZERO = "even frames y = 0"
+
 # name: ((n_t, n_r, N, k, L), alphabet, SNR dB (None: noiseless), frames, seed)
 CASES = {
     "fig4_noiseless": (FIG4, QAM4, None, 42, 50),
@@ -45,6 +52,11 @@ CASES = {
     "nt4_qam8_9db": ((4, 1, 4, 2, 1), build_alphabet("qam8"), 9.0, 16, 60),
     "fig5_noiseless": (FIG5, QAM4, None, 3, 61),
     "fig5_6db": (FIG5, QAM4, 6.0, 3, 62),
+    "fig4_0db": (FIG4, QAM4, 0.0, 42, 63),
+    "fig5_0db": (FIG5, QAM4, 0.0, 3, 64),
+    "fig5_12db": (FIG5, QAM4, 12.0, 3, 65),
+    "nt4_qam8_0db": ((4, 1, 4, 2, 1), build_alphabet("qam8"), 0.0, 16, 66),
+    "fig4_half_zero": (FIG4, QAM4, HALF_ZERO, 12, 67),
 }
 
 
@@ -52,7 +64,10 @@ def decisions(shape, alphabet, snr, frames, seed) -> np.ndarray:
     """ML's bits for one case's seeded chunk (run_links: each frame draws
     its bits, channel taps and noise normals in turn)."""
     cfg = StimConfig(*shape, alphabet)
-    _, _, taps, y, _ = run_links(np.random.default_rng(seed), cfg, snr, frames)
+    zero = snr == HALF_ZERO
+    _, _, taps, y, _ = run_links(np.random.default_rng(seed), cfg, None if zero else snr, frames)
+    if zero:
+        y[::2] = 0.0
     return ml_detect(y, taps, cfg, cap=CAP).bits
 
 
@@ -70,5 +85,10 @@ def test_ml_decisions_match_golden(case, golden):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    np.savez_compressed(GOLDEN, **{case: decisions(*args) for case, args in CASES.items()})
-    print(f"wrote {GOLDEN}")
+    have = {}
+    if GOLDEN.exists():
+        with np.load(GOLDEN) as data:
+            have = dict(data)
+    new = {case: decisions(*args) for case, args in CASES.items() if case not in have}
+    np.savez_compressed(GOLDEN, **have, **new)
+    print(f"wrote {', '.join(new) or 'no case'} to {GOLDEN}")
