@@ -1,7 +1,7 @@
 """Receivers for the block model y = H x + n.
 
-Four detectors share one result type: exhaustive ML over all encodable
-frames, a plain MMSE receiver, and the two- and three-stage message-passing
+Four detectors share one result type: exact ML over all encodable frames,
+a plain MMSE receiver, and the two- and three-stage message-passing
 detectors. The message-passing stages approximate slot-interference as
 Gaussian and run a damped schedule of at most ``MpParams.max_iterations``
 iterations, which a frame leaves early once no message moves more than
@@ -24,10 +24,11 @@ frame's result does not depend on the batch it is in. Message passing
 stops per frame: a frame whose messages have settled keeps its state while
 the others iterate. Their ``iterations_run`` counts the iterations of the
 call's loop (the largest per-frame count) and ``frame_iterations`` each
-frame's own; every other per-frame diagnostic carries the batch axis. ML forms
-G and H^H y, each slot pattern's gathers and half terms, and the bits of
-the tied candidates once for the chunk, and its metric product and minimum
-frame by frame.
+frame's own; every other per-frame diagnostic carries the batch axis. ML
+factors every (frame, slot pattern) block of G at once and runs one
+breadth-first sphere search for the chunk; the frames it cannot settle run
+the exhaustive search, whose half terms span the whole chunk, frame by
+frame.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -59,6 +60,12 @@ _ZF_EPS = 1e-12
 
 # early exit once no message moves more than this between iterations
 _CONVERGENCE_TOL = 1e-6
+
+# the sphere search's ridge and tolerance, relative to G's mean diagonal and
+# a frame's metric scale, and its frontier budget in nodes (_ml_sphere)
+_ML_RIDGE = 1e-9
+_ML_TOL = 1e-10
+_ML_FRONTIER = 2**14
 
 
 @dataclass(frozen=True)
@@ -202,44 +209,51 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _ml_patterns(n_t: int, n_slots: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(saps, at), read-only: the used slots of each encodable slot pattern
+    rank, and (rank, k n_t + 1, k n_t + 1) places in a frame's complex
+    entries [g_0, ..., g_{N-1}, c] (_ml_entries) and one value d of the
+    lower triangle of conj([[G_S, c_S], [c_S^H, d]]), G_S and c_S the
+    pattern's block of G and part of c."""
+    n_rank = 1 << bit_partition(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet("bpsk"))).slot_bits
+    saps = np.stack([rank_to_sap(r, n_slots, k) for r in range(n_rank)])
+    slot, ant, kn = saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k), k * n_t
+    at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))
+    # row i, column j: G_S[j, i] = g[(s_j - s_i) mod N][a_j, a_i]
+    at[:, :kn, :kn] = ((slot[:, None] - slot[:, :, None]) % n_slots * n_t + ant) * n_t + ant[:, None]
+    at[:, kn, :kn] = n_slots * n_t * n_t + slot * n_t + ant
+    for table in (saps, at):
+        table.setflags(write=False)
+    return saps, at
+
+
 class _MlCandidates:
-    """Per-config enumeration tables for exhaustive detection.
+    """Per-config enumeration tables for exhaustive detection, shared by
+    every caller in the process (``_ml_candidates``) and so read-only.
 
-    Candidates factor as (slot pattern rank, per-slot transmit vectors).
-    Each used slot sends one of the n_t * |alphabet| one-active-antenna
-    vectors; the k slots are split into halves A (the first ceil(k/2)) and
-    B whose vector combinations are precomputed as stacked rows w_a and
-    w_b. With G = H^H H and c = H^H y, a candidate's metric
-    x^H G x - 2 Re(x^H c) is term(w_a) + term(w_b) + 2 Re(w_a^H G_AB w_b),
-    where a half's term Re(w^H G w) - 2 Re(w^H c) is linear in the entries
-    of G and c that the half reads. The tables hold what does not depend on
-    the frame:
+    Each used slot sends one of n_t |A| one-active-antenna vectors; the
+    combinations of half A (the first ceil(k/2) used slots) and of half B
+    are the rows of w_a and w_b. A candidate's metric x^H G x - 2 Re(x^H c)
+    is term(w_a) + term(w_b) + 2 Re(w_a^H G_AB w_b), where a half's term
+    Re(w^H G w) - 2 Re(w^H c) is linear in the entries of G and c it reads.
 
-    - ``terms``: one row per entry of G or c that a half term reads, one
-      column per candidate of half A, then of half B: the entry's
-      coefficient in that candidate's term, which is |w_i|^2 on G's
-      diagonal, 2 Re(conj(w_i) w_j) and -2 Im(conj(w_i) w_j) above it, and
-      -2 Re w_i and -2 Im w_i for c. An entry no candidate reads (two
-      antennas of one slot) has no row. Row r's entry of slot pattern
-      rank sits at ``term_at[rank, r]`` of a chunk's real entry rows
-      (_ml_entries).
+    - ``terms``: per entry of G or c that a half term reads, per candidate
+      of half A, then of half B, the entry's coefficient: |w_i|^2 on G's
+      diagonal, 2 Re(conj(w_i) w_j) and -2 Im(conj(w_i) w_j) above it,
+      -2 Re w_i and -2 Im w_i for c. Row r's entry for slot pattern rank is
+      ``term_at[rank, r]`` of a chunk's real entry rows (_ml_entries).
     - ``cross_at`` and ``cross_sign``: where each pattern's G_AB sits in
-      those rows, laid out with its signs and the factor 2 as the right
-      factor of [Re W_A, Im W_A] (``w_a_ri``) whose product is
-      [2 Re A, -2 Im A] with A = W_A^H G_AB.
-
-    One instance is shared by every caller in the process
-    (``_ml_candidates``), so its arrays are read-only; the buffers a search
-    writes are allocated by each call (``_metrics``).
+      those rows, with its signs and the factor 2, as the right factor of
+      [Re W_A, Im W_A] (``w_a_ri``) whose product is [2 Re A, -2 Im A]
+      with A = W_A^H G_AB.
     """
 
     def __init__(self, cfg: StimConfig):
         n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
-        pts = cfg.alphabet.points
-        q = pts.size
-        part = bit_partition(cfg)
-        self.n_rank = 1 << part.slot_bits
-        self.saps = np.stack([rank_to_sap(r, n, k) for r in range(self.n_rank)])
+        pts, q = cfg.alphabet.points, cfg.alphabet.size
+        self.saps = _ml_patterns(n_t, n, k)[0]
+        self.n_rank = len(self.saps)
         n_m = n_t * q
         # per-slot candidate vectors: antenna t sends point s at index t*q + s
         mvec = np.zeros((n_m, n_t), dtype=np.complex128)
@@ -247,11 +261,8 @@ class _MlCandidates:
         k_a = (k + 1) // 2
 
         def combos(width):
-            count = n_m**width
-            digits = (
-                np.arange(count)[:, None] // n_m ** np.arange(width - 1, -1, -1)[None, :]
-            ) % n_m
-            return digits, mvec[digits].reshape(count, width * n_t)
+            digits = np.arange(n_m**width)[:, None] // n_m ** np.arange(width - 1, -1, -1) % n_m
+            return digits, mvec[digits].reshape(len(digits), width * n_t)
 
         self.digits_a, self.w_a = combos(k_a)
         self.digits_b, self.w_b = combos(k - k_a)
@@ -294,10 +305,6 @@ class _MlCandidates:
                       self.terms, self.term_at, self.cross_at, self.cross_sign):
             table.setflags(write=False)
 
-    @property
-    def n_candidates(self) -> int:
-        return self.n_rank * self.w_a.shape[0] * self.w_b.shape[0]
-
 
 @functools.cache
 def _ml_candidates(n_t: int, n_slots: int, k: int, kind: str, normalized: bool) -> _MlCandidates:
@@ -327,51 +334,122 @@ def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.concatenate([g.reshape(b, -1), c.reshape(b, -1)], axis=1).view(float)
 
 
-def _metrics(entries: np.ndarray, cand: _MlCandidates):
-    """Yield (rank, frame, metric) for each slot pattern, then frame, of a
-    chunk: metric, one buffer overwritten at the next yield, is
+def _metrics(entries: np.ndarray, cand: _MlCandidates, frames):
+    """Yield (rank, frame, metric) for each slot pattern, then each listed
+    frame of the chunk: metric, one buffer overwritten at the next yield, is
     x^H G x - 2 Re(x^H c) = ||y - H x||^2 - ||y||^2 of every candidate x of
     the pattern, (n_a, n_b) over the (half A, half B) combinations.
 
-    A pattern's half terms for the whole chunk are one real product of the
-    entries with cand.terms, and its right factors of A one gather. With
-    A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
+    A pattern's half terms are one real product of the entries with
+    cand.terms over the whole chunk, whichever frames are listed, since a
+    product over fewer rows may round differently; its right factors of A
+    are one gather. With A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
     2 Re A Re W_B^T - 2 Im A Im W_B^T, so a frame's metric is the one real
-    product left @ right of [2 Re A, -2 Im A, term_a, 1] and
+    product of [2 Re A, -2 Im A, term_a, 1] and
     [Re W_B^T; Im W_B^T; 1; term_b], whose constant parts are filled once.
-    The factor 2 is exact in binary floating point.
     """
     n_a, width = len(cand.w_a), cand.w_b.shape[1]
-    left = np.empty((n_a, 2 * width + 2))
-    left[:, -1] = 1.0
-    right = np.empty((2 * width + 2, len(cand.w_b)))
-    right[:width] = cand.w_b.real.T
-    right[width : 2 * width] = cand.w_b.imag.T
-    right[-2] = 1.0
+    left = np.ones((n_a, 2 * width + 2))
+    right = np.vstack([cand.w_b.real.T, cand.w_b.imag.T, np.ones((2, len(cand.w_b)))])
     metric = np.empty((n_a, len(cand.w_b)))
     terms = np.empty((len(entries), cand.terms.shape[1]))
     cross = np.empty((len(entries),) + cand.cross_sign.shape)
     for rank in range(cand.n_rank):
         np.matmul(entries[:, cand.term_at[rank]], cand.terms, out=terms)
         np.multiply(entries[:, cand.cross_at[rank]], cand.cross_sign, out=cross)
-        for frame, (frame_terms, frame_cross) in enumerate(zip(terms, cross)):
-            np.matmul(cand.w_a_ri, frame_cross, out=left[:, : 2 * width])
-            left[:, -2] = frame_terms[:n_a]
-            right[-1] = frame_terms[n_a:]
+        for frame in frames:
+            np.matmul(cand.w_a_ri, cross[frame], out=left[:, : 2 * width])
+            left[:, -2] = terms[frame, :n_a]
+            right[-1] = terms[frame, n_a:]
             yield rank, frame, np.matmul(left, right, out=metric)
 
 
+def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
+    """Sphere search (Fincke & Pohst 1985; Agrell et al. 2002) of a chunk:
+    (found, rank, digits, nodes), the frames whose ML candidate it proves,
+    that candidate's _candidate_fields, and the tree nodes scored per frame.
+
+    Per (frame, pattern), the upper Cholesky factor of
+    [[G_S + eps I, c_S], [c_S^H, d]] is [[R, b], [0, .]], so the metric
+    x^H (G_S + eps I) x - 2 Re(x^H c_S) is ||R x - b||^2 - ||b||^2: one
+    nonnegative term per used slot, last slot first. The ridge eps lets
+    rank-deficient blocks (n_r N < k n_t) factor. A Babai walk bounds each
+    frame's minimum; a breadth-first search over all patterns keeps the
+    nodes within that bound plus twice the tolerance. A frame is found when
+    one leaf alone lies within the tolerance of its minimum: the tolerance
+    covers eps ||x||^2 and the float error of both metrics (under 1e-13 of
+    (sqrt(tr(G) max ||x||^2) + ||y||)^2, sums of a few hundred products
+    no larger), so every other candidate's exhaustive metric is larger.
+    Frames that push the frontier past _ML_FRONTIER nodes are not found.
+    """
+    at = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[1]
+    b, (n_rank, size), pts, n_t, n = len(entries), at.shape[:2], cfg.alphabet.points, cfg.n_t, cfg.n_slots
+    k, q, n_m, x_max = cfg.k, pts.size, n_t * pts.size, cfg.k * float(np.max(np.abs(pts) ** 2))
+    ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
+    trace = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1)
+    ridge = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny
+    scale = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2
+    tol, ext[:, -1] = _ML_TOL * scale + ridge * x_max, scale + ridge
+    ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on every pattern's diagonal
+    low = np.linalg.cholesky(np.take(ext, at, axis=1)).reshape(-1, size, size)
+    # the conjugate's factor is R^T: cols[p, j, t] is column j n_t + t of
+    # problem p's R, hit by antenna t of used slot j, and z is b
+    cols, z = low[:, :-1, :-1].reshape(-1, k, n_t, size - 1), low[:, -1, :-1].copy()
+    bb = np.add.reduce(z.real**2 + z.imag**2, axis=1)
+    # level[p, j, t |A| + s]: point s times the rows of used slot j in that column
+    level = np.einsum("pjtjr->pjtr", cols.reshape(-1, k, n_t, k, n_t))[:, :, :, None] * pts[:, None]
+    level = level.reshape(-1, k, n_m, n_t)
+
+    def scores(z, pd, at, j):
+        """pd plus each choice's term at slot j, (F, n_m), for residuals z of problems at."""
+        d = (z[:, None, j * n_t : (j + 1) * n_t] - level[at, j]).view(float)
+        return pd[:, None] + np.einsum("fmr,fmr->fm", d, d)
+
+    # the walk takes each frame's pattern of lowest unconstrained minimum -||b||^2
+    start = np.arange(b) * n_rank + bb.reshape(b, n_rank).argmax(axis=1)
+    walk, pd = z[start], np.zeros(b)
+    for j in reversed(range(k)):
+        score = scores(walk, pd, start, j)
+        pick = score.argmin(axis=1)
+        pd = score[np.arange(b), pick]
+        walk[:, : j * n_t] -= pts[pick % q, None] * cols[start, j, pick // q, : j * n_t]
+    limit = bb + np.repeat(pd - bb[start] + 2.0 * tol, n_rank)
+
+    prob, pd, path, count = np.arange(b * n_rank), np.zeros(b * n_rank), [], np.full(b, n_rank)
+    nodes = np.full(b, k * n_m)
+    for j in reversed(range(k)):
+        score = scores(z, pd, prob, j)
+        nodes += n_m * count
+        parent, pick = np.nonzero(score <= limit[prob, None])
+        prob, pd = prob[parent], score[parent, pick]
+        count = np.bincount(prob // n_rank, minlength=b)
+        if len(prob) > _ML_FRONTIER:
+            order = np.argsort(-count, kind="stable")
+            count[order[: np.searchsorted(np.cumsum(count[order]), len(prob) - _ML_FRONTIER) + 1]] = 0
+            keep = count[prob // n_rank] > 0
+            parent, pick, prob, pd = parent[keep], pick[keep], prob[keep], pd[keep]
+        path.append((parent, pick))
+        z = z[parent, : j * n_t] - pts[pick % q, None] * cols[prob, j, pick // q, : j * n_t]
+
+    frame, metric, best = prob // n_rank, pd - bb[prob], np.full(b, np.inf)
+    np.minimum.at(best, frame, metric)
+    near = metric <= (best + tol)[frame]
+    found = np.bincount(frame[near], minlength=b) == 1
+    leaf = np.flatnonzero(near & found[frame])
+    rank, digits = prob[leaf] % n_rank, np.empty((leaf.size, k), dtype=np.int64)
+    for j, (parent, pick) in enumerate(reversed(path)):
+        digits[:, j], leaf = pick[leaf], parent[leaf]
+    return found, rank, digits, nodes
+
+
 def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
-    """Exhaustive minimum-distance detection over all encodable frames.
+    """Exact minimum-distance detection over all encodable frames.
 
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
-    G = H^H H and c = H^H y, which come from the taps (_ml_entries); H is
-    never formed. For each slot pattern the active columns form a k n_t
-    submodel; splitting the used slots into halves A/B makes the candidate
-    metric separable up to one cross matrix Re(W_A^H G_AB W_B) (_metrics).
-    Patterns run in turn, each over all frames, and every frame keeps its
-    running minimum and the candidates that tie with it exactly; the ties
-    of the chunk are decoded together, and each frame takes its lowest bits.
+    G = H^H H and c = H^H y from the taps (_ml_entries); H is never formed.
+    A sphere search (_ml_sphere) settles each frame whose minimum it proves
+    unique; the rest (near ties, too wide a frontier) score every candidate
+    (_metrics) and take the lowest bits of those tied at the minimum.
     """
     _check_channel(y, taps, cfg)
     total = bit_partition(cfg).total
@@ -380,18 +458,26 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
             f"ML enumeration needs 2^{total} candidates (cap {cap}); "
             "use the 2ssd/3ssd detectors or raise the cap"
         )
-    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-    at_min = np.empty((len(cand.w_a), len(cand.w_b)), dtype=bool)
-    best, found = [np.inf] * len(y), []
-    for rank, f, metric in _metrics(_ml_entries(y, taps), cand):
-        m = float(metric.min())
-        if m <= best[f]:
-            best[f] = m
-            found.append((f, rank, m, np.flatnonzero(np.equal(metric, m, out=at_min))))
-    ties = [(f, rank, flat) for f, rank, m, flat in found if m == best[f]]
-    bits, sap, antennas, symbols = _lowest_bit_ties(ties, cand, cfg)
-    diag = {"candidates": cand.n_candidates, "sap_repaired": np.zeros(len(y), dtype=bool)}
-    return DetectionResult(bits, sap, antennas, symbols, diag)
+    entries, b = _ml_entries(y, taps), len(y)
+    found, rank, digits, nodes = _ml_sphere(entries, np.add.reduce(np.abs(y) ** 2, axis=1), cfg)
+    sap = np.empty((b, cfg.k), dtype=np.int64)
+    antennas, symbols = np.empty_like(sap), np.empty(sap.shape, dtype=complex)
+    sap[found], antennas[found], symbols[found] = _candidate_fields(rank, digits, cfg)
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
+        at_min = np.empty((len(cand.w_a), len(cand.w_b)), dtype=bool)
+        best, seen = {}, []
+        for r, f, metric in _metrics(entries, cand, rest):
+            m = float(metric.min())
+            if m <= best.get(f, np.inf):
+                best[f] = m
+                seen.append((f, r, m, np.flatnonzero(np.equal(metric, m, out=at_min))))
+        ties = [(f, r, flat) for f, r, m, flat in seen if m == best[f]]
+        sap[rest], antennas[rest], symbols[rest] = _lowest_bit_ties(ties, cand, cfg)[1:]
+        nodes[rest] += 2**total
+    diag = {"candidates": int(nodes.sum() + b // 2) // b, "sap_repaired": np.zeros(b, dtype=bool)}
+    return _finalize(sap, antennas, symbols, cfg, diag)
 
 
 def _lowest_bit_ties(ties, cand: _MlCandidates, cfg: StimConfig):
@@ -399,7 +485,8 @@ def _lowest_bit_ties(ties, cand: _MlCandidates, cfg: StimConfig):
     antennas, symbols), one row per frame in frame order, from ties of
     (frame, rank, flat indices), all decoded in one call."""
     frames, ranks = np.repeat([t[:2] for t in ties], [flat.size for *_, flat in ties], axis=0).T
-    fields = _candidate_fields(ranks, np.concatenate([flat for *_, flat in ties]), cand, cfg)
+    ia, ib = divmod(np.concatenate([flat for *_, flat in ties]), cand.w_b.shape[0])
+    fields = _candidate_fields(ranks, np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=-1), cfg)
     bits = decode_frame(*fields, cfg)
     # sorted by frame, then by bits with the first most significant
     order = np.lexsort(np.vstack([bits.T[::-1], frames]))
@@ -407,13 +494,11 @@ def _lowest_bit_ties(ties, cand: _MlCandidates, cfg: StimConfig):
     return (bits[pick],) + tuple(field[pick] for field in fields)
 
 
-def _candidate_fields(rank, flat, cand: _MlCandidates, cfg: StimConfig):
-    """(sap, antennas, symbols) of the candidate at flat index flat of slot
-    pattern rank; arrays of ranks and flat indices give one row per candidate."""
-    ia, ib = divmod(flat, cand.w_b.shape[0])
-    m_digits = np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=-1)
+def _candidate_fields(rank, digits, cfg: StimConfig):
+    """(sap, antennas, symbols) of candidates given by slot pattern ranks and
+    (..., k) per-slot choices, choice t |A| + s sending point s from antenna t."""
     q = cfg.alphabet.size
-    return cand.saps[rank], m_digits // q, cfg.alphabet.points[m_digits % q]
+    return _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0][rank], digits // q, cfg.alphabet.points[digits % q]
 
 
 # ---------------------------------------------------------------------------

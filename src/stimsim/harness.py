@@ -157,14 +157,20 @@ def _chunk_frames(cfg: StimConfig | OfdmConfig) -> int:
     return max(1, 2**14 // terms)
 
 
+_BYTE_TOPS = np.arange(7, 64, 8, dtype=np.uint64)  # the top bit of each byte of a word
+
+
 def _draw_trial(spec: SweepSpec, point_index: int, trial: int, n_bits: int):
     """One trial's draws from its own substream, in a fixed order: the
     standard normals of the channel taps, bits, then the real and imaginary
-    standard normals of the noise."""
+    standard normals of the noise. The bits are those of
+    ``rng.integers(0, 2, n_bits, dtype=np.int8)``, which takes the top bit
+    of each byte of ceil(n_bits / 8) raw 64-bit words, low byte first."""
     rng = trial_rng(spec.seed, point_index, trial)
     cfg = spec.cfg
     tap_draws = tap_normals(rng, cfg)
-    bits = rng.integers(0, 2, n_bits, dtype=np.int8)
+    raw = rng.bit_generator.random_raw(-(-n_bits // 8))
+    bits = (raw[:, None] >> _BYTE_TOPS & 1).astype(np.int8).ravel()[:n_bits]
     return tap_draws, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
 
 

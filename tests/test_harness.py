@@ -65,6 +65,20 @@ def test_trial_rng_is_the_philox_substream():
                               ref.integers(0, 2, 3, dtype=np.int8))
 
 
+def test_trial_draws_match_the_generator_calls():
+    # the bits from raw words equal Generator.integers' bits, and the noise
+    # normals after them are the same, for odd and even word counts
+    for seed in (0, 3, 2**64 + 5):
+        for n_bits in (1, 7, 8, 9, 16, 17, 24, 25, 40, 63, 64, 65, 129):
+            spec = small_spec(seed=seed)
+            taps, bits, normals = harness._draw_trial(spec, 2, n_bits, n_bits)
+            ref = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 2, n_bits]))
+            assert np.array_equal(taps, channel.tap_normals(ref, FIG5))
+            want = ref.integers(0, 2, n_bits, dtype=np.int8)
+            assert bits.dtype == want.dtype and np.array_equal(bits, want), (seed, n_bits)
+            assert np.array_equal(normals, ref.standard_normal((2, 32))), (seed, n_bits)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_seed_outside_the_philox_key_range_rejected(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
