@@ -211,15 +211,14 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 
 @functools.cache
 def _ml_patterns(n_t: int, n_slots: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(saps, at), read-only: the used slots of each encodable slot pattern
-    rank, and (rank, k n_t + 1, k n_t + 1) places in a frame's complex
-    entries [g_0, ..., g_{N-1}, c] (_ml_entries) and one value d of the
-    lower triangle of conj([[G_S, c_S], [c_S^H, d]]), G_S and c_S the
-    pattern's block of G and part of c."""
+    """(saps, at), read-only: each encodable slot pattern rank's used slots,
+    and (rank, k n_t + 1, k n_t + 1) places in a frame's complex entries
+    (_ml_entries) and one value d of the lower triangle of
+    conj([[G_S, c_S], [c_S^H, d]]), with G_S, c_S the pattern's part."""
     n_rank = 1 << bit_partition(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet("bpsk"))).slot_bits
     saps = np.stack([rank_to_sap(r, n_slots, k) for r in range(n_rank)])
     slot, ant, kn = saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k), k * n_t
-    at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))
+    at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))  # d
     # row i, column j: G_S[j, i] = g[(s_j - s_i) mod N][a_j, a_i]
     at[:, :kn, :kn] = ((slot[:, None] - slot[:, :, None]) % n_slots * n_t + ant) * n_t + ant[:, None]
     at[:, kn, :kn] = n_slots * n_t * n_t + slot * n_t + ant
@@ -347,6 +346,7 @@ def _metrics(entries: np.ndarray, cand: _MlCandidates, frames):
     2 Re A Re W_B^T - 2 Im A Im W_B^T, so a frame's metric is the one real
     product of [2 Re A, -2 Im A, term_a, 1] and
     [Re W_B^T; Im W_B^T; 1; term_b], whose constant parts are filled once.
+    The factor 2 is exact in binary floating point.
     """
     n_a, width = len(cand.w_a), cand.w_b.shape[1]
     left = np.ones((n_a, 2 * width + 2))
@@ -367,13 +367,13 @@ def _metrics(entries: np.ndarray, cand: _MlCandidates, frames):
 def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     """Sphere search (Fincke & Pohst 1985; Agrell et al. 2002) of a chunk:
     (found, rank, digits, nodes), the frames whose ML candidate it proves,
-    that candidate's _candidate_fields, and the tree nodes scored per frame.
+    its rank and digits (_candidate_fields), and tree nodes scored per frame.
 
     Per (frame, pattern), the upper Cholesky factor of
     [[G_S + eps I, c_S], [c_S^H, d]] is [[R, b], [0, .]], so the metric
     x^H (G_S + eps I) x - 2 Re(x^H c_S) is ||R x - b||^2 - ||b||^2: one
     nonnegative term per used slot, last slot first. The ridge eps lets
-    rank-deficient blocks (n_r N < k n_t) factor. A Babai walk bounds each
+    rank-deficient blocks (n_r N < k n_t) factor. Babai walks bound each
     frame's minimum; a breadth-first search over all patterns keeps the
     nodes within that bound plus twice the tolerance. A frame is found when
     one leaf alone lies within the tolerance of its minimum: the tolerance
@@ -400,23 +400,23 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     level = np.einsum("pjtjr->pjtr", cols.reshape(-1, k, n_t, k, n_t))[:, :, :, None] * pts[:, None]
     level = level.reshape(-1, k, n_m, n_t)
 
-    def scores(z, pd, at, j):
-        """pd plus each choice's term at slot j, (F, n_m), for residuals z of problems at."""
-        d = (z[:, None, j * n_t : (j + 1) * n_t] - level[at, j]).view(float)
+    def scores(z, pd, probs, j):
+        """pd plus each choice's term at slot j, (F, n_m), for residuals z of problems probs."""
+        d = level[probs, j]
+        d = np.subtract(z[:, None, j * n_t : (j + 1) * n_t], d, out=d).view(float)
         return pd[:, None] + np.einsum("fmr,fmr->fm", d, d)
 
-    # the walk takes each frame's pattern of lowest unconstrained minimum -||b||^2
-    start = np.arange(b) * n_rank + bb.reshape(b, n_rank).argmax(axis=1)
-    walk, pd = z[start], np.zeros(b)
+    every = np.arange(b * n_rank)
+    walk, pd = z.copy(), np.zeros(b * n_rank)
     for j in reversed(range(k)):
-        score = scores(walk, pd, start, j)
+        score = scores(walk, pd, every, j)
         pick = score.argmin(axis=1)
-        pd = score[np.arange(b), pick]
-        walk[:, : j * n_t] -= pts[pick % q, None] * cols[start, j, pick // q, : j * n_t]
-    limit = bb + np.repeat(pd - bb[start] + 2.0 * tol, n_rank)
+        pd = score[every, pick]
+        walk[:, : j * n_t] -= pts[pick % q, None] * cols[every, j, pick // q, : j * n_t]
+    limit = bb + np.repeat((pd - bb).reshape(b, n_rank).min(axis=1) + 2.0 * tol, n_rank)
 
-    prob, pd, path, count = np.arange(b * n_rank), np.zeros(b * n_rank), [], np.full(b, n_rank)
-    nodes = np.full(b, k * n_m)
+    prob, pd, path, count = every, np.zeros(b * n_rank), [], np.full(b, n_rank)
+    nodes = np.full(b, n_rank * k * n_m)
     for j in reversed(range(k)):
         score = scores(z, pd, prob, j)
         nodes += n_m * count

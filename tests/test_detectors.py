@@ -110,16 +110,16 @@ def test_ml_noiseless_recovery():
 
 
 def test_ml_candidate_count_fig4():
-    # the tree nodes the search scored: at least the Babai walk's 5 x 8 and
-    # the 4 patterns' roots' 8 children each, far fewer than the 2^17
-    # candidates; a frame left to the exhaustive search (y = 0: every
+    # the tree nodes the search scored: at least the 4 patterns' Babai
+    # walks, 5 x 8 each, and their roots' 8 children, far fewer than the
+    # 2^17 candidates; a frame left to the exhaustive search (y = 0: every
     # candidate ties with its negation) adds all of them
     rng = np.random.default_rng(2)
     _, _, taps, y, _ = run_links(rng, FIG4, 10.0)
     searched = ml_detect(y, taps, FIG4).diagnostics["candidates"]
-    assert isinstance(searched, int) and 5 * 8 + 4 * 8 <= searched <= 2**11
+    assert isinstance(searched, int) and 4 * 5 * 8 + 4 * 8 <= searched <= 2**11
     tied = ml_detect(np.zeros_like(y), taps, FIG4).diagnostics["candidates"]
-    assert isinstance(tied, int) and tied >= 2**17 + 5 * 8 + 4 * 8
+    assert isinstance(tied, int) and tied >= 2**17 + 4 * 5 * 8 + 4 * 8
 
 
 def test_ml_beats_random_candidates():
@@ -267,8 +267,9 @@ def test_ml_tables_are_read_only():
 
 
 def test_ml_call_allocates_little():
-    # one Fig. 4 chunk as the harness sends it: the per-call buffers, the
-    # chunk's G and c entries and a pattern's half terms stay under 1 MiB
+    # one Fig. 4 chunk as the harness sends it: the chunk's G and c entries,
+    # the factors of its (frame, pattern) blocks and the search's frontier
+    # stay under 1 MiB
     rng = np.random.default_rng(35)
     _, _, taps, y, _ = run_links(rng, FIG4, 6.0, 42)
     ml_detect(y, taps, FIG4)  # the cached tables are built once
