@@ -34,7 +34,7 @@ FIG5 = (2, 4, 8, 7, 2)
 CAP = 2**24
 
 # y = 0 on the chunk's even frames: there every candidate ties with its
-# negation, so the search must settle those frames by exhaustive ties
+# negation, so those frames fall back to the exhaustive search's ties
 HALF_ZERO = "even frames y = 0"
 
 # name: ((n_t, n_r, N, k, L), alphabet, SNR dB (None: noiseless), frames, seed)
