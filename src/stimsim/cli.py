@@ -240,6 +240,9 @@ def _sweep_spec(values: dict) -> SweepSpec:
     hi = max(100_000, lo) if hi is None else hi
     if not 0 < lo <= hi:
         raise ConfigError(f"need 0 < --min-frames <= --max-frames, got {lo} and {hi}")
+    min_bit_errors = values.get("min_bit_errors", 100)
+    if min_bit_errors < 0:
+        raise ConfigError(f"--min-bit-errors must be >= 0, got {min_bit_errors}")
     return SweepSpec(
         system=system,
         detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
@@ -247,7 +250,7 @@ def _sweep_spec(values: dict) -> SweepSpec:
         snr_points=tuple(snr_points),
         min_frames=lo,
         max_frames=hi,
-        min_bit_errors=values.get("min_bit_errors", 100),
+        min_bit_errors=min_bit_errors,
         seed=seed,
         mp=MpParams(max_iterations=iters, damping=damp),
         ml_cap=ml_cap,

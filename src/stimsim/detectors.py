@@ -26,9 +26,9 @@ the others iterate. Their ``iterations_run`` counts the iterations of the
 call's loop (the largest per-frame count) and ``frame_iterations`` each
 frame's own; every other per-frame diagnostic carries the batch axis. ML
 factors every (frame, slot pattern) block of G at once and runs one
-breadth-first sphere search for the chunk; the frames it cannot settle run
-the exhaustive search, whose half terms span the whole chunk, frame by
-frame.
+breadth-first sphere search for the chunk, descending a level that keeps
+too many nodes in pieces; no frame's leaves depend on the others or on
+the pieces.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -62,10 +62,12 @@ _ZF_EPS = 1e-12
 _CONVERGENCE_TOL = 1e-6
 
 # the sphere search's ridge and tolerance, relative to G's mean diagonal and
-# a frame's metric scale, and its frontier budget in nodes (_ml_sphere)
+# a frame's metric scale, the most nodes it descends a level with at once,
+# and the most complex values it gathers at once to score them (_ml_sphere)
 _ML_RIDGE = 1e-9
 _ML_TOL = 1e-10
 _ML_FRONTIER = 2**14
+_ML_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -227,90 +229,6 @@ def _ml_patterns(n_t: int, n_slots: int, k: int) -> tuple[np.ndarray, np.ndarray
     return saps, at
 
 
-class _MlCandidates:
-    """Per-config enumeration tables for exhaustive detection, shared by
-    every caller in the process (``_ml_candidates``) and so read-only.
-
-    Each used slot sends one of n_t |A| one-active-antenna vectors; the
-    combinations of half A (the first ceil(k/2) used slots) and of half B
-    are the rows of w_a and w_b. A candidate's metric x^H G x - 2 Re(x^H c)
-    is term(w_a) + term(w_b) + 2 Re(w_a^H G_AB w_b), where a half's term
-    Re(w^H G w) - 2 Re(w^H c) is linear in the entries of G and c it reads.
-
-    - ``terms``: per entry of G or c that a half term reads, per candidate
-      of half A, then of half B, the entry's coefficient: |w_i|^2 on G's
-      diagonal, 2 Re(conj(w_i) w_j) and -2 Im(conj(w_i) w_j) above it,
-      -2 Re w_i and -2 Im w_i for c. Row r's entry for slot pattern rank is
-      ``term_at[rank, r]`` of a chunk's real entry rows (_ml_entries).
-    - ``cross_at`` and ``cross_sign``: where each pattern's G_AB sits in
-      those rows, with its signs and the factor 2, as the right factor of
-      [Re W_A, Im W_A] (``w_a_ri``) whose product is [2 Re A, -2 Im A]
-      with A = W_A^H G_AB.
-    """
-
-    def __init__(self, cfg: StimConfig):
-        n, k, n_t = cfg.n_slots, cfg.k, cfg.n_t
-        pts, q = cfg.alphabet.points, cfg.alphabet.size
-        self.saps = _ml_patterns(n_t, n, k)[0]
-        self.n_rank = len(self.saps)
-        n_m = n_t * q
-        # per-slot candidate vectors: antenna t sends point s at index t*q + s
-        mvec = np.zeros((n_m, n_t), dtype=np.complex128)
-        mvec[np.arange(n_m), np.repeat(np.arange(n_t), q)] = pts[np.tile(np.arange(q), n_t)]
-        k_a = (k + 1) // 2
-
-        def combos(width):
-            digits = np.arange(n_m**width)[:, None] // n_m ** np.arange(width - 1, -1, -1) % n_m
-            return digits, mvec[digits].reshape(len(digits), width * n_t)
-
-        self.digits_a, self.w_a = combos(k_a)
-        self.digits_b, self.w_b = combos(k - k_a)
-        w_a, w_b = self.w_a, self.w_b
-        self.w_a_ri = np.concatenate([w_a.real, w_a.imag], axis=1)
-
-        # the slot and antenna of each of the k n_t columns of H that a pattern activates
-        slot, ant = self.saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k)
-
-        def g_at(i, j):
-            """(rank, ...) index of Re G[column i, column j] in the entry
-            rows, where block (s, s') of G is g[(s - s') mod N]."""
-            return 2 * (((slot[:, i] - slot[:, j]) % n * n_t + ant[i]) * n_t + ant[j])
-
-        c_at = 2 * (n * n_t * n_t + slot * n_t + ant)
-        n_a = len(w_a)
-        reads = []  # (candidate columns, coefficients, index per rank)
-        for w, first, cands in ((w_a, 0, slice(0, n_a)), (w_b, w_a.shape[1], slice(n_a, None))):
-            for i in range(w.shape[1]):
-                c_i = c_at[:, first + i]
-                reads += [(cands, -2.0 * w[:, i].real, c_i), (cands, -2.0 * w[:, i].imag, c_i + 1)]
-                for j in range(i, w.shape[1]):
-                    prod, g_ij = w[:, i].conj() * w[:, j], g_at(first + i, first + j)
-                    if i == j:
-                        reads.append((cands, prod.real, g_ij))
-                    else:
-                        reads += [(cands, 2.0 * prod.real, g_ij), (cands, -2.0 * prod.imag, g_ij + 1)]
-        terms = np.zeros((len(reads), n_a + len(w_b)))
-        for row, (cands, coef, _) in zip(terms, reads):
-            row[cands] = coef
-        read = terms.any(axis=1)
-        self.terms = terms[read]
-        self.term_at = np.stack([at for *_, at in reads], axis=1)[:, read]
-
-        re = g_at(np.arange(w_a.shape[1])[:, None], w_a.shape[1] + np.arange(w_b.shape[1])[None, :])
-        self.cross_at = np.block([[re, re + 1], [re + 1, re]])
-        ones = np.ones(re.shape[1:])
-        self.cross_sign = np.block([[2.0 * ones, -2.0 * ones], [2.0 * ones, 2.0 * ones]])
-        for table in (self.saps, self.digits_a, self.digits_b, w_a, w_b, self.w_a_ri,
-                      self.terms, self.term_at, self.cross_at, self.cross_sign):
-            table.setflags(write=False)
-
-
-@functools.cache
-def _ml_candidates(n_t: int, n_slots: int, k: int, kind: str, normalized: bool) -> _MlCandidates:
-    """The enumeration tables of one config key; n_r and L do not enter them."""
-    return _MlCandidates(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet(kind, normalized)))
-
-
 def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Each frame's G = H^H H and c = H^H y from its taps, as real rows
     (B, 2 (N n_t^2 + N n_t)): the real view of [g_0, ..., g_{N-1}, c].
@@ -333,41 +251,12 @@ def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.concatenate([g.reshape(b, -1), c.reshape(b, -1)], axis=1).view(float)
 
 
-def _metrics(entries: np.ndarray, cand: _MlCandidates, frames):
-    """Yield (rank, frame, metric) for each slot pattern, then each listed
-    frame of the chunk: metric, one buffer overwritten at the next yield, is
-    x^H G x - 2 Re(x^H c) = ||y - H x||^2 - ||y||^2 of every candidate x of
-    the pattern, (n_a, n_b) over the (half A, half B) combinations.
-
-    A pattern's half terms are one real product of the entries with
-    cand.terms over the whole chunk, whichever frames are listed, since a
-    product over fewer rows may round differently; its right factors of A
-    are one gather. With A = W_A^H G_AB, the cross term 2 Re(A W_B^T) is
-    2 Re A Re W_B^T - 2 Im A Im W_B^T, so a frame's metric is the one real
-    product of [2 Re A, -2 Im A, term_a, 1] and
-    [Re W_B^T; Im W_B^T; 1; term_b], whose constant parts are filled once.
-    The factor 2 is exact in binary floating point.
-    """
-    n_a, width = len(cand.w_a), cand.w_b.shape[1]
-    left = np.ones((n_a, 2 * width + 2))
-    right = np.vstack([cand.w_b.real.T, cand.w_b.imag.T, np.ones((2, len(cand.w_b)))])
-    metric = np.empty((n_a, len(cand.w_b)))
-    terms = np.empty((len(entries), cand.terms.shape[1]))
-    cross = np.empty((len(entries),) + cand.cross_sign.shape)
-    for rank in range(cand.n_rank):
-        np.matmul(entries[:, cand.term_at[rank]], cand.terms, out=terms)
-        np.multiply(entries[:, cand.cross_at[rank]], cand.cross_sign, out=cross)
-        for frame in frames:
-            np.matmul(cand.w_a_ri, cross[frame], out=left[:, : 2 * width])
-            left[:, -2] = terms[frame, :n_a]
-            right[-1] = terms[frame, n_a:]
-            yield rank, frame, np.matmul(left, right, out=metric)
-
-
 def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
-    """Sphere search (Fincke & Pohst 1985; Agrell et al. 2002) of a chunk:
-    (found, rank, digits, nodes), the frames whose ML candidate it proves,
-    its rank and digits (_candidate_fields), and tree nodes scored per frame.
+    """Sphere search (Fincke & Pohst 1985; Schnorr & Euchner 1994; Agrell
+    et al. 2002) of a chunk: (frame, rank, digits, metric, nodes), the
+    leaves within the tolerance of their frame's minimum with their slot
+    pattern ranks, digits (_candidate_fields) and metrics, and the tree
+    nodes scored per frame.
 
     Per (frame, pattern), the upper Cholesky factor of
     [[G_S + eps I, c_S], [c_S^H, d]] is [[R, b], [0, .]], so the metric
@@ -375,12 +264,19 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     nonnegative term per used slot, last slot first. The ridge eps lets
     rank-deficient blocks (n_r N < k n_t) factor. Babai walks bound each
     frame's minimum; a breadth-first search over all patterns keeps the
-    nodes within that bound plus twice the tolerance. A frame is found when
-    one leaf alone lies within the tolerance of its minimum: the tolerance
-    covers eps ||x||^2 and the float error of both metrics (under 1e-13 of
-    (sqrt(tr(G) max ||x||^2) + ||y||)^2, sums of a few hundred products
-    no larger), so every other candidate's exhaustive metric is larger.
-    Frames that push the frontier past _ML_FRONTIER nodes are not found.
+    nodes within that bound plus twice the tolerance. The tolerance covers
+    eps ||x||^2 and the float error of this metric and the exact one (under
+    1e-13 of (sqrt(tr(G) max ||x||^2) + ||y||)^2, sums of a few hundred
+    products no larger), so every candidate that may be the exact minimum
+    is a leaf within the tolerance of the least leaf.
+
+    A level whose frontier holds more than _ML_FRONTIER nodes is descended
+    in pieces of that many, lowest partial distance first, each to its
+    leaves before the next starts. As a piece finishes, each frame's bound
+    shrinks to its best leaf plus twice the tolerance, and only the leaves
+    within the tolerance of that best are kept. A node's partial distance
+    is the same sums in any piece, so the leaves returned do not depend on
+    how the frontier was cut.
     """
     at = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[1]
     b, (n_rank, size), pts, n_t, n = len(entries), at.shape[:2], cfg.alphabet.points, cfg.n_t, cfg.n_slots
@@ -394,52 +290,97 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     low = np.linalg.cholesky(np.take(ext, at, axis=1)).reshape(-1, size, size)
     # the conjugate's factor is R^T: cols[p, j, t] is column j n_t + t of
     # problem p's R, hit by antenna t of used slot j, and z is b
-    cols, z = low[:, :-1, :-1].reshape(-1, k, n_t, size - 1), low[:, -1, :-1].copy()
+    cols, z = low[:, :-1, :-1].reshape(-1, k, n_t, size - 1), low[:, -1, :-1]
     bb = np.add.reduce(z.real**2 + z.imag**2, axis=1)
-    # level[p, j, t |A| + s]: point s times the rows of used slot j in that column
-    level = np.einsum("pjtjr->pjtr", cols.reshape(-1, k, n_t, k, n_t))[:, :, :, None] * pts[:, None]
-    level = level.reshape(-1, k, n_m, n_t)
+    # level[j, p, t |A| + s]: point s times the rows of used slot j in that column
+    level = np.einsum("pjtjr->jptr", cols.reshape(-1, k, n_t, k, n_t))[:, :, :, None] * pts[:, None]
+    level = level.reshape(k, -1, n_m, n_t)
 
     def scores(z, pd, probs, j):
-        """pd plus each choice's term at slot j, (F, n_m), for residuals z of problems probs."""
-        d = level[probs, j]
-        d = np.subtract(z[:, None, j * n_t : (j + 1) * n_t], d, out=d).view(float)
-        return pd[:, None] + np.einsum("fmr,fmr->fm", d, d)
+        """pd plus each choice's term at slot j, (F, n_m), for residuals z of
+        problems probs, scored a block of at most _ML_BLOCK values at a time."""
+        blocks, rows = [], max(1, _ML_BLOCK // (n_m * n_t))
+        for lo in range(0, max(len(z), 1), rows):  # an empty frontier is one empty block
+            d = np.take(level[j], probs[lo : lo + rows], axis=0)
+            d = np.subtract(z[lo : lo + rows, None, j * n_t : (j + 1) * n_t], d, out=d).view(float)
+            blocks.append(np.einsum("fmr,fmr->fm", d, d))
+            del d  # before the next block's gather
+        score = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+        score += pd[:, None]
+        return score
 
     every = np.arange(b * n_rank)
-    walk, pd = z.copy(), np.zeros(b * n_rank)
+    first = score = scores(z, np.zeros(b * n_rank), every, k - 1)  # the walks' and the search's
+    walk = z.copy()
     for j in reversed(range(k)):
-        score = scores(walk, pd, every, j)
         pick = score.argmin(axis=1)
         pd = score[every, pick]
-        walk[:, : j * n_t] -= pts[pick % q, None] * cols[every, j, pick // q, : j * n_t]
-    limit = bb + np.repeat((pd - bb).reshape(b, n_rank).min(axis=1) + 2.0 * tol, n_rank)
+        if j:
+            walk[:, : j * n_t] -= pts[pick % q, None] * cols[every, j, pick // q, : j * n_t]
+            score = scores(walk, pd, every, j - 1)
+    bound = (pd - bb).reshape(b, n_rank).min(axis=1) + 2.0 * tol
+    del walk, score, pick  # freed before the search, whose frontier holds the peak
+    limit, best, nodes = bb + np.repeat(bound, n_rank), np.full(b, np.inf), np.full(b, n_rank * k * n_m)
+    kept = [every[:0], np.empty(0), np.empty((0, k), dtype=np.int64)]  # problem, metric, digits
 
-    prob, pd, path, count = every, np.zeros(b * n_rank), [], np.full(b, n_rank)
-    nodes = np.full(b, n_rank * k * n_m)
-    for j in reversed(range(k)):
-        score = scores(z, pd, prob, j)
-        nodes += n_m * count
-        parent, pick = np.nonzero(score <= limit[prob, None])
-        prob, pd = prob[parent], score[parent, pick]
-        count = np.bincount(prob // n_rank, minlength=b)
-        if len(prob) > _ML_FRONTIER:
-            order = np.argsort(-count, kind="stable")
-            count[order[: np.searchsorted(np.cumsum(count[order]), len(prob) - _ML_FRONTIER) + 1]] = 0
-            keep = count[prob // n_rank] > 0
-            parent, pick, prob, pd = parent[keep], pick[keep], prob[keep], pd[keep]
-        path.append((parent, pick))
-        z = z[parent, : j * n_t] - pts[pick % q, None] * cols[prob, j, pick // q, : j * n_t]
+    def settle(score, prob, path):
+        """Keep the leaves, score (F, n_m) of the frontier's problems prob
+        that path led to from the roots, within tol of their frames' best;
+        drop the kept leaves no longer within it and shrink the bounds."""
+        frame, metric = prob // n_rank, np.subtract(score, bb[prob, None], out=score)
+        np.minimum.at(best, frame, functools.reduce(np.minimum, metric.T))  # faster than min(axis=1)
+        rows, pick = np.nonzero(metric <= (best + tol)[frame, None])
+        new = prob[rows], metric[rows, pick], np.empty((rows.size, k), dtype=np.int64)
+        new[2][:, 0] = pick
+        for j, (parent, choice) in enumerate(reversed(path), 1):
+            new[2][:, j], rows = choice[rows], parent[rows]
+        leaves = [np.concatenate(pair) for pair in zip(kept, new)]
+        near = leaves[1] <= (best + tol)[leaves[0] // n_rank]
+        kept[:] = [leaf[near] for leaf in leaves]
+        np.minimum(bound, best + 2.0 * tol, out=bound)
+        np.add(bb, np.repeat(bound, n_rank), out=limit)
 
-    frame, metric, best = prob // n_rank, pd - bb[prob], np.full(b, np.inf)
-    np.minimum.at(best, frame, metric)
-    near = metric <= (best + tol)[frame]
-    found = np.bincount(frame[near], minlength=b) == 1
-    leaf = np.flatnonzero(near & found[frame])
-    rank, digits = prob[leaf] % n_rank, np.empty((leaf.size, k), dtype=np.int64)
-    for j, (parent, pick) in enumerate(reversed(path)):
-        digits[:, j], leaf = pick[leaf], parent[leaf]
-    return found, rank, digits, nodes
+    def descend(j, prob, pd, z, path, score=None):
+        """Search the subtrees of a frontier that has chosen the used slots
+        above j: its problems, partial distances and residuals, the
+        (parent, pick) steps that led to it from the roots, and its
+        children's scores at j if they are known."""
+        path = list(path)
+        score = scores(z, pd, prob, j) if score is None else score
+        while True:
+            np.add(nodes, n_m * np.bincount(prob // n_rank, minlength=b), out=nodes)
+            if not j:
+                return settle(score, prob, path)
+            parent, pick = np.nonzero(score <= limit[prob, None])
+            if len(parent) > _ML_FRONTIER:
+                break
+            prob, pd = prob[parent], score[parent, pick]
+            path.append((parent, pick))
+            z = z[parent, : j * n_t] - pts[pick % q, None] * cols[prob, j, pick // q, : j * n_t]
+            j -= 1
+            score = scores(z, pd, prob, j)
+        # the children of the frontier, as flat indices into score (int32
+        # halves what the pieces hold), lowest partial distance first
+        flat, pd = (parent * n_m + pick).astype(np.int32), score[parent, pick]
+        del score, parent, pick
+        order = np.argsort(pd - bb[prob[flat // n_m]])
+        flat, pd, z = flat[order], pd[order], z[:, : j * n_t].copy()
+        del order
+        for start in range(0, len(flat), _ML_FRONTIER):
+            piece = slice(start, start + _ML_FRONTIER)
+            parent, pick = np.divmod(flat[piece], n_m)
+            live = pd[piece] <= limit[prob[parent]]  # the bounds the earlier pieces left
+            parent, pick = parent[live], pick[live]
+            if parent.size:
+                # passed, not named, so the piece's first frontier is freed as it descends
+                descend(j - 1, prob[parent], pd[piece][live],
+                        z[parent] - pts[pick % q, None] * cols[prob[parent], j, pick // q, : j * n_t],
+                        path + [(parent, pick)])
+
+    descend(k - 1, every, np.zeros(b * n_rank), z, [], first)
+    del descend  # a recursive closure is a reference cycle: break it, so its arrays are freed on return
+    prob, metric, digits = kept
+    return prob // n_rank, prob % n_rank, digits, metric, nodes
 
 
 def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
@@ -447,9 +388,10 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
 
     Minimizes ||y - H x||^2 = ||y||^2 + x^H G x - 2 Re(x^H c) with
     G = H^H H and c = H^H y from the taps (_ml_entries); H is never formed.
-    A sphere search (_ml_sphere) settles each frame whose minimum it proves
-    unique; the rest (near ties, too wide a frontier) score every candidate
-    (_metrics) and take the lowest bits of those tied at the minimum.
+    The sphere search (_ml_sphere) finds each frame's candidates within a
+    tolerance of its minimum, and the frame takes the one with the lowest
+    bits (_lowest_bits), so no decision depends on how a metric was summed.
+    The cap bounds the worst case, a search that visits every candidate.
     """
     _check_channel(y, taps, cfg)
     total = bit_partition(cfg).total
@@ -458,39 +400,26 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
             f"ML enumeration needs 2^{total} candidates (cap {cap}); "
             "use the 2ssd/3ssd detectors or raise the cap"
         )
-    entries, b = _ml_entries(y, taps), len(y)
-    found, rank, digits, nodes = _ml_sphere(entries, np.add.reduce(np.abs(y) ** 2, axis=1), cfg)
-    sap = np.empty((b, cfg.k), dtype=np.int64)
-    antennas, symbols = np.empty_like(sap), np.empty(sap.shape, dtype=complex)
-    sap[found], antennas[found], symbols[found] = _candidate_fields(rank, digits, cfg)
-    rest = np.flatnonzero(~found)
-    if rest.size:
-        cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
-        at_min = np.empty((len(cand.w_a), len(cand.w_b)), dtype=bool)
-        best, seen = {}, []
-        for r, f, metric in _metrics(entries, cand, rest):
-            m = float(metric.min())
-            if m <= best.get(f, np.inf):
-                best[f] = m
-                seen.append((f, r, m, np.flatnonzero(np.equal(metric, m, out=at_min))))
-        ties = [(f, r, flat) for f, r, m, flat in seen if m == best[f]]
-        sap[rest], antennas[rest], symbols[rest] = _lowest_bit_ties(ties, cand, cfg)[1:]
-        nodes[rest] += 2**total
+    b = len(y)
+    frame, rank, digits, _, nodes = _ml_sphere(_ml_entries(y, taps), np.add.reduce(np.abs(y) ** 2, axis=1), cfg)
     diag = {"candidates": int(nodes.sum() + b // 2) // b, "sap_repaired": np.zeros(b, dtype=bool)}
-    return _finalize(sap, antennas, symbols, cfg, diag)
+    return DetectionResult(*_lowest_bits(frame, rank, digits, cfg), diag)
 
 
-def _lowest_bit_ties(ties, cand: _MlCandidates, cfg: StimConfig):
-    """Each frame's tied candidate with the lowest bits: (bits, sap,
-    antennas, symbols), one row per frame in frame order, from ties of
-    (frame, rank, flat indices), all decoded in one call."""
-    frames, ranks = np.repeat([t[:2] for t in ties], [flat.size for *_, flat in ties], axis=0).T
-    ia, ib = divmod(np.concatenate([flat for *_, flat in ties]), cand.w_b.shape[0])
-    fields = _candidate_fields(ranks, np.concatenate([cand.digits_a[ia], cand.digits_b[ib]], axis=-1), cfg)
+def _lowest_bits(frame, rank, digits, cfg: StimConfig):
+    """Each frame's candidate with the lowest bits: (bits, sap, antennas,
+    symbols), one row per frame in frame order, from candidates given by
+    frame, slot pattern rank and digits (_candidate_fields), all decoded in
+    one call."""
+    fields = _candidate_fields(rank, digits, cfg)
     bits = decode_frame(*fields, cfg)
-    # sorted by frame, then by bits with the first most significant
-    order = np.lexsort(np.vstack([bits.T[::-1], frames]))
-    pick = order[np.flatnonzero(np.diff(frames[order], prepend=-1))]
+    if np.array_equal(frame, np.arange(len(frame))):  # one leaf per frame, in order: all picked
+        return (bits,) + fields
+    # sorted by frame, then by bits with the first most significant, packed
+    # eight to a byte so that lexsort has fewer keys
+    order = np.lexsort((*np.packbits(bits, axis=1).T[::-1], frame))
+    ranked = frame[order]
+    pick = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]  # each frame's first
     return (bits[pick],) + tuple(field[pick] for field in fields)
 
 

@@ -95,6 +95,8 @@ class SweepSpec:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.ml_cap < 1:
             raise ValueError(f"ml_cap must be >= 1, got {self.ml_cap}")
+        if self.min_bit_errors < 0:
+            raise ValueError(f"min_bit_errors must be >= 0, got {self.min_bit_errors}")
 
     @property
     def bits_per_frame(self) -> int:

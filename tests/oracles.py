@@ -144,12 +144,15 @@ def encode_table(cfg: StimConfig):
 
 def exhaustive_ml(y, taps: np.ndarray, cfg: StimConfig, table):
     """(bits, metric): ||y - H x||^2 with the dense H for every row x of
-    encode_table(cfg), and the bits of the lowest index among its exact
-    minima, that is the lowest bits."""
+    encode_table(cfg), and the lowest bits among the candidates within
+    1e-10 (sqrt(tr(H^H H) max ||x||^2) + ||y||)^2 of the least metric, the
+    tolerance within which ml_detect calls two candidates tied."""
     bits, x = table
     h = build_block_circulant(taps, cfg.n_slots)
     metric = np.sum(np.abs(y - x @ h.T) ** 2, axis=1)
-    return bits[np.argmin(metric)], metric
+    x_max = np.max(np.sum(np.abs(x) ** 2, axis=1))
+    tol = 1e-10 * (np.sqrt(np.sum(np.abs(h) ** 2) * x_max) + np.linalg.norm(y)) ** 2
+    return bits[np.argmax(metric <= metric.min() + tol)], metric
 
 
 def ml_pattern_metric(y, taps: np.ndarray, cfg: StimConfig, sap):

@@ -181,6 +181,12 @@ def test_ml_cap_below_one_names_the_flag(cap, capsys):
     assert f"--ml-cap must be >= 1, got {cap}" in capsys.readouterr().err
 
 
+def test_negative_min_bit_errors_names_the_flag(capsys):
+    argv = ["ber", "--n-slots", "6", "--k", "5", "--snr-db", "8", "--min-bit-errors", "-1"]
+    assert main(argv) == 1
+    assert "--min-bit-errors must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("iters", ["0", "-2"])
 @pytest.mark.parametrize("command", [["roundtrip", "--frames", "4"], ["ber", "--snr-db", "8"]])
 def test_iters_below_one_names_the_flag(command, iters, capsys):

@@ -24,10 +24,11 @@ from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
-    _lowest_bit_ties,
-    _metrics,
-    _ml_candidates,
+    _candidate_fields,
+    _lowest_bits,
     _ml_entries,
+    _ml_patterns,
+    _ml_sphere,
     _normalize_log_rows,
     _pick_slots,
     _slot_count_messages,
@@ -112,14 +113,15 @@ def test_ml_noiseless_recovery():
 def test_ml_candidate_count_fig4():
     # the tree nodes the search scored: at least the 4 patterns' Babai
     # walks, 5 x 8 each, and their roots' 8 children, far fewer than the
-    # 2^17 candidates; a frame left to the exhaustive search (y = 0: every
-    # candidate ties with its negation) adds all of them
+    # 2^17 candidates at 10 dB; with y = 0 every candidate ties with its
+    # negation, and the count still stays within the whole tree's
     rng = np.random.default_rng(2)
     _, _, taps, y, _ = run_links(rng, FIG4, 10.0)
+    floor, tree = 4 * 5 * 8 + 4 * 8, 4 * 5 * 8 + 4 * sum(8**level for level in range(1, 6))
     searched = ml_detect(y, taps, FIG4).diagnostics["candidates"]
-    assert isinstance(searched, int) and 4 * 5 * 8 + 4 * 8 <= searched <= 2**11
+    assert isinstance(searched, int) and floor <= searched <= 2**11
     tied = ml_detect(np.zeros_like(y), taps, FIG4).diagnostics["candidates"]
-    assert isinstance(tied, int) and tied >= 2**17 + 4 * 5 * 8 + 4 * 8
+    assert isinstance(tied, int) and floor <= tied <= tree
 
 
 def test_ml_beats_random_candidates():
@@ -145,61 +147,67 @@ def test_ml_cap_refusal():
 
 # Fig. 4 with the normalized and the integer-grid alphabet, and with n_t = 1 BPSK
 ML_ORACLE_CONFIGS = [FIG4, StimConfig(2, 4, 6, 5, 2, QAM4_RAW), StimConfig(1, 4, 6, 5, 2, BPSK)]
+# and with n_r = 1: n_t = 4 qam8, and the integer-grid qam8
+TIE_CONFIGS = ML_ORACLE_CONFIGS + [
+    StimConfig(4, 1, 4, 2, 1, QAM8),
+    StimConfig(2, 1, 5, 3, 1, build_alphabet("qam8", normalize=False)),
+]
+TIE_IDS = ["qam4", "qam4_raw", "nt1_bpsk", "nt4_qam8", "qam8_raw"]
 
 
-@pytest.mark.parametrize("cfg", ML_ORACLE_CONFIGS, ids=["qam4", "qam4_raw", "nt1_bpsk"])
+def zeroed_links(rng, cfg, snr, frames):
+    """run_links, where snr "y = 0" draws noiseless links and zeroes y."""
+    zero = snr == "y = 0"
+    bits, slots, taps, y, sigma2 = run_links(rng, cfg, None if zero else snr, frames)
+    if zero:
+        y[:] = 0.0
+    return bits, slots, taps, y, sigma2
+
+
+@pytest.mark.parametrize("cfg", TIE_CONFIGS, ids=TIE_IDS)
 def test_ml_matches_exhaustive_oracle(cfg):
-    # only frames whose oracle minimum is unique: where candidates tie
-    # mathematically (y = 0), they differ by an ulp in either computation
+    # every frame, near ties included (at y = 0 every candidate ties with
+    # its negation): both take the lowest bits among the candidates within
+    # the same tolerance of their minimum
     rng = np.random.default_rng(30)
     table = encode_table(cfg)
-    checked = 0
-    for snr in (None, 3.0, 9.0, 12.0):
-        _, _, taps, y, _ = run_links(rng, cfg, snr, 6)
+    for snr in (None, -10.0, 3.0, 9.0, 12.0, "y = 0"):
+        _, _, taps, y, _ = zeroed_links(rng, cfg, snr, 6)
         res = ml_detect(y, taps, cfg)
         for i in range(6):
-            want, metric = exhaustive_ml(y[i], taps[i], cfg, table)
-            best, second = np.partition(metric, 1)[:2]
-            if second - best > 1e-9 * second:
-                assert np.array_equal(res.bits[i], want), (snr, i)
-                checked += 1
-    assert checked >= 20
+            assert np.array_equal(res.bits[i], exhaustive_ml(y[i], taps[i], cfg, table)[0]), (snr, i)
 
 
-@pytest.mark.parametrize("cfg", ML_ORACLE_CONFIGS + [
-    StimConfig(4, 1, 4, 2, 1, build_alphabet("qam8")),
-    StimConfig(2, 1, 5, 3, 1, build_alphabet("qam8", normalize=False)),
-], ids=["qam4", "qam4_raw", "nt1_bpsk", "nt4_qam8", "qam8_raw"])
+@pytest.mark.parametrize("cfg", TIE_CONFIGS, ids=TIE_IDS)
 def test_ml_ties_go_to_the_lowest_bits(cfg):
-    # chunks of random tie sets, shaped as the search builds them: per
-    # frame, distinct ranks, each with its sorted flat indices
+    # chunks of random tie sets, in any order: per frame, distinct slot
+    # patterns, each with a few distinct candidates given by their digits
     rng = np.random.default_rng(31)
-    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
+    saps = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0]
     bits, table = encode_table(cfg)
     value_of = {row.tobytes(): v for v, row in enumerate(table)}
-    n_b = cand.w_b.shape[0]
+    q, n_m = cfg.alphabet.size, cfg.n_t * cfg.alphabet.size
 
-    def value(rank, flat):
-        """The oracle's bit value of a candidate, found by its transmit slots."""
-        ia, ib = divmod(flat, n_b)
+    def value(rank, digits):
+        """The oracle's bit value of a candidate, found by its transmit
+        slots: choice t |A| + s of a used slot sends point s from antenna t."""
         x = np.zeros((cfg.n_slots, cfg.n_t), dtype=complex)
-        x[cand.saps[rank]] = np.concatenate([cand.w_a[ia], cand.w_b[ib]]).reshape(cfg.k, cfg.n_t)
+        x[saps[rank], digits // q] = cfg.alphabet.points[digits % q]
         return value_of[x.tobytes()]
 
     def frame_ties():
-        ranks = np.sort(rng.choice(cand.n_rank, rng.integers(1, cand.n_rank + 1), replace=False))
-        return [(int(r), np.sort(rng.choice(cand.w_a.shape[0] * n_b, rng.integers(1, 6), replace=False)))
-                for r in ranks]
+        ranks = rng.choice(len(saps), rng.integers(1, len(saps) + 1), replace=False)
+        flats = [rng.choice(n_m**cfg.k, rng.integers(1, 6), replace=False) for _ in ranks]
+        return [(int(r), f // n_m ** np.arange(cfg.k - 1, -1, -1) % n_m) for r, fs in zip(ranks, flats) for f in fs]
 
     for _ in range(60):
         frames = [frame_ties() for _ in range(rng.integers(1, 8))]
-        # in the search's order: pattern by pattern, each over all frames
-        ties = sorted(((i, r, flats) for i, frame in enumerate(frames) for r, flats in frame),
-                      key=lambda tie: tie[1::-1])
-        got = _lowest_bit_ties(ties, cand, cfg)
+        leaves = [(i, r, d) for i, ties in enumerate(frames) for r, d in ties]
+        frame, rank, digits = (np.array(column) for column in zip(*(leaves[o] for o in rng.permutation(len(leaves)))))
+        got = _lowest_bits(frame, rank, digits, cfg)
         assert all(len(field) == len(frames) for field in got)
-        for i, frame in enumerate(frames):
-            want = min(value(r, int(f)) for r, flats in frame for f in flats)
+        for i, ties in enumerate(frames):
+            want = min(value(r, d) for r, d in ties)
             assert np.array_equal(got[0][i], bits[want]), i
             x = np.zeros((cfg.n_slots, cfg.n_t), dtype=complex)
             x[got[1][i], got[2][i]] = got[3][i]
@@ -217,20 +225,31 @@ METRIC_CONFIGS = ML_ORACLE_CONFIGS + [
 
 @pytest.mark.parametrize("cfg", METRIC_CONFIGS,
                          ids=["qam4", "qam4_raw", "nt1_bpsk", "k1", "k_eq_n", "nt4_qam8"])
-def test_rank_metric_matches_dense_oracle(cfg):
-    # every candidate of every slot pattern in every frame of a chunk,
-    # relative to the pattern's largest metric
+def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
+    # with a tolerance wider than any frame's spread of metrics, every
+    # candidate of every slot pattern of every frame is a leaf of the
+    # search, and each leaf's metric lies within the search's own
+    # tolerance of the dense one
     rng = np.random.default_rng(32)
-    cand = _ml_candidates(cfg.n_t, cfg.n_slots, cfg.k, cfg.alphabet.kind, cfg.alphabet.normalized)
+    saps = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0]
+    k, n_m = cfg.k, cfg.n_t * cfg.alphabet.size
+    x_max = k * np.max(np.abs(cfg.alphabet.points) ** 2)
     for snr in (None, 3.0, 12.0):
         _, _, taps, y, _ = run_links(rng, cfg, snr, 3)
-        seen = []
-        for rank, i, metric in _metrics(_ml_entries(y, taps), cand, range(3)):
-            want = ml_pattern_metric(y[i], taps[i], cfg, cand.saps[rank])
-            got = metric.ravel()
-            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (snr, i, rank)
-            seen.append((rank, i))
-        assert sorted(seen) == [(rank, i) for rank in range(cand.n_rank) for i in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(detectors, "_ML_TOL", 2.0)
+            frame, rank, digits, metric, _ = _ml_sphere(_ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1), cfg)
+        flat = digits @ n_m ** np.arange(k - 1, -1, -1)
+        for i in range(3):
+            trace = np.sum(np.abs(dense_h(taps, i, cfg)) ** 2)  # tr(H^H H)
+            tol = (detectors._ML_TOL * (np.sqrt(trace * x_max) + np.linalg.norm(y[i])) ** 2
+                   + detectors._ML_RIDGE * trace / (cfg.n_slots * cfg.n_t) * x_max)
+            for rank_i, sap in enumerate(saps):
+                mine = (frame == i) & (rank == rank_i)
+                order = np.argsort(flat[mine])
+                assert np.array_equal(flat[mine][order], np.arange(n_m**k)), (snr, i, rank_i)
+                want = ml_pattern_metric(y[i], taps[i], cfg, sap)
+                assert np.abs(metric[mine][order] - want).max() <= tol, (snr, i, rank_i)
 
 
 # (n_t, n_r, N, k, L): N = L, N = L = 1, n_t = 1, n_r = 1, L = N - 1, and Fig. 4
@@ -259,11 +278,9 @@ def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
 
 
 def test_ml_tables_are_read_only():
-    cand = _ml_candidates(FIG4.n_t, FIG4.n_slots, FIG4.k, FIG4.alphabet.kind, FIG4.alphabet.normalized)
-    for name in ("saps", "digits_a", "digits_b", "w_a", "w_b", "w_a_ri", "terms", "term_at",
-                 "cross_at", "cross_sign"):
+    for table in _ml_patterns(FIG4.n_t, FIG4.n_slots, FIG4.k):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(cand, name)[0] = 0
+            table[0] = 0
 
 
 def test_ml_call_allocates_little():
@@ -282,6 +299,48 @@ def test_ml_call_allocates_little():
     assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
 
 
+def test_ml_low_snr_call_allocates_little():
+    # Fig. 4 chunks whose searches visit much of the tree: the frontier is
+    # descended in pieces and only the leaves near each frame's best are
+    # kept, so a call stays under 10 MiB
+    rng = np.random.default_rng(36)
+    for snr in (-20.0, "y = 0"):
+        _, _, taps, y, _ = zeroed_links(rng, FIG4, snr, 42)
+        ml_detect(y, taps, FIG4)
+        tracemalloc.start()
+        try:
+            ml_detect(y, taps, FIG4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20, f"{snr}: {peak / 2**20:.2f} MiB"
+
+
+# (config, frames): Fig. 4, Fig. 5 and n_t = 4 qam8 with n_r = 1
+PIECE_CASES = [(FIG4, 12), (FIG5, 3), (StimConfig(4, 1, 4, 2, 1, QAM8), 12)]
+
+
+@pytest.mark.parametrize("cfg,frames", PIECE_CASES, ids=["fig4", "fig5", "nt4_qam8"])
+def test_ml_decisions_do_not_depend_on_the_pieces(cfg, frames, monkeypatch):
+    # pieces of 8 nodes split every level the search keeps more than 8
+    # nodes of; Fig. 5 at -20 dB and y = 0 keeps millions, so its pieces
+    # there are 256 nodes. Taken lowest partial distance first, a frame's
+    # best leaf mostly comes early; taken in reverse, it often comes in a
+    # later piece than leaves that are near a worse best
+    rng = np.random.default_rng(37)
+    argsort = np.argsort
+    for snr in (-20.0, -10.0, 0.0, 9.0, None, "y = 0"):
+        _, _, taps, y, _ = zeroed_links(rng, cfg, snr, frames)
+        want = ml_detect(y, taps, cfg, cap=2**24).bits
+        for reverse in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(detectors, "_ML_FRONTIER", 256 if cfg is FIG5 and snr in (-20.0, "y = 0") else 8)
+                if reverse:  # the split's sort is the one argsort an ML call makes
+                    m.setattr(np, "argsort", lambda key: argsort(key)[::-1])
+                got = ml_detect(y, taps, cfg, cap=2**24).bits
+            assert np.array_equal(got, want), (snr, reverse, np.flatnonzero((got != want).any(axis=1)))
+
+
 def test_interleaved_ml_calls_match_separate_calls():
     # each call has its own workspace: alternating frames of two configs
     # gives each frame the bits of its own config's batch call
@@ -296,14 +355,13 @@ def test_interleaved_ml_calls_match_separate_calls():
 
 
 def test_per_slot_candidate_vectors_nt2_bpsk():
-    # the n_t |A| one-active-antenna vectors for n_t=2, BPSK, unnormalized:
-    # (1,0), (-1,0), (0,1), (0,-1)
-    from stimsim.detectors import _MlCandidates
-
+    # the n_t |A| one-active-antenna vectors for n_t=2, BPSK, unnormalized,
+    # as choices 0..3 of the one used slot: (1,0), (-1,0), (0,1), (0,-1)
     cfg = StimConfig(2, 1, 2, 1, 1, build_alphabet("bpsk", normalize=False))
-    cand = _MlCandidates(cfg)
-    expected = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=complex)
-    assert np.array_equal(cand.w_a, expected)
+    _, antennas, symbols = _candidate_fields(0, np.arange(4)[:, None], cfg)
+    vectors = np.zeros((4, cfg.n_t), dtype=complex)
+    vectors[np.arange(4), antennas[:, 0]] = symbols[:, 0]
+    assert np.array_equal(vectors, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

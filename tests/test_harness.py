@@ -240,6 +240,13 @@ def test_ml_cap_below_one_rejected(cap):
     assert small_spec(detector="ml", ml_cap=1).ml_cap == 1
 
 
+def test_negative_min_bit_errors_rejected():
+    # 0 is a valid minimum: the point stops at min_frames
+    with pytest.raises(ValueError, match="min_bit_errors must be >= 0, got -1"):
+        small_spec(min_bit_errors=-1)
+    assert small_spec(min_bit_errors=0).min_bit_errors == 0
+
+
 def test_snr_outside_grid_rejected():
     with pytest.raises(ValueError, match=r"SNR 7 dB is not in the sweep grid \(8.0,\)"):
         run_ber_point(small_spec(), 7.0)

@@ -11,10 +11,14 @@ leaves every case it holds as it is:
 
     PYTHONPATH=src python tests/test_ml_golden.py
 
-To move a case's decisions on purpose, delete it from the file, rerun, and
-list the frames that moved where the change is recorded.
+To move a case's decisions on purpose, rewrite just that case; the frames
+whose bits moved against the file are printed, to be listed where the
+change is recorded:
+
+    PYTHONPATH=src python tests/test_ml_golden.py --rewrite CASE [CASE ...]
 """
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ FIG5 = (2, 4, 8, 7, 2)
 CAP = 2**24
 
 # y = 0 on the chunk's even frames: there every candidate ties with its
-# negation, so those frames fall back to the exhaustive search's ties
+# negation, and the frame takes the lowest bits among its near ties
 HALF_ZERO = "even frames y = 0"
 
 # name: ((n_t, n_r, N, k, L), alphabet, SNR dB (None: noiseless), frames, seed)
@@ -84,11 +88,19 @@ def test_ml_decisions_match_golden(case, golden):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write the golden ML cases the file lacks.")
+    parser.add_argument("--rewrite", nargs="+", default=[], choices=list(CASES), metavar="CASE",
+                        help="also recompute these cases, printing the frames whose bits moved")
+    rewrite = parser.parse_args().rewrite
     GOLDEN.parent.mkdir(exist_ok=True)
     have = {}
     if GOLDEN.exists():
         with np.load(GOLDEN) as data:
             have = dict(data)
-    new = {case: decisions(*args) for case, args in CASES.items() if case not in have}
-    np.savez_compressed(GOLDEN, **have, **new)
+    new = {case: decisions(*args) for case, args in CASES.items() if case not in have or case in rewrite}
+    for case in rewrite:
+        if case in have:
+            moved = np.flatnonzero((new[case] != have[case]).any(axis=1))
+            print(f"{case}: frames {moved.tolist()} moved")
+    np.savez_compressed(GOLDEN, **{**have, **new})
     print(f"wrote {', '.join(new) or 'no case'} to {GOLDEN}")
