@@ -8,7 +8,7 @@ in unnormalized form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A 2^m constellation; point i carries the m-bit big-endian label i."""
+    """A 2^m constellation; point i carries the m-bit big-endian label i.
+    build_alphabet fixes the points by kind and normalized, so equality and
+    hashing leave them out."""
 
     kind: str
-    points: np.ndarray
+    points: np.ndarray = field(compare=False)
     m_bits: int
     normalized: bool
 

@@ -61,8 +61,9 @@ class BitPartition:
         return self.antenna_bits + self.slot_bits + self.symbol_bits
 
 
-def bit_partition(cfg: StimConfig) -> BitPartition:
-    """Segment sizes in transmission order: antenna, slot, symbol."""
+def bit_partition(cfg) -> BitPartition:
+    """Segment sizes in transmission order: antenna, slot, symbol. An
+    OfdmConfig is the frame with every slot used on one antenna: (0, 0, N m)."""
     a = cfg.antenna_bits_per_slot
     slot_bits = math.floor(math.log2(math.comb(cfg.n_slots, cfg.k)))
     return BitPartition(cfg.k * a, slot_bits, cfg.k * cfg.alphabet.m_bits)

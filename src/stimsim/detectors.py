@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import build_alphabet
 from .channel import band_index
 from .codec import StimConfig, bit_partition, decode_frame, rank_to_sap, repair_sap, sap_to_rank
 
@@ -212,12 +211,12 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 
 
 @functools.cache
-def _ml_patterns(n_t: int, n_slots: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ml_patterns(cfg: StimConfig) -> tuple[np.ndarray, np.ndarray]:
     """(saps, at), read-only: each encodable slot pattern rank's used slots,
     and (rank, k n_t + 1, k n_t + 1) places in a frame's complex entries
     (_ml_entries) and one value d of the lower triangle of
     conj([[G_S, c_S], [c_S^H, d]]), with G_S, c_S the pattern's part."""
-    n_rank = 1 << bit_partition(StimConfig(n_t, 1, n_slots, k, 1, build_alphabet("bpsk"))).slot_bits
+    n_t, n_slots, k, n_rank = cfg.n_t, cfg.n_slots, cfg.k, 1 << bit_partition(cfg).slot_bits
     saps = np.stack([rank_to_sap(r, n_slots, k) for r in range(n_rank)])
     slot, ant, kn = saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k), k * n_t
     at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))  # d
@@ -278,7 +277,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     is the same sums in any piece, so the leaves returned do not depend on
     how the frontier was cut.
     """
-    at = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[1]
+    at = _ml_patterns(cfg)[1]
     b, (n_rank, size), pts, n_t, n = len(entries), at.shape[:2], cfg.alphabet.points, cfg.n_t, cfg.n_slots
     k, q, n_m, x_max = cfg.k, pts.size, n_t * pts.size, cfg.k * float(np.max(np.abs(pts) ** 2))
     ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
@@ -427,7 +426,7 @@ def _candidate_fields(rank, digits, cfg: StimConfig):
     """(sap, antennas, symbols) of candidates given by slot pattern ranks and
     (..., k) per-slot choices, choice t |A| + s sending point s from antenna t."""
     q = cfg.alphabet.size
-    return _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0][rank], digits // q, cfg.alphabet.points[digits % q]
+    return _ml_patterns(cfg)[0][rank], digits // q, cfg.alphabet.points[digits % q]
 
 
 # ---------------------------------------------------------------------------

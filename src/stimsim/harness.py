@@ -100,9 +100,7 @@ class SweepSpec:
 
     @property
     def bits_per_frame(self) -> int:
-        if self.system == "stim":
-            return bit_partition(self.cfg).total
-        return self.cfg.bits_per_frame
+        return bit_partition(self.cfg).total
 
 
 @dataclass
@@ -185,16 +183,12 @@ def _run_trial_range(args):
     """
     spec, point_index, lo, hi, sigma2 = args
     cfg = spec.cfg
-    n_bits = spec.bits_per_frame
-    if spec.system == "stim":
-        part = bit_partition(cfg)
-        bounds = [part.antenna_bits, part.antenna_bits + part.slot_bits]
-    else:
-        bounds = [0, 0]  # every OFDM bit is a symbol bit
+    part = bit_partition(cfg)
+    bounds = [part.antenna_bits, part.antenna_bits + part.slot_bits]
     acc = np.zeros(4, dtype=np.int64)
     step = _chunk_frames(cfg)
     for start in range(lo, hi, step):
-        draws = [_draw_trial(spec, point_index, t, n_bits) for t in range(start, min(start + step, hi))]
+        draws = [_draw_trial(spec, point_index, t, part.total) for t in range(start, min(start + step, hi))]
         tap_draws, bits, normals = (np.stack(a) for a in zip(*draws))
         taps = draw_channel(tap_draws)
         if spec.system == "stim":
@@ -311,7 +305,7 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: _Po
     return BerRecord(
         snr_db=snr_db,
         frames=frames,
-        bits_total=frames * spec.bits_per_frame,
+        bits_total=frames * bit_partition(spec.cfg).total,
         bit_errors_total=int(acc[0] + acc[1] + acc[2]),
         bit_errors_antenna=int(acc[0]),
         bit_errors_slot=int(acc[1]),

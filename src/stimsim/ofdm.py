@@ -21,6 +21,10 @@ class OfdmConfig:
     n_slots: int
     l_taps: int
     alphabet: Alphabet
+    # the frame of a STIM config with every slot used on one transmit antenna
+    # (one RF chain), for codec.bit_partition
+    n_t = 1
+    antenna_bits_per_slot = 0
 
     def __post_init__(self):
         if self.n_slots < self.l_taps:
@@ -29,13 +33,8 @@ class OfdmConfig:
             raise ConfigError("n_r and l_taps must be >= 1")
 
     @property
-    def n_t(self) -> int:
-        # single transmit antenna, single RF chain
-        return 1
-
-    @property
-    def bits_per_frame(self) -> int:
-        return self.n_slots * self.alphabet.m_bits
+    def k(self) -> int:
+        return self.n_slots
 
 
 def ofdm_modulate(bits, cfg: OfdmConfig) -> np.ndarray:

@@ -59,8 +59,7 @@ def brute_force_optimal_n(params: RateParams, n_max: int = 512) -> int:
 def draw_links(rng: np.random.Generator, cfg: StimConfig | OfdmConfig, frames: int):
     """(bits, taps, normals) of frames links stacked on a leading axis: each
     link draws its bits, its channel taps and its noise normals in turn."""
-    n_bits = cfg.bits_per_frame if isinstance(cfg, OfdmConfig) else bit_partition(cfg).total
-    draws = [(rng.integers(0, 2, n_bits, dtype=np.int8), draw_channel(tap_normals(rng, cfg)),
+    draws = [(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), draw_channel(tap_normals(rng, cfg)),
               rng.standard_normal((2, cfg.n_slots * cfg.n_r))) for _ in range(frames)]
     return tuple(np.stack(a) for a in zip(*draws))
 

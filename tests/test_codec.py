@@ -17,6 +17,7 @@ from stimsim.codec import (
     slot_fields,
     with_cyclic_prefix,
 )
+from stimsim.ofdm import OfdmConfig
 
 QAM4 = build_alphabet("qam4")
 QAM4_RAW = build_alphabet("qam4", normalize=False)
@@ -47,6 +48,19 @@ def test_partition_fig4():
 def test_partition_degenerate():
     part = bit_partition(cfg(n_t=1, n=4, k=4, alphabet=BPSK))
     assert (part.antenna_bits, part.slot_bits, part.symbol_bits) == (0, 0, 4)
+    # OFDM is that frame: every slot used on one antenna
+    assert bit_partition(OfdmConfig(4, 4, 2, BPSK)) == part
+
+
+def test_equal_configs_compare_equal_and_hash_alike():
+    a, b = build_alphabet("qam4"), build_alphabet("qam4")
+    assert a == b and hash(a) == hash(b)
+    assert a != QAM4_RAW and a != build_alphabet("qam8")
+    assert cfg() == cfg(alphabet=b) and hash(cfg()) == hash(cfg(alphabet=b))
+    assert cfg() != cfg(alphabet=QAM4_RAW) and cfg() != cfg(k=6)
+    ofdm = OfdmConfig(4, 8, 2, a)
+    assert ofdm == OfdmConfig(4, 8, 2, b) and hash(ofdm) == hash(OfdmConfig(4, 8, 2, b))
+    assert ofdm != OfdmConfig(4, 8, 2, QAM4_RAW)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
     # chunks of random tie sets, in any order: per frame, distinct slot
     # patterns, each with a few distinct candidates given by their digits
     rng = np.random.default_rng(31)
-    saps = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0]
+    saps = _ml_patterns(cfg)[0]
     bits, table = encode_table(cfg)
     value_of = {row.tobytes(): v for v, row in enumerate(table)}
     q, n_m = cfg.alphabet.size, cfg.n_t * cfg.alphabet.size
@@ -231,7 +231,7 @@ def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
     # search, and each leaf's metric lies within the search's own
     # tolerance of the dense one
     rng = np.random.default_rng(32)
-    saps = _ml_patterns(cfg.n_t, cfg.n_slots, cfg.k)[0]
+    saps = _ml_patterns(cfg)[0]
     k, n_m = cfg.k, cfg.n_t * cfg.alphabet.size
     x_max = k * np.max(np.abs(cfg.alphabet.points) ** 2)
     for snr in (None, 3.0, 12.0):
@@ -278,7 +278,7 @@ def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
 
 
 def test_ml_tables_are_read_only():
-    for table in _ml_patterns(FIG4.n_t, FIG4.n_slots, FIG4.k):
+    for table in _ml_patterns(FIG4):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 

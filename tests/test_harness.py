@@ -7,7 +7,7 @@ import pytest
 
 from stimsim import channel, harness
 from stimsim.alphabet import build_alphabet
-from stimsim.codec import StimConfig
+from stimsim.codec import StimConfig, bit_partition
 from stimsim.harness import (
     CSV_HEADER,
     BerRecord,
@@ -331,6 +331,7 @@ def test_ofdm_system_runs():
     rec = run_ber_point(spec, 10.0)
     assert rec.bit_errors_antenna == 0
     assert rec.bit_errors_slot == 0
+    assert rec.bit_errors_symbol == rec.bit_errors_total > 0
     assert rec.bits_total == 128 * 24
 
 
@@ -347,6 +348,38 @@ def test_no_detector_forms_the_dense_channel_matrix(monkeypatch):
     spec = SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 8, 2, build_alphabet("qam8")),
                      snr_points=(8.0,), min_frames=8, max_frames=8)
     assert run_ber_point(spec, 8.0).frames == 8
+
+
+def test_stages_are_looked_up_at_each_call(monkeypatch):
+    # perfbench's tracer times a stage by patching the harness attribute it
+    # is called through; a name bound early would escape it and read zero
+    stages = ("trial_rng", "draw_channel", "encode_frame", "transmit",
+              "ofdm_modulate", "ofdm_transmit", "ofdm_detect")
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in stages:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    ofdm = SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 8, 2, build_alphabet("qam8")),
+                     snr_points=(8.0,), min_frames=8, max_frames=8)
+    for spec, used in ((small_spec(min_frames=8, max_frames=8), ("encode_frame", "transmit")),
+                       (ofdm, ("ofdm_modulate", "ofdm_transmit", "ofdm_detect"))):
+        assert harness._chunk_frames(spec.cfg) >= 8  # one chunk
+        calls.update(dict.fromkeys(stages, 0))
+        assert run_ber_point(spec, 8.0).frames == 8
+        assert calls == {name: 8 if name == "trial_rng" else int(name in ("draw_channel",) + used)
+                         for name in stages}
+
+
+def test_equal_specs_compare_equal_and_hash_alike():
+    twin = small_spec(cfg=StimConfig(2, 4, 8, 7, 2, build_alphabet("qam4")))
+    assert twin == small_spec() and hash(twin) == hash(small_spec())
+    assert twin != small_spec(seed=1)
 
 
 def test_csv_format(tmp_path):
@@ -367,6 +400,12 @@ def test_csv_format(tmp_path):
     stamped = sweep_csv(spec, records, deterministic=False)
     assert "generated=" in stamped
     assert "generated=" not in text
+    # OFDM has no k to echo
+    spec = SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 8, 2, build_alphabet("qam8")),
+                     snr_points=(8.0,), min_frames=8, max_frames=8)
+    echo = sweep_csv(spec, run_sweep(spec), deterministic=True).split("\n")[1]
+    assert echo.startswith("# system=ofdm detector=ml nt=1 nr=4 n_slots=8 l_taps=2 alphabet=qam8 ")
+    assert " k=" not in echo
 
 
 def test_ber_record_fields():
@@ -384,3 +423,5 @@ def test_bits_per_frame_matches_rate_formulas():
     ocfg = OfdmConfig(4, 8, 2, build_alphabet("qam8"))
     ospec = small_spec(system="ofdm", detector="ml", cfg=ocfg)
     assert ospec.bits_per_frame / uses == pytest.approx(ofdm_rate(8, 2, 8))
+    # OFDM is the STIM frame with every slot used on one antenna
+    assert bit_partition(ocfg).total / uses == ofdm_rate(8, 2, 8) == stim_rate(RateParams(8, 2, 1, 8), 8)

@@ -6,7 +6,7 @@ import pytest
 from oracles import draw_links, joint_ml_reference, linear_convolution_ofdm_reference
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import draw_channel, snr_to_sigma2, tap_normals
-from stimsim.codec import with_cyclic_prefix
+from stimsim.codec import bit_partition, with_cyclic_prefix
 from stimsim.ofdm import (
     OfdmConfig,
     ofdm_detect,
@@ -52,7 +52,7 @@ def test_wrong_bit_count():
 def test_modulate_demodulate_identity_channel():
     rng = np.random.default_rng(1)
     cfg = OfdmConfig(1, 8, 1, QAM8)
-    draws = [(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), normals(rng, cfg)) for _ in range(20)]
+    draws = [(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), normals(rng, cfg)) for _ in range(20)]
     bits, noise = (np.stack(a) for a in zip(*draws))
     taps = np.ones((20, 1, 1, 1), dtype=complex)
     y = ofdm_transmit(ofdm_modulate(bits, cfg), taps, 0.0, noise)
@@ -71,7 +71,7 @@ def test_cp_diagonalization():
     rng = np.random.default_rng(3)
     cfg = OfdmConfig(2, 8, 3, QAM4)
     for _ in range(10):
-        bits = rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8)
+        bits = rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8)
         samples = ofdm_modulate(bits, cfg)
         taps = draw_channel(tap_normals(rng, cfg))
         y = ofdm_transmit(samples, taps, 0.0, normals(rng, cfg))
@@ -87,7 +87,7 @@ def test_transmit_matches_linear_convolution(n, l, n_r):
     rng = np.random.default_rng(5)
     cfg = OfdmConfig(n_r, n, l, QAM8)
     for _ in range(10):
-        samples = ofdm_modulate(rng.integers(0, 2, cfg.bits_per_frame, dtype=np.int8), cfg)
+        samples = ofdm_modulate(rng.integers(0, 2, bit_partition(cfg).total, dtype=np.int8), cfg)
         block = with_cyclic_prefix(samples[None], l)[0]
         taps = draw_channel(tap_normals(rng, cfg))
         y = ofdm_transmit(samples, taps, 0.0, normals(rng, cfg))
@@ -109,7 +109,7 @@ def test_batch_matches_single_frames():
     cfg = OfdmConfig(4, 6, 2, build_alphabet("qam8"))
     _, taps, y = links(rng, cfg, snr_to_sigma2(4.0, cfg.l_taps), 12)
     batch = ofdm_detect(y, taps, cfg)
-    assert batch.shape == (12, cfg.bits_per_frame)
+    assert batch.shape == (12, bit_partition(cfg).total)
     for i in range(12):
         assert np.array_equal(batch[i : i + 1], ofdm_detect(y[i : i + 1], taps[i : i + 1], cfg))
 
@@ -125,7 +125,7 @@ def test_detect_rejects_an_unbatched_frame():
 def test_chunk_modulate_and_transmit_equal_per_frame():
     rng = np.random.default_rng(6)
     cfg = OfdmConfig(4, 6, 2, QAM8)
-    bits = rng.integers(0, 2, (11, cfg.bits_per_frame), dtype=np.int8)
+    bits = rng.integers(0, 2, (11, bit_partition(cfg).total), dtype=np.int8)
     taps = np.stack([draw_channel(tap_normals(rng, cfg)) for _ in bits])
     noise = rng.standard_normal((11, 2, cfg.n_r * cfg.n_slots))
     s2 = snr_to_sigma2(4.0, cfg.l_taps)
