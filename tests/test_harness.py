@@ -274,6 +274,23 @@ def test_worker_count_independence():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("system,detector,cfg,frames,row", [
+    ("stim", "ml", StimConfig(2, 4, 6, 5, 2, QAM4), 100,
+     "4,100,1700,20,7,2,11,9,1.1764705882e-02"),
+    ("ofdm", "ml", OfdmConfig(4, 6, 2, build_alphabet("qam8")), 100,
+     "4,100,1800,70,0,0,70,43,3.8888888889e-02"),
+    ("stim", "mmse", FIG5, 100, "4,100,2400,134,37,28,69,34,5.5833333333e-02"),
+    ("stim", "3ssd", StimConfig(2, 4, 128, 114, 4, QAM4), 2,
+     "4,2,804,110,33,21,56,2,1.3681592040e-01"),
+])
+def test_seed_zero_rows_are_pinned(system, detector, cfg, frames, row):
+    # absolute rows at seed 0: the draws, encode, channel, detection and
+    # counts together must reproduce these committed values exactly
+    spec = SweepSpec(system=system, detector=detector, cfg=cfg, snr_points=(4.0,),
+                     min_frames=frames, max_frames=frames, min_bit_errors=10**9, seed=0)
+    assert run_ber_point(spec, 4.0).csv_row() == row
+
+
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     specs = [
