@@ -8,7 +8,6 @@ index lists, so the slot bits are the combinadic rank of the pattern.
 
 Encoding takes a chunk of frames stacked on a leading axis, one frame
 being the chunk of one; decoding takes decisions of any leading shape.
-Only unranking walks frame by frame.
 
 Slots and antennas are 0-based throughout.
 """
@@ -69,23 +68,30 @@ def bit_partition(cfg) -> BitPartition:
     return BitPartition(cfg.k * a, slot_bits, cfg.k * cfg.alphabet.m_bits)
 
 
-def rank_to_sap(rank: int, n: int, k: int) -> np.ndarray:
-    """The rank-th k-subset of {0..n-1} in lexicographic order."""
-    if not 0 <= rank < math.comb(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    subset = np.empty(k, dtype=np.int64)
-    x = 0
-    for i in range(k):
-        # advance x past all blocks whose remaining-subset count is exhausted
-        while True:
-            block = math.comb(n - x - 1, k - i - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        subset[i] = x
-        x += 1
-    return subset
+def rank_to_sap(rank, n: int, k: int) -> np.ndarray:
+    """The rank-th k-subset of {0..n-1} in lexicographic order, or (B, k)
+    subsets for (B,) ranks; inverse of sap_to_rank. sap_to_rank's sum over
+    the used slots is C(n, k) - 1 - rank, and the same sum over the n - k
+    unused slots is rank. The walk unranks the shorter of the two greedily:
+    each step takes one slot of every subset at once from a _rank_table row."""
+    ranks = np.asarray(rank)
+    w, total = min(k, n - k), math.comb(n, k)
+    bad = ranks[(ranks < 0) | (ranks >= total)]
+    if bad.size:
+        raise ValueError(f"rank {bad[0]} out of range for C({n},{k})")
+    table = _rank_table(n, w)
+    rest = ranks.reshape(-1).astype(table.dtype)
+    rest = total - 1 - rest if w == k else rest
+    steps = np.empty((w, rest.size), dtype=np.int64)
+    for row, e in zip(table[:0:-1], steps):
+        e[:] = row[1:].searchsorted(rest, "right")  # the last e with row[e] <= rest
+        rest -= row[e]
+    slots = np.arange(n - w, n) - steps.T
+    if w < k:  # the walk found the unused slots
+        used = np.ones((rest.size, n), dtype=bool)
+        used[np.arange(rest.size)[:, None], slots] = False
+        slots = np.nonzero(used)[1].reshape(-1, k)
+    return slots.reshape(ranks.shape + (k,))
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +144,11 @@ def repair_sap(sap: np.ndarray, cfg: StimConfig, slot_scores=None) -> tuple[np.n
     if slot_scores is not None:
         scores = np.asarray(slot_scores, dtype=float)
         used = list(np.asarray(sap))
-        unused = [s for s in range(n) if s not in set(used)]
+        current = set(used)
+        unused = [s for s in range(n) if s not in current]
         # ascending-score used slots paired with descending-score unused slots
         used_order = sorted(used, key=lambda s: (scores[s], s))
         unused_order = sorted(unused, key=lambda s: (-scores[s], s))
-        current = set(used)
         for out_slot, in_slot in zip(used_order, unused_order):
             current.discard(out_slot)
             current.add(in_slot)
@@ -173,7 +179,7 @@ def encode_frame(bits, cfg: StimConfig) -> np.ndarray:
     # place values in the rank table's dtype, so wide slot segments stay exact
     places = np.array([1 << i for i in range(part.slot_bits - 1, -1, -1)],
                       dtype=_rank_table(n, k).dtype)
-    sap = np.stack([rank_to_sap(int(r), n, k) for r in slot_seg @ places])
+    sap = rank_to_sap(slot_seg @ places, n, k)
     antennas = pack_bits(ant_seg, k, cfg.antenna_bits_per_slot)
     x = np.zeros((len(bits), n, cfg.n_t), dtype=np.complex128)
     x[np.arange(len(bits))[:, None], sap, antennas] = cfg.alphabet.points[

@@ -217,7 +217,7 @@ def _ml_patterns(cfg: StimConfig) -> tuple[np.ndarray, np.ndarray]:
     (_ml_entries) and one value d of the lower triangle of
     conj([[G_S, c_S], [c_S^H, d]]), with G_S, c_S the pattern's part."""
     n_t, n_slots, k, n_rank = cfg.n_t, cfg.n_slots, cfg.k, 1 << bit_partition(cfg).slot_bits
-    saps = np.stack([rank_to_sap(r, n_slots, k) for r in range(n_rank)])
+    saps = rank_to_sap(np.arange(n_rank), n_slots, k)
     slot, ant, kn = saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k), k * n_t
     at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))  # d
     # row i, column j: G_S[j, i] = g[(s_j - s_i) mod N][a_j, a_i]

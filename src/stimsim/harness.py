@@ -5,9 +5,9 @@ index, trial index), so per-trial results never depend on scheduling and
 aggregate counts are identical for any worker count. Trials execute in
 fixed-size batches; the stopping rule is evaluated only at batch boundaries,
 in batch order, which keeps the stopping decision worker-independent too.
-Within a batch, each trial makes its random draws from its own substream;
-everything after the draws (channel taps, encode, transmit, detect, decode,
-count) runs on stacked chunks of trials, one call per chunk.
+Within a batch, trials run in chunks: each trial draws from its own
+substream into its row of the chunk's arrays, and all that follows (channel
+taps, encode, transmit, detect, decode, count) runs once per chunk.
 
 With more than one worker, a sweep runs all of its points on one process
 pool. Each batch is split into one task per worker. While the stopping rule
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import draw_channel, snr_to_sigma2, tap_normals, transmit
+from .channel import draw_channel, snr_to_sigma2, transmit
 from .codec import StimConfig, bit_partition, encode_frame
 from .detectors import DEFAULT_ML_CAP, DETECTORS, MpParams, detect
 from .ofdm import OfdmConfig, ofdm_detect, ofdm_modulate, ofdm_transmit
@@ -143,9 +143,9 @@ def trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Genera
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    state = _PHILOX_STATE["state"]
-    state["counter"][2:] = point_index, trial_index
-    state["key"][:] = seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64
+    counter, key = _PHILOX_STATE["state"]["counter"], _PHILOX_STATE["state"]["key"]
+    counter[2], counter[3] = point_index, trial_index  # scalar writes beat a slice's
+    key[0], key[1] = seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64
     _PHILOX.state = _PHILOX_STATE  # also empties the output buffer
     return _TRIAL_GENERATOR
 
@@ -160,25 +160,30 @@ def _chunk_frames(cfg: StimConfig | OfdmConfig) -> int:
 _BYTE_TOPS = np.arange(7, 64, 8, dtype=np.uint64)  # the top bit of each byte of a word
 
 
-def _draw_trial(spec: SweepSpec, point_index: int, trial: int, n_bits: int):
-    """One trial's draws from its own substream, in a fixed order: the
-    standard normals of the channel taps, bits, then the real and imaginary
-    standard normals of the noise. The bits are those of
-    ``rng.integers(0, 2, n_bits, dtype=np.int8)``, which takes the top bit
-    of each byte of ceil(n_bits / 8) raw 64-bit words, low byte first."""
-    rng = trial_rng(spec.seed, point_index, trial)
+def _draw_chunk(spec: SweepSpec, point_index: int, lo: int, hi: int, n_bits: int):
+    """Trials [lo, hi)'s draws: (B, 2, L, n_r, n_t) tap normals, (B, n_bits)
+    bits and (B, 2, N n_r) noise normals. Each trial fills its rows from its
+    own substream: tap normals, ceil(n_bits / 8) raw words, noise normals.
+    The bits, the top bit of each byte of a trial's words, low byte first,
+    are those of ``rng.integers(0, 2, n_bits, dtype=np.int8)``."""
     cfg = spec.cfg
-    tap_draws = tap_normals(rng, cfg)
-    raw = rng.bit_generator.random_raw(-(-n_bits // 8))
-    bits = (raw[:, None] >> _BYTE_TOPS & 1).astype(np.int8).ravel()[:n_bits]
-    return tap_draws, bits, rng.standard_normal((2, cfg.n_slots * cfg.n_r))
+    tap_draws = np.empty((hi - lo, 2, cfg.l_taps, cfg.n_r, cfg.n_t))
+    words = np.empty((hi - lo, -(-n_bits // 8)), dtype=np.uint64)
+    normals = np.empty((hi - lo, 2, cfg.n_slots * cfg.n_r))
+    for row, trial in enumerate(range(lo, hi)):
+        rng = trial_rng(spec.seed, point_index, trial)
+        rng.standard_normal(out=tap_draws[row])
+        words[row] = rng.bit_generator.random_raw(words.shape[1])
+        rng.standard_normal(out=normals[row])
+    bits = (words[..., None] >> _BYTE_TOPS & 1).astype(np.int8).reshape(hi - lo, -1)[:, :n_bits]
+    return tap_draws, bits, normals
 
 
 def _run_trial_range(args):
     """(antenna, slot, symbol, frame) error counts of trials [lo, hi).
 
-    Each trial draws from its own substream; the arithmetic after the draws
-    runs on stacked chunks of _chunk_frames trials. No arithmetic crosses
+    Each trial draws from its own substream into a chunk of _chunk_frames
+    trials, whose arithmetic runs once per chunk. No arithmetic crosses
     frames, so a trial's counts do not depend on the chunk it lands in.
     """
     spec, point_index, lo, hi, sigma2 = args
@@ -188,8 +193,7 @@ def _run_trial_range(args):
     acc = np.zeros(4, dtype=np.int64)
     step = _chunk_frames(cfg)
     for start in range(lo, hi, step):
-        draws = [_draw_trial(spec, point_index, t, part.total) for t in range(start, min(start + step, hi))]
-        tap_draws, bits, normals = (np.stack(a) for a in zip(*draws))
+        tap_draws, bits, normals = _draw_chunk(spec, point_index, start, min(start + step, hi), part.total)
         taps = draw_channel(tap_draws)
         if spec.system == "stim":
             y = transmit(encode_frame(bits, cfg), taps, sigma2, normals)

@@ -103,6 +103,17 @@ def test_chunk_ranks_match_lexicographic_order(n):
         assert np.array_equal(ranks, np.arange(math.comb(n, k)))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_chunk_unranking_matches_scalar_unranking(n):
+    # rank_to_sap on a (B,) array of every rank, for every k <= n <= 10
+    for k in range(1, n + 1):
+        want = np.array(lex_subsets(n, k))
+        saps = rank_to_sap(np.arange(math.comb(n, k)), n, k)
+        assert saps.dtype == np.int64 and saps.shape == want.shape
+        assert np.array_equal(saps, want)
+        assert np.array_equal(saps, [rank_to_sap(r, n, k) for r in range(math.comb(n, k))])
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_chunk_encode_places_every_rank(n):
     # one chunk of frames whose slot bits run through every encodable rank
@@ -125,7 +136,10 @@ def test_paper_scale_ranks_and_roundtrip(k, dtype):
     part = bit_partition(c)
     rng = np.random.default_rng(k)
     want = [int.from_bytes(rng.bytes(16), "big") >> (128 - part.slot_bits) for _ in range(20)]
-    ranks = sap_to_rank(np.stack([rank_to_sap(r, 128, k) for r in want]), 128)
+    saps = rank_to_sap(np.array(want, dtype=dtype), 128, k)
+    assert saps.shape == (20, k) and np.array_equal(saps, [rank_to_sap(r, 128, k) for r in want])
+    assert (np.diff(saps, axis=1) > 0).all() and saps.min() >= 0 and saps.max() < 128
+    ranks = sap_to_rank(saps, 128)
     assert ranks.dtype == dtype
     assert ranks.tolist() == want
     bits = rng.integers(0, 2, (20, part.total), dtype=np.int8)
@@ -148,6 +162,11 @@ def test_first_element_excluded_rank_bound():
 def test_rank_out_of_range():
     with pytest.raises(ValueError):
         rank_to_sap(math.comb(8, 7), 8, 7)
+    for bad in (math.comb(8, 7), -1):
+        with pytest.raises(ValueError, match=f"rank {bad} out of range"):
+            rank_to_sap(np.array([0, 3, bad, 1]), 8, 7)
+    with pytest.raises(ValueError, match=r"out of range for C\(128,64\)"):
+        rank_to_sap(np.array([0, math.comb(128, 64)], dtype=object), 128, 64)
 
 
 # ---------------------------------------------------------------------------

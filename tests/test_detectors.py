@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -275,6 +276,16 @@ def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
         want_g, want_c = h.conj().T @ h, h.conj().T @ y[i]
         assert np.abs(gram[i] - want_g).max() <= 1e-13 * np.abs(want_g).max(), i
         assert np.abs(c[i] - want_c).max() <= 1e-13 * np.abs(want_c).max(), i
+
+
+@pytest.mark.parametrize("cfg", [FIG4, FIG5], ids=["fig4", "fig5"])
+def test_ml_patterns_are_the_encodable_ranks_in_order(cfg):
+    # row r is the r-th k-subset in lexicographic order, as encode_frame places it
+    n_rank = 1 << bit_partition(cfg).slot_bits
+    saps = _ml_patterns(cfg)[0]
+    assert saps.dtype == np.int64
+    assert saps.tolist() == [list(s) for s in itertools.islice(
+        itertools.combinations(range(cfg.n_slots), cfg.k), n_rank)]
 
 
 def test_ml_tables_are_read_only():

@@ -66,17 +66,27 @@ def test_trial_rng_is_the_philox_substream():
 
 
 def test_trial_draws_match_the_generator_calls():
-    # the bits from raw words equal Generator.integers' bits, and the noise
+    # each row of a chunk's draws is its own trial's generator calls: the
+    # bits from raw words equal Generator.integers' bits, and the noise
     # normals after them are the same, for odd and even word counts
-    for seed in (0, 3, 2**64 + 5):
-        for n_bits in (1, 7, 8, 9, 16, 17, 24, 25, 40, 63, 64, 65, 129):
-            spec = small_spec(seed=seed)
-            taps, bits, normals = harness._draw_trial(spec, 2, n_bits, n_bits)
-            ref = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 2, n_bits]))
-            assert np.array_equal(taps, channel.tap_normals(ref, FIG5))
-            want = ref.integers(0, 2, n_bits, dtype=np.int8)
-            assert bits.dtype == want.dtype and np.array_equal(bits, want), (seed, n_bits)
-            assert np.array_equal(normals, ref.standard_normal((2, 32))), (seed, n_bits)
+    ofdm = SweepSpec(system="ofdm", detector="ml", cfg=OfdmConfig(4, 6, 2, build_alphabet("qam8")),
+                     snr_points=(8.0,))
+    for spec in (small_spec(), ofdm):
+        cfg = spec.cfg
+        for seed in (0, 3, 2**64 + 5):
+            spec = dataclasses.replace(spec, seed=seed)
+            for n_bits in (1, 7, 8, 9, 16, 17, 24, 25, 40, 63, 64, 65, 129):
+                for lo, hi in ((0, 1), (0, 5), (n_bits, n_bits + 1), (n_bits, n_bits + 5)):
+                    taps, bits, normals = harness._draw_chunk(spec, 2, lo, hi, n_bits)
+                    assert taps.shape == (hi - lo, 2, cfg.l_taps, cfg.n_r, cfg.n_t)
+                    assert bits.shape == (hi - lo, n_bits) and bits.dtype == np.int8
+                    assert normals.shape == (hi - lo, 2, cfg.n_slots * cfg.n_r)
+                    for row, trial in enumerate(range(lo, hi)):
+                        ref = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 2, trial]))
+                        assert np.array_equal(taps[row], channel.tap_normals(ref, cfg))
+                        assert np.array_equal(bits[row], ref.integers(0, 2, n_bits, dtype=np.int8)), \
+                            (seed, n_bits, lo, row)
+                        assert np.array_equal(normals[row], ref.standard_normal((2, cfg.n_slots * cfg.n_r)))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
