@@ -31,6 +31,20 @@ def index_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
 
 
+def lex_unrank(rank: int, n: int, k: int) -> list[int]:
+    """The rank-th k-subset of {0..n-1} in lexicographic order, one slot at a
+    time: place i skips slot x while the rank left is at least the number of
+    subsets that put x there, C(n - x - 1, k - i - 1)."""
+    subset, x = [], 0
+    for i in range(k):
+        while rank >= (block := math.comb(n - x - 1, k - i - 1)):
+            rank -= block
+            x += 1
+        subset.append(x)
+        x += 1
+    return subset
+
+
 def map_bits(bits: np.ndarray, a: Alphabet) -> complex:
     """Map an m_bits-long bit vector to its constellation point."""
     bits = np.asarray(bits)
