@@ -74,10 +74,10 @@ def test_trial_draws_match_the_generator_calls():
     for spec in (small_spec(), ofdm):
         cfg = spec.cfg
         for seed in (0, 3, 2**64 + 5):
-            spec = dataclasses.replace(spec, seed=seed)
+            seeded = dataclasses.replace(spec, seed=seed)
             for n_bits in (1, 7, 8, 9, 16, 17, 24, 25, 40, 63, 64, 65, 129):
                 for lo, hi in ((0, 1), (0, 5), (n_bits, n_bits + 1), (n_bits, n_bits + 5)):
-                    taps, bits, normals = harness._draw_chunk(spec, 2, lo, hi, n_bits)
+                    taps, bits, normals = harness._draw_chunk(seeded, 2, lo, hi, n_bits)
                     assert taps.shape == (hi - lo, 2, cfg.l_taps, cfg.n_r, cfg.n_t)
                     assert bits.shape == (hi - lo, n_bits) and bits.dtype == np.int8
                     assert normals.shape == (hi - lo, 2, cfg.n_slots * cfg.n_r)
