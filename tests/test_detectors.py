@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -21,7 +22,7 @@ from oracles import (
 from stimsim.alphabet import build_alphabet
 from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, tap_normals, transmit
 from stimsim import codec, detectors
-from stimsim.codec import StimConfig, bit_partition, encode_frame, slot_fields
+from stimsim.codec import StimConfig, bit_partition, encode_frame, rank_to_sap, sap_to_rank, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
@@ -165,6 +166,24 @@ def zeroed_links(rng, cfg, snr, frames):
     return bits, slots, taps, y, sigma2
 
 
+def placed_links(rng, cfg, snr_db, frames):
+    """(x, taps, y) of frames links whose used slots' rows are sent on a
+    slot pattern the encoder never sends: the ranks at and above
+    2^slot_bits in turn or, where every k-subset is encodable, the pattern
+    without the last used slot. snr_db None is sigma2 = 0."""
+    bits, taps, normals = draw_links(rng, cfg, frames)
+    slots = encode_frame(bits, cfg)
+    sap, limit, total = slot_fields(slots, cfg.k)[0], 1 << bit_partition(cfg).slot_bits, math.comb(cfg.n_slots, cfg.k)
+    rows, at = np.take_along_axis(slots, sap[..., None], axis=1), np.arange(frames)[:, None]
+    x = np.zeros_like(slots)
+    if limit < total:
+        x[at, rank_to_sap(limit + np.arange(frames) % (total - limit), cfg.n_slots, cfg.k)] = rows
+    else:
+        x[at, sap[:, :-1]] = rows[:, :-1]
+    sigma2 = snr_to_sigma2(snr_db, cfg.l_taps) if snr_db is not None else 0.0
+    return x, taps, transmit(x, taps, sigma2, normals)
+
+
 @pytest.mark.parametrize("cfg", TIE_CONFIGS, ids=TIE_IDS)
 def test_ml_matches_exhaustive_oracle(cfg):
     # every frame, near ties included (at y = 0 every candidate ties with
@@ -213,6 +232,30 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
             x = np.zeros((cfg.n_slots, cfg.n_t), dtype=complex)
             x[got[1][i], got[2][i]] = got[3][i]
             assert value_of[x.tobytes()] == want, i
+
+
+# Fig. 4, k = N (every slot used), k = 1 with 2 of 6 patterns unencodable,
+# n_t = 1 BPSK and n_r = 1 with n_t = 4 qam8
+PLACED_CONFIGS = [FIG4, StimConfig(2, 2, 3, 3, 2, QAM4), StimConfig(2, 2, 6, 1, 2, QAM4),
+                  StimConfig(1, 4, 6, 5, 2, BPSK), StimConfig(4, 1, 4, 2, 1, QAM8)]
+
+
+@pytest.mark.parametrize("cfg", PLACED_CONFIGS, ids=["qam4", "k_eq_n", "k1", "nt1_bpsk", "nt4_qam8"])
+def test_ml_never_decides_an_unencodable_pattern(cfg):
+    # frames sent on a pattern the encoder never sends, noiseless or not:
+    # the nearest candidate is then often one ML may not return, and ML
+    # decides the exhaustive oracle's frame, k used slots of an encodable rank
+    rng = np.random.default_rng(38)
+    table, limit = encode_table(cfg), 1 << bit_partition(cfg).slot_bits
+    for snr in (None, 12.0):
+        x, taps, y = placed_links(rng, cfg, snr, 8)
+        used = (x != 0).any(axis=-1)
+        assert all(u.sum() != cfg.k or sap_to_rank(np.flatnonzero(u), cfg.n_slots) >= limit for u in used)
+        res = ml_detect(y, taps, cfg)
+        assert res.sap.shape == (8, cfg.k) and (np.diff(res.sap, axis=1) > 0).all()
+        assert (sap_to_rank(res.sap, cfg.n_slots) < limit).all()
+        for i in range(8):
+            assert np.array_equal(res.bits[i], exhaustive_ml(y[i], taps[i], cfg, table)[0]), (snr, i)
 
 
 # the oracle configs, plus k = 1 (half B is empty, so the product has only

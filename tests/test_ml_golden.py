@@ -27,19 +27,22 @@ import pytest
 from stimsim.alphabet import build_alphabet
 from stimsim.codec import StimConfig
 from stimsim.detectors import ml_detect
-from test_detectors import run_links
+from test_detectors import placed_links, run_links
 
 GOLDEN = Path(__file__).with_name("data") / "ml_golden.npz"
 
 QAM4 = build_alphabet("qam4")
 FIG4 = (2, 4, 6, 5, 2)
 FIG5 = (2, 4, 8, 7, 2)
-# Fig. 5 has 2^24 candidates, above the default cap
-CAP = 2**24
+# Fig. 5 has 2^24 candidates and Fig. 4 with qam16 2^27, above the default cap
+CAP = 2**27
 
 # y = 0 on the chunk's even frames: there every candidate ties with its
 # negation, and the frame takes the lowest bits among its near ties
 HALF_ZERO = "even frames y = 0"
+# noiseless frames sent on the slot patterns the encoder never sends
+# (placed_links), so that the nearest candidate is not one ML may return
+PLACED = "unencodable patterns"
 
 # name: ((n_t, n_r, N, k, L), alphabet, SNR dB (None: noiseless), frames, seed)
 CASES = {
@@ -61,15 +64,26 @@ CASES = {
     "fig5_12db": (FIG5, QAM4, 12.0, 3, 65),
     "nt4_qam8_0db": ((4, 1, 4, 2, 1), build_alphabet("qam8"), 0.0, 16, 66),
     "fig4_half_zero": (FIG4, QAM4, HALF_ZERO, 12, 67),
+    "n5k2_noiseless": ((2, 4, 5, 2, 2), QAM4, None, 42, 68),
+    "n5k2_0db": ((2, 4, 5, 2, 2), QAM4, 0.0, 42, 69),
+    "n5k2_9db": ((2, 4, 5, 2, 2), QAM4, 9.0, 42, 70),
+    "fig4_qam16_6db": (FIG4, build_alphabet("qam16"), 6.0, 16, 71),
+    "fig4_qam16_12db": (FIG4, build_alphabet("qam16"), 12.0, 16, 72),
+    "fig4_placed": (FIG4, QAM4, PLACED, 42, 73),
+    "n5k2_placed": ((2, 4, 5, 2, 2), QAM4, PLACED, 42, 74),
 }
 
 
 def decisions(shape, alphabet, snr, frames, seed) -> np.ndarray:
-    """ML's bits for one case's seeded chunk (run_links: each frame draws
-    its bits, channel taps and noise normals in turn)."""
-    cfg = StimConfig(*shape, alphabet)
+    """ML's bits for one case's seeded chunk (run_links, or placed_links for
+    PLACED: each frame draws its bits, channel taps and noise normals in
+    turn)."""
+    cfg, rng = StimConfig(*shape, alphabet), np.random.default_rng(seed)
+    if snr == PLACED:
+        _, taps, y = placed_links(rng, cfg, None, frames)
+        return ml_detect(y, taps, cfg, cap=CAP).bits
     zero = snr == HALF_ZERO
-    _, _, taps, y, _ = run_links(np.random.default_rng(seed), cfg, None if zero else snr, frames)
+    _, _, taps, y, _ = run_links(rng, cfg, None if zero else snr, frames)
     if zero:
         y[::2] = 0.0
     return ml_detect(y, taps, cfg, cap=CAP).bits
