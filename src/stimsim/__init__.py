@@ -4,7 +4,7 @@ single-carrier systems over frequency-selective Rayleigh fading."""
 __version__ = "0.1.0"
 
 from .alphabet import Alphabet, build_alphabet
-from .channel import draw_channel, snr_to_sigma2, tap_normals, transmit
+from .channel import draw_channel, snr_to_sigma2, transmit
 from .codec import (
     BitPartition,
     StimConfig,

@@ -30,14 +30,9 @@ def _tap_scales(l_taps: int) -> np.ndarray:
     return scale
 
 
-def tap_normals(rng: np.random.Generator, cfg) -> np.ndarray:
-    """One realization's standard normals for any config with n_t/n_r/l_taps,
-    shaped (2, L, n_r, n_t): the real parts, then the imaginary ones."""
-    return rng.standard_normal((2, cfg.l_taps, cfg.n_r, cfg.n_t))
-
-
 def draw_channel(normals: np.ndarray) -> np.ndarray:
-    """Quasi-static taps from tap_normals: normals of shape (2, L, n_r, n_t)
+    """Quasi-static taps from standard normals: normals of shape (2, L, n_r, n_t)
+    (the real parts, then the imaginary ones)
     give one realization's (L, n_r, n_t) taps; a chunk's stacked normals
     (B, 2, L, n_r, n_t) give its (B, L, n_r, n_t) taps in one call."""
     re, im = normals[..., 0, :, :, :], normals[..., 1, :, :, :]

@@ -25,10 +25,10 @@ stops per frame: a frame whose messages have settled keeps its state while
 the others iterate. Their ``iterations_run`` counts the iterations of the
 call's loop (the largest per-frame count) and ``frame_iterations`` each
 frame's own; every other per-frame diagnostic carries the batch axis. ML
-factors every (frame, slot pattern) block of G at once and runs one
-breadth-first sphere search for the chunk, descending a level that keeps
-too many nodes in pieces; no frame's leaves depend on the others or on
-the pieces.
+searches one tree per frame over all N slots, an unused slot being one
+more branch, in one breadth-first search for the chunk that descends a
+frame's wide levels in pieces; no frame's leaves depend on the others or
+on the pieces.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -61,11 +61,14 @@ _ZF_EPS = 1e-12
 _CONVERGENCE_TOL = 1e-6
 
 # the sphere search's ridge and tolerance, relative to G's mean diagonal and
-# a frame's metric scale, the most nodes it descends a level with at once,
-# and the most complex values it gathers at once to score them (_ml_sphere)
+# a frame's metric scale, the most nodes it descends a level with at once, a
+# frame's nodes a level keeps before its pieces and its first piece's, and
+# the most complex values it gathers at once to score them (_ml_sphere)
 _ML_RIDGE = 1e-9
 _ML_TOL = 1e-10
-_ML_FRONTIER = 2**14
+_ML_FRONTIER = 2**13
+_ML_SPLIT = 128
+_ML_FIRST = 8
 _ML_BLOCK = 2**15
 
 
@@ -211,21 +214,38 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 
 
 @functools.cache
-def _ml_patterns(cfg: StimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(saps, at), read-only: each encodable slot pattern rank's used slots,
-    and (rank, k n_t + 1, k n_t + 1) places in a frame's complex entries
-    (_ml_entries) and one value d of the lower triangle of
-    conj([[G_S, c_S], [c_S^H, d]]), with G_S, c_S the pattern's part."""
-    n_t, n_slots, k, n_rank = cfg.n_t, cfg.n_slots, cfg.k, 1 << bit_partition(cfg).slot_bits
-    saps = rank_to_sap(np.arange(n_rank), n_slots, k)
-    slot, ant, kn = saps.repeat(n_t, axis=1), np.tile(np.arange(n_t), k), k * n_t
-    at = np.full((n_rank, kn + 1, kn + 1), n_slots * n_t * (n_t + 1))  # d
-    # row i, column j: G_S[j, i] = g[(s_j - s_i) mod N][a_j, a_i]
-    at[:, :kn, :kn] = ((slot[:, None] - slot[:, :, None]) % n_slots * n_t + ant) * n_t + ant[:, None]
-    at[:, kn, :kn] = n_slots * n_t * n_t + slot * n_t + ant
-    for table in (saps, at):
+def _ml_tree(cfg: StimConfig):
+    """(at, child, barred, coef, ant, x_max), read-only. at places the lower
+    triangle of conj([[G, c], [c^H, d]]), slots reversed: level j decides
+    slot N - 1 - j. Choice c sends coef[c] (point c mod |A|, 0 for the last
+    choice, the unused slot) from antenna ant[c]; x_max is max ||x||^2.
+
+    child[j, state, c] is a node's state after choice c at level j, -1 (and
+    barred[j, c, state] inf) where no encodable pattern lies below. State
+    u + (k + 1) tight: u slots used, tight if used as in the last encodable
+    pattern P. The encodable patterns are the first 2^slot_bits in
+    lexicographic order, so a choice is kept if the k - u slots still to
+    use fit below and a tight node leaves no slot of P unused: the least
+    completion of the decided slots is then encodable."""
+    n, n_t, k, pts = cfg.n_slots, cfg.n_t, cfg.k, cfg.alphabet.points
+    m, n_m = n * n_t, n_t * pts.size + 1
+    slot, ant = np.arange(n - 1, -1, -1).repeat(n_t), np.tile(np.arange(n_t), n)
+    at = np.full((m + 1, m + 1), m * (n_t + 1))  # d
+    # row i, column j: G[j, i] = g[(s_j - s_i) mod N][a_j, a_i]
+    at[:m, :m] = ((slot - slot[:, None]) % n * n_t + ant) * n_t + ant[:, None]
+    at[m, :m] = m * n_t + slot * n_t + ant
+    on = np.isin(np.arange(n - 1, -1, -1), rank_to_sap((1 << bit_partition(cfg).slot_bits) - 1, n, k))
+    j, tight, u = np.arange(n)[:, None, None], np.arange(2)[:, None], np.arange(k + 1)
+    bar = tight * on[:, None, None]  # (level, tight, u): a tight node at a slot of P
+    used = np.where(u < k, u + 1 + (k + 1) * bar, -1)
+    unused = np.where((k - u <= j) & (bar == 0), u + (k + 1) * tight, -1)
+    child = np.concatenate([used[..., None].repeat(n_m - 1, axis=-1), unused[..., None]], axis=-1)
+    child = child.reshape(n, 2 * (k + 1), n_m)
+    tables = (at, child, np.where(child < 0, np.inf, 0.0).transpose(0, 2, 1).copy(),
+              np.append(np.tile(pts, n_t), 0.0), np.append(np.arange(n_t).repeat(pts.size), 0))
+    for table in tables:
         table.setflags(write=False)
-    return saps, at
+    return tables + (k * float(np.max(np.abs(pts) ** 2)),)
 
 
 def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -252,134 +272,143 @@ def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     """Sphere search (Fincke & Pohst 1985; Schnorr & Euchner 1994; Agrell
-    et al. 2002) of a chunk: (frame, rank, digits, metric, nodes), the
-    leaves within the tolerance of their frame's minimum with their slot
-    pattern ranks, digits (_candidate_fields) and metrics, and the tree
-    nodes scored per frame.
+    et al. 2002) of a chunk: (frame, digits, metric, nodes), the leaves
+    within the tolerance of their frame's minimum with their per-slot
+    choices (_candidate_fields) and metrics, and the tree nodes scored.
 
-    Per (frame, pattern), the upper Cholesky factor of
-    [[G_S + eps I, c_S], [c_S^H, d]] is [[R, b], [0, .]], so the metric
-    x^H (G_S + eps I) x - 2 Re(x^H c_S) is ||R x - b||^2 - ||b||^2: one
-    nonnegative term per used slot, last slot first. The ridge eps lets
-    rank-deficient blocks (n_r N < k n_t) factor. Babai walks bound each
-    frame's minimum; a breadth-first search over all patterns keeps the
-    nodes within that bound plus twice the tolerance. The tolerance covers
-    eps ||x||^2 and the float error of this metric and the exact one (under
-    1e-13 of (sqrt(tr(G) max ||x||^2) + ||y||)^2, sums of a few hundred
-    products no larger), so every candidate that may be the exact minimum
-    is a leaf within the tolerance of the least leaf.
+    One tree per frame covers every slot pattern, as in sphere decoding for
+    index modulation (Younis et al. 2013): x_s = 0 is one more branch, and
+    branches with no encodable pattern below are cut (_ml_tree). The upper
+    Cholesky factor of [[G + eps I, c], [c^H, d]] is [[R, b], [0, .]], so
+    x^H (G + eps I) x - 2 Re(x^H c) is ||R x - b||^2 - ||b||^2, one term per
+    level; eps lets rank-deficient G factor. A Babai walk bounds each
+    frame's minimum; a breadth-first search keeps the nodes within it plus
+    twice the tolerance. The tolerance covers eps ||x||^2 and the float
+    error of this metric and the exact one, sums over N n_t + 1 rows of
+    terms under s = (sqrt(tr(G) max ||x||^2) + ||y||)^2 (||R||_F^2 =
+    tr(G + eps I), ||b|| <= ||y||): a few (N n_t + 1) 2^-53 s, under 1e-13 s
+    for N n_t below a few hundred. So every candidate that may be the
+    minimum is a leaf within the tolerance of the least leaf.
 
-    A level whose frontier holds more than _ML_FRONTIER nodes is descended
-    in pieces of that many, lowest partial distance first, each to its
-    leaves before the next starts. As a piece finishes, each frame's bound
-    shrinks to its best leaf plus twice the tolerance, and only the leaves
-    within the tolerance of that best are kept. A node's partial distance
-    is the same sums in any piece, so the leaves returned do not depend on
-    how the frontier was cut.
+    A level keeping over _ML_SPLIT nodes of a frame is descended in pieces
+    of at most _ML_FRONTIER nodes, each to its leaves before the next: the
+    _ML_FIRST of each such frame with the lowest share of its bound, with
+    all nodes of the other frames, then the rest. A finished piece shrinks
+    its frames' bounds to their best leaf plus twice the tolerance and
+    drops the leaves beyond the tolerance. A node's partial distance is the
+    same sums in any piece, so the leaves do not depend on the pieces.
     """
-    at = _ml_patterns(cfg)[1]
-    b, (n_rank, size), pts, n_t, n = len(entries), at.shape[:2], cfg.alphabet.points, cfg.n_t, cfg.n_slots
-    k, q, n_m, x_max = cfg.k, pts.size, n_t * pts.size, cfg.k * float(np.max(np.abs(pts) ** 2))
+    at, child, barred, coef, ant, x_max = _ml_tree(cfg)
+    b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
     ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
     trace = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1)
     ridge = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny
     scale = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2
     tol, ext[:, -1] = _ML_TOL * scale + ridge * x_max, scale + ridge
-    ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on every pattern's diagonal
-    low = np.linalg.cholesky(np.take(ext, at, axis=1)).reshape(-1, size, size)
-    # the conjugate's factor is R^T: cols[p, j, t] is column j n_t + t of
-    # problem p's R, hit by antenna t of used slot j, and z is b
-    cols, z = low[:, :-1, :-1].reshape(-1, k, n_t, size - 1), low[:, -1, :-1]
-    bb = np.add.reduce(z.real**2 + z.imag**2, axis=1)
-    # level[j, p, t |A| + s]: point s times the rows of used slot j in that column
-    level = np.einsum("pjtjr->jptr", cols.reshape(-1, k, n_t, k, n_t))[:, :, :, None] * pts[:, None]
-    level = level.reshape(k, -1, n_m, n_t)
+    ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on G's diagonal
+    low = np.linalg.cholesky(np.take(ext, at, axis=1))
+    # the conjugate's factor is R^T. Frames run along the last axis:
+    # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
+    cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
+    z, cols = low[:, -1, :-1].T, cols.reshape(n, size - 1, n_t * b)
+    bb = np.add.reduce(z.real**2 + z.imag**2, axis=0)
+    # level[j, r, c]: what choice c puts on row j n_t + r of R
+    column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
 
-    def scores(z, pd, probs, j):
-        """pd plus each choice's term at slot j, (F, n_m), for residuals z of
-        problems probs, scored a block of at most _ML_BLOCK values at a time."""
-        blocks, rows = [], max(1, _ML_BLOCK // (n_m * n_t))
-        for lo in range(0, max(len(z), 1), rows):  # an empty frontier is one empty block
-            d = np.take(level[j], probs[lo : lo + rows], axis=0)
-            d = np.subtract(z[lo : lo + rows, None, j * n_t : (j + 1) * n_t], d, out=d).view(float)
-            blocks.append(np.einsum("fmr,fmr->fm", d, d))
-            del d  # before the next block's gather
-        score = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        score += pd[:, None]
+    def scores(z, pd, frames, state, j):
+        """pd plus each choice's term at level j, (n_m, F), inf where barred,
+        for nodes of frames (None: each frame in order) with residuals z and
+        states state, _ML_BLOCK values at a time."""
+        blocks, width, rows = [], max(1, _ML_BLOCK // (n_m * n_t)), slice(j * n_t, (j + 1) * n_t)
+        for lo in range(0, max(z.shape[1], 1), width):  # an empty frontier is one empty block
+            d = level[j][..., lo : lo + width] if frames is None else np.take(level[j], frames[lo : lo + width], axis=-1)
+            d = np.subtract(z[rows, None, lo : lo + width], d, out=None if frames is None else d, order="C").view(float)
+            sums = np.einsum("tmx,tmx->mx", d, d)
+            blocks.append(sums[:, ::2] + sums[:, 1::2])
+            del d, sums  # before the next block's gather
+        score = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+        score += pd
+        score += barred[j][:, state]
         return score
 
-    every = np.arange(b * n_rank)
-    first = score = scores(z, np.zeros(b * n_rank), every, k - 1)  # the walks' and the search's
-    walk = z.copy()
-    for j in reversed(range(k)):
-        pick = score.argmin(axis=1)
-        pd = score[every, pick]
+    def below(z, parent, frames, pick, j):
+        """Residuals of the children taking pick at level j from parent."""
+        rows = np.take(cols[j, : j * n_t], column[pick] + frames, axis=1)
+        return np.subtract(z[: j * n_t, parent], np.multiply(rows, coef[pick], out=rows), out=rows)
+
+    every, root = np.arange(b), np.full(b, k + 1)
+    first = score = scores(z, np.zeros(b), None, root, n - 1)  # the walk's and the search's
+    walk, state = z, root
+    for j in reversed(range(n)):
+        pick = score.argmin(axis=0)
+        pd, state = score[pick, every], child[j][state, pick]
         if j:
-            walk[:, : j * n_t] -= pts[pick % q, None] * cols[every, j, pick // q, : j * n_t]
-            score = scores(walk, pd, every, j - 1)
-    bound = (pd - bb).reshape(b, n_rank).min(axis=1) + 2.0 * tol
-    del walk, score, pick  # freed before the search, whose frontier holds the peak
-    limit, best, nodes = bb + np.repeat(bound, n_rank), np.full(b, np.inf), np.full(b, n_rank * k * n_m)
-    kept = [every[:0], np.empty(0), np.empty((0, k), dtype=np.int64)]  # problem, metric, digits
+            walk = below(walk, slice(None), every, pick, j)
+            score = scores(walk, pd, None, state, j - 1)
+    bound = pd - bb + 2.0 * tol
+    del walk, score, pick, state  # freed before the search, whose frontier holds the peak
+    limit, best, nodes = bb + bound, np.full(b, np.inf), [n * n_m * b]
+    kept = [every[:0], np.empty(0), np.empty((0, n), dtype=np.int64)]  # frame, metric, digits
 
-    def settle(score, prob, path):
-        """Keep the leaves, score (F, n_m) of the frontier's problems prob
-        that path led to from the roots, within tol of their frames' best;
-        drop the kept leaves no longer within it and shrink the bounds."""
-        frame, metric = prob // n_rank, np.subtract(score, bb[prob, None], out=score)
-        np.minimum.at(best, frame, functools.reduce(np.minimum, metric.T))  # faster than min(axis=1)
-        rows, pick = np.nonzero(metric <= (best + tol)[frame, None])
-        new = prob[rows], metric[rows, pick], np.empty((rows.size, k), dtype=np.int64)
-        new[2][:, 0] = pick
-        for j, (parent, choice) in enumerate(reversed(path), 1):
-            new[2][:, j], rows = choice[rows], parent[rows]
-        leaves = [np.concatenate(pair) for pair in zip(kept, new)]
-        near = leaves[1] <= (best + tol)[leaves[0] // n_rank]
-        kept[:] = [leaf[near] for leaf in leaves]
+    def settle(metric, frames, path):
+        """Keep the leaves, metric (n_m, F) less bb below the frontier's
+        nodes of frames that path led to from the roots, within tol of their
+        frames' best; drop the kept leaves no longer within it and shrink
+        the bounds."""
+        np.minimum.at(best, frames, np.minimum.reduce(metric, axis=0))
+        rows, pick = np.nonzero((metric <= (best + tol)[frames]).T)
+        new = frames[rows], metric[pick, rows], np.empty((rows.size, n), dtype=np.int64)
+        new[2][:, -1] = pick  # digits in slot order: level j decides slot N - 1 - j
+        for j, (parent, choice) in enumerate(reversed(path), 2):
+            new[2][:, -j], rows = choice[rows], parent[rows]
+        if kept[0].size:  # else the new leaves are all there is, and all near
+            leaves = [np.concatenate(pair) for pair in zip(kept, new)]
+            new = [leaf[leaves[1] <= (best + tol)[leaves[0]]] for leaf in leaves]
+        kept[:] = new
         np.minimum(bound, best + 2.0 * tol, out=bound)
-        np.add(bb, np.repeat(bound, n_rank), out=limit)
+        np.add(bb, bound, out=limit)
 
-    def descend(j, prob, pd, z, path, score=None):
-        """Search the subtrees of a frontier that has chosen the used slots
-        above j: its problems, partial distances and residuals, the
-        (parent, pick) steps that led to it from the roots, and its
-        children's scores at j if they are known."""
+    def descend(j, frames, pd, z, state, path, score=None):
+        """Search below a frontier that has decided the levels above j: its
+        nodes' frames, partial distances, residuals and states, the (parent,
+        pick) steps from the roots, and its scores at j if known. Children
+        keep their parents' order."""
         path = list(path)
-        score = scores(z, pd, prob, j) if score is None else score
         while True:
-            np.add(nodes, n_m * np.bincount(prob // n_rank, minlength=b), out=nodes)
+            score = scores(z, pd, frames, state, j) if score is None else score
+            nodes[0] += score.size
             if not j:
-                return settle(score, prob, path)
-            parent, pick = np.nonzero(score <= limit[prob, None])
-            if len(parent) > _ML_FRONTIER:
+                return settle(np.subtract(score, bb[frames], out=score), frames, path)
+            parent, pick = np.nonzero((score <= limit[frames]).T)
+            width = np.bincount(frames[parent], minlength=b)
+            if len(parent) > _ML_FRONTIER or width.max() > _ML_SPLIT:
                 break
-            prob, pd = prob[parent], score[parent, pick]
             path.append((parent, pick))
-            z = z[parent, : j * n_t] - pts[pick % q, None] * cols[prob, j, pick // q, : j * n_t]
-            j -= 1
-            score = scores(z, pd, prob, j)
-        # the children of the frontier, as flat indices into score (int32
-        # halves what the pieces hold), lowest partial distance first
-        flat, pd = (parent * n_m + pick).astype(np.int32), score[parent, pick]
+            z = below(z, parent, frames[parent], pick, j)
+            frames, pd, state = frames[parent], score[pick, parent], child[j][state[parent], pick]
+            j, score = j - 1, None
+        # the children as flat indices into score's transpose (int32 halves
+        # what the pieces hold), by frame, lowest share of its bound first
+        flat, pd = (parent * n_m + pick).astype(np.int32), score[pick, parent]
         del score, parent, pick
-        order = np.argsort(pd - bb[prob[flat // n_m]])
-        flat, pd, z = flat[order], pd[order], z[:, : j * n_t].copy()
-        del order
-        for start in range(0, len(flat), _ML_FRONTIER):
-            piece = slice(start, start + _ML_FRONTIER)
-            parent, pick = np.divmod(flat[piece], n_m)
-            live = pd[piece] <= limit[prob[parent]]  # the bounds the earlier pieces left
-            parent, pick = parent[live], pick[live]
-            if parent.size:
-                # passed, not named, so the piece's first frontier is freed as it descends
-                descend(j - 1, prob[parent], pd[piece][live],
-                        z[parent] - pts[pick % q, None] * cols[prob[parent], j, pick // q, : j * n_t],
-                        path + [(parent, pick)])
+        home = frames[flat // n_m]
+        order = np.argsort(home + 0.5 * (pd / limit[home]))
+        flat, pd, z, home = flat[order], pd[order], z[: j * n_t].copy(), home[order]
+        start = np.flatnonzero(np.concatenate(([True], home[1:] != home[:-1])))
+        lead = np.arange(len(home)) - np.repeat(start, np.diff(np.append(start, len(home)))) < _ML_FIRST
+        lead |= width[home] <= _ML_SPLIT
+        for part in (np.flatnonzero(lead), np.flatnonzero(~lead)):
+            for piece in np.split(part, range(_ML_FRONTIER, len(part), _ML_FRONTIER)):
+                parent, pick = np.divmod(flat[piece], n_m)
+                live = pd[piece] <= limit[frames[parent]]  # the bounds the earlier pieces left
+                parent, pick = parent[live], pick[live]
+                if parent.size:  # passed, not named, so the piece's first frontier is freed as it descends
+                    descend(j - 1, frames[parent], pd[piece][live], below(z, parent, frames[parent], pick, j),
+                            child[j][state[parent], pick], path + [(parent, pick)])
 
-    descend(k - 1, every, np.zeros(b * n_rank), z, [], first)
+    descend(n - 1, every, np.zeros(b), z, root, [], first)
     del descend  # a recursive closure is a reference cycle: break it, so its arrays are freed on return
-    prob, metric, digits = kept
-    return prob // n_rank, prob % n_rank, digits, metric, nodes
+    return kept[0], kept[2], kept[1], nodes[0]
 
 
 def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAULT_ML_CAP) -> DetectionResult:
@@ -400,17 +429,16 @@ def ml_detect(y: np.ndarray, taps: np.ndarray, cfg: StimConfig, cap: int = DEFAU
             "use the 2ssd/3ssd detectors or raise the cap"
         )
     b = len(y)
-    frame, rank, digits, _, nodes = _ml_sphere(_ml_entries(y, taps), np.add.reduce(np.abs(y) ** 2, axis=1), cfg)
-    diag = {"candidates": int(nodes.sum() + b // 2) // b, "sap_repaired": np.zeros(b, dtype=bool)}
-    return DetectionResult(*_lowest_bits(frame, rank, digits, cfg), diag)
+    frame, digits, _, nodes = _ml_sphere(_ml_entries(y, taps), np.add.reduce(np.abs(y) ** 2, axis=1), cfg)
+    diag = {"candidates": (nodes + b // 2) // b, "sap_repaired": np.zeros(b, dtype=bool)}
+    return DetectionResult(*_lowest_bits(frame, digits, cfg), diag)
 
 
-def _lowest_bits(frame, rank, digits, cfg: StimConfig):
+def _lowest_bits(frame, digits, cfg: StimConfig):
     """Each frame's candidate with the lowest bits: (bits, sap, antennas,
     symbols), one row per frame in frame order, from candidates given by
-    frame, slot pattern rank and digits (_candidate_fields), all decoded in
-    one call."""
-    fields = _candidate_fields(rank, digits, cfg)
+    frame and per-slot choices (_candidate_fields), all decoded in one call."""
+    fields = _candidate_fields(digits, cfg)
     bits = decode_frame(*fields, cfg)
     if np.array_equal(frame, np.arange(len(frame))):  # one leaf per frame, in order: all picked
         return (bits,) + fields
@@ -422,11 +450,13 @@ def _lowest_bits(frame, rank, digits, cfg: StimConfig):
     return (bits[pick],) + tuple(field[pick] for field in fields)
 
 
-def _candidate_fields(rank, digits, cfg: StimConfig):
-    """(sap, antennas, symbols) of candidates given by slot pattern ranks and
-    (..., k) per-slot choices, choice t |A| + s sending point s from antenna t."""
-    q = cfg.alphabet.size
-    return _ml_patterns(cfg)[0][rank], digits // q, cfg.alphabet.points[digits % q]
+def _candidate_fields(digits, cfg: StimConfig):
+    """(sap, antennas, symbols) of candidates given by (..., N) per-slot
+    choices, each with k used slots: choice t |A| + s sends point s from
+    antenna t, and choice n_t |A| leaves the slot unused."""
+    q, shape, used = cfg.alphabet.size, digits.shape[:-1] + (cfg.k,), digits < cfg.n_t * cfg.alphabet.size
+    sap, choice = np.nonzero(used)[-1].reshape(shape), digits[used].reshape(shape)
+    return sap, choice // q, cfg.alphabet.points[choice % q]
 
 
 # ---------------------------------------------------------------------------

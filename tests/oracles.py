@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from stimsim.alphabet import Alphabet
-from stimsim.channel import build_block_circulant, draw_channel, tap_normals
+from stimsim.channel import build_block_circulant, draw_channel
 from stimsim.codec import StimConfig, bit_partition, decode_frame, encode_frame, repair_sap
 from stimsim.detectors import (
     _CONVERGENCE_TOL,
@@ -68,6 +68,13 @@ def brute_force_optimal_n(params: RateParams, n_max: int = 512) -> int:
         if ri > best_ri:
             best_n, best_ri = n, ri
     return best_n
+
+
+def tap_normals(rng: np.random.Generator, cfg) -> np.ndarray:
+    """One realization's standard normals for any config with n_t/n_r/l_taps,
+    shaped (2, L, n_r, n_t): the real parts, then the imaginary ones, the
+    order draw_channel reads them in."""
+    return rng.standard_normal((2, cfg.l_taps, cfg.n_r, cfg.n_t))
 
 
 def draw_links(rng: np.random.Generator, cfg: StimConfig | OfdmConfig, frames: int):
@@ -166,22 +173,6 @@ def exhaustive_ml(y, taps: np.ndarray, cfg: StimConfig, table):
     x_max = np.max(np.sum(np.abs(x) ** 2, axis=1))
     tol = 1e-10 * (np.sqrt(np.sum(np.abs(h) ** 2) * x_max) + np.linalg.norm(y)) ** 2
     return bits[np.argmax(metric <= metric.min() + tol)], metric
-
-
-def ml_pattern_metric(y, taps: np.ndarray, cfg: StimConfig, sap):
-    """||y - H x||^2 - ||y||^2 with the dense H for every candidate x whose
-    used slots are sap. Candidate f makes k per-slot choices, the digits of f
-    in base n_t |A| with the first slot most significant; choice d sends
-    point d mod |A| from antenna d // |A|."""
-    pts = cfg.alphabet.points
-    q, k = pts.size, len(sap)
-    n_m = cfg.n_t * q
-    flat = np.arange(n_m**k)
-    digits = flat[:, None] // n_m ** np.arange(k - 1, -1, -1) % n_m
-    x = np.zeros((flat.size, cfg.n_slots * cfg.n_t), dtype=np.complex128)
-    x[flat[:, None], np.asarray(sap) * cfg.n_t + digits // q] = pts[digits % q]
-    h = build_block_circulant(taps, cfg.n_slots)
-    return np.sum(np.abs(y - x @ h.T) ** 2, axis=1) - np.sum(np.abs(y) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import brute_force_optimal_n, circular_convolution_reference, draw_links
+from oracles import brute_force_optimal_n, circular_convolution_reference, draw_links, tap_normals
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, tap_normals, transmit
+from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
 from stimsim.cli import main
 from stimsim.codec import StimConfig, bit_partition, encode_frame
 from stimsim.detectors import MpParams, ssd2_detect

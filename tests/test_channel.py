@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circular_convolution_reference
+from oracles import circular_convolution_reference, tap_normals
 from stimsim.alphabet import ConfigError, build_alphabet
 from stimsim.channel import (
     band_index,
     build_block_circulant,
     draw_channel,
     snr_to_sigma2,
-    tap_normals,
     transmit,
 )
 from stimsim.codec import StimConfig, bit_partition, encode_frame

@@ -14,23 +14,23 @@ from oracles import (
     draw_links,
     encode_table,
     exhaustive_ml,
-    ml_pattern_metric,
     normalize_log_rows,
     normalize_messages,
     reduce_model,
+    tap_normals,
 )
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, tap_normals, transmit
+from stimsim.channel import build_block_circulant, draw_channel, snr_to_sigma2, transmit
 from stimsim import codec, detectors
-from stimsim.codec import StimConfig, bit_partition, encode_frame, rank_to_sap, sap_to_rank, slot_fields
+from stimsim.codec import StimConfig, bit_partition, decode_frame, encode_frame, rank_to_sap, sap_to_rank, slot_fields
 from stimsim.detectors import (
     DETECTORS,
     MpParams,
     _candidate_fields,
     _lowest_bits,
     _ml_entries,
-    _ml_patterns,
     _ml_sphere,
+    _ml_tree,
     _normalize_log_rows,
     _pick_slots,
     _slot_count_messages,
@@ -112,14 +112,28 @@ def test_ml_noiseless_recovery():
     assert np.array_equal(ml_detect(y, taps, FIG4).bits, bits)
 
 
+def encodable_saps(cfg):
+    """The encodable slot patterns, the first 2^slot_bits in lexicographic order."""
+    return rank_to_sap(np.arange(1 << bit_partition(cfg).slot_bits), cfg.n_slots, cfg.k)
+
+
 def test_ml_candidate_count_fig4():
-    # the tree nodes the search scored: at least the 4 patterns' Babai
-    # walks, 5 x 8 each, and their roots' 8 children, far fewer than the
-    # 2^17 candidates at 10 dB; with y = 0 every candidate ties with its
-    # negation, and the count still stays within the whole tree's
+    # the tree nodes the search scored: the Babai walk, 6 levels of 9
+    # choices (8 (antenna, point) pairs and the unused slot), and at least
+    # the walk's path again in the search, far fewer than the 2^17
+    # candidates at 10 dB; with y = 0 every candidate ties with its
+    # negation, and the count still stays within the whole tree's: the
+    # walk, and 9 choices for every node from which an encodable pattern
+    # can still be reached, a node for each (antenna, point) choice of the
+    # used slots among the slots decided so far
     rng = np.random.default_rng(2)
     _, _, taps, y, _ = run_links(rng, FIG4, 10.0)
-    floor, tree = 4 * 5 * 8 + 4 * 8, 4 * 5 * 8 + 4 * sum(8**level for level in range(1, 6))
+    n, n_m = FIG4.n_slots, FIG4.n_t * FIG4.alphabet.size
+    used = np.zeros((len(encodable_saps(FIG4)), n), dtype=bool)
+    used[np.arange(len(used))[:, None], encodable_saps(FIG4)] = True
+    nodes = sum(n_m ** sum(prefix) for depth in range(n) for prefix in {tuple(row[:depth]) for row in used})
+    floor, tree = 2 * n * (n_m + 1), n * (n_m + 1) + (n_m + 1) * nodes
+    assert tree == 54 + 9 * 50825
     searched = ml_detect(y, taps, FIG4).diagnostics["candidates"]
     assert isinstance(searched, int) and floor <= searched <= 2**11
     tied = ml_detect(np.zeros_like(y), taps, FIG4).diagnostics["candidates"]
@@ -203,7 +217,7 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
     # chunks of random tie sets, in any order: per frame, distinct slot
     # patterns, each with a few distinct candidates given by their digits
     rng = np.random.default_rng(31)
-    saps = _ml_patterns(cfg)[0]
+    saps = encodable_saps(cfg)
     bits, table = encode_table(cfg)
     value_of = {row.tobytes(): v for v, row in enumerate(table)}
     q, n_m = cfg.alphabet.size, cfg.n_t * cfg.alphabet.size
@@ -220,11 +234,17 @@ def test_ml_ties_go_to_the_lowest_bits(cfg):
         flats = [rng.choice(n_m**cfg.k, rng.integers(1, 6), replace=False) for _ in ranks]
         return [(int(r), f // n_m ** np.arange(cfg.k - 1, -1, -1) % n_m) for r, fs in zip(ranks, flats) for f in fs]
 
+    def slot_digits(rank, digits):
+        """The candidate's choice at every slot, n_m at the unused ones."""
+        row = np.full(cfg.n_slots, n_m)
+        row[saps[rank]] = digits
+        return row
+
     for _ in range(60):
         frames = [frame_ties() for _ in range(rng.integers(1, 8))]
-        leaves = [(i, r, d) for i, ties in enumerate(frames) for r, d in ties]
-        frame, rank, digits = (np.array(column) for column in zip(*(leaves[o] for o in rng.permutation(len(leaves)))))
-        got = _lowest_bits(frame, rank, digits, cfg)
+        leaves = [(i, slot_digits(r, d)) for i, ties in enumerate(frames) for r, d in ties]
+        frame, digits = (np.array(column) for column in zip(*(leaves[o] for o in rng.permutation(len(leaves)))))
+        got = _lowest_bits(frame, digits, cfg)
         assert all(len(field) == len(frames) for field in got)
         for i, ties in enumerate(frames):
             want = min(value(r, d) for r, d in ties)
@@ -271,29 +291,51 @@ METRIC_CONFIGS = ML_ORACLE_CONFIGS + [
                          ids=["qam4", "qam4_raw", "nt1_bpsk", "k1", "k_eq_n", "nt4_qam8"])
 def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
     # with a tolerance wider than any frame's spread of metrics, every
-    # candidate of every slot pattern of every frame is a leaf of the
-    # search, and each leaf's metric lies within the search's own
-    # tolerance of the dense one
+    # encodable candidate of every frame is a leaf of the search, once,
+    # and each leaf's metric lies within the search's own tolerance of the
+    # dense ||y - H x||^2 - ||y||^2 of the frame its digits decode to
     rng = np.random.default_rng(32)
-    saps = _ml_patterns(cfg)[0]
-    k, n_m = cfg.k, cfg.n_t * cfg.alphabet.size
-    x_max = k * np.max(np.abs(cfg.alphabet.points) ** 2)
+    table = encode_table(cfg)
+    places = 1 << np.arange(bit_partition(cfg).total - 1, -1, -1)
+    x_max = cfg.k * np.max(np.abs(cfg.alphabet.points) ** 2)
     for snr in (None, 3.0, 12.0):
         _, _, taps, y, _ = run_links(rng, cfg, snr, 3)
         with monkeypatch.context() as m:
             m.setattr(detectors, "_ML_TOL", 2.0)
-            frame, rank, digits, metric, _ = _ml_sphere(_ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1), cfg)
-        flat = digits @ n_m ** np.arange(k - 1, -1, -1)
+            frame, digits, metric, _ = _ml_sphere(_ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1), cfg)
+        value = decode_frame(*_candidate_fields(digits, cfg), cfg) @ places
         for i in range(3):
             trace = np.sum(np.abs(dense_h(taps, i, cfg)) ** 2)  # tr(H^H H)
             tol = (detectors._ML_TOL * (np.sqrt(trace * x_max) + np.linalg.norm(y[i])) ** 2
                    + detectors._ML_RIDGE * trace / (cfg.n_slots * cfg.n_t) * x_max)
-            for rank_i, sap in enumerate(saps):
-                mine = (frame == i) & (rank == rank_i)
-                order = np.argsort(flat[mine])
-                assert np.array_equal(flat[mine][order], np.arange(n_m**k)), (snr, i, rank_i)
-                want = ml_pattern_metric(y[i], taps[i], cfg, sap)
-                assert np.abs(metric[mine][order] - want).max() <= tol, (snr, i, rank_i)
+            mine = frame == i
+            order = np.argsort(value[mine])
+            assert np.array_equal(value[mine][order], np.arange(len(table[0]))), (snr, i)
+            want = exhaustive_ml(y[i], taps[i], cfg, table)[1] - np.sum(np.abs(y[i]) ** 2)
+            assert np.abs(metric[mine][order] - want).max() <= tol, (snr, i)
+
+
+@pytest.mark.parametrize("cfg", [StimConfig(2, 2, 6, 2, 2, QAM4), StimConfig(4, 1, 4, 2, 1, QAM8),
+                                 StimConfig(2, 2, 6, 1, 2, QAM4)], ids=["n6k2", "nt4_qam8", "k1"])
+def test_ml_leaf_metrics_do_not_depend_on_the_pieces(cfg, monkeypatch):
+    # every candidate a leaf (tolerance 2), and the same leaves with
+    # bitwise the same metrics: in one pass, with the unused slots of every
+    # frontier's nodes that have used k slots summed at once, and in
+    # pieces of 8 nodes, with and without those sums
+    rng = np.random.default_rng(39)
+    _, _, taps, y, _ = run_links(rng, cfg, 3.0, 4)
+    entries, energy = _ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1)
+    runs = []
+    for first, split, frontier in ((2**30, 2**30, 2**13), (0, 2**30, 2**13), (0, 1, 8), (2**30, 1, 8)):
+        with monkeypatch.context() as m:
+            for name, value in (("_ML_TOL", 2.0), ("_ML_FIRST", first), ("_ML_SPLIT", split),
+                                ("_ML_FRONTIER", frontier)):
+                m.setattr(detectors, name, value)
+            frame, digits, metric, _ = _ml_sphere(entries, energy, cfg)
+        order = np.lexsort((*digits.T[::-1], frame))
+        runs.append((frame[order], digits[order], metric[order]))
+    for run in runs[1:]:
+        assert all(np.array_equal(got, want) for got, want in zip(run, runs[0]))
 
 
 # (n_t, n_r, N, k, L): N = L, N = L = 1, n_t = 1, n_r = 1, L = N - 1, and Fig. 4
@@ -321,18 +363,33 @@ def test_ml_entries_match_dense_gram_and_matched_filter(shape, frames):
         assert np.abs(c[i] - want_c).max() <= 1e-13 * np.abs(want_c).max(), i
 
 
-@pytest.mark.parametrize("cfg", [FIG4, FIG5], ids=["fig4", "fig5"])
-def test_ml_patterns_are_the_encodable_ranks_in_order(cfg):
-    # row r is the r-th k-subset in lexicographic order, as encode_frame places it
-    n_rank = 1 << bit_partition(cfg).slot_bits
-    saps = _ml_patterns(cfg)[0]
-    assert saps.dtype == np.int64
-    assert saps.tolist() == [list(s) for s in itertools.islice(
-        itertools.combinations(range(cfg.n_slots), cfg.k), n_rank)]
+@pytest.mark.parametrize("cfg", [FIG4, FIG5, StimConfig(2, 2, 5, 2, 2, QAM4), StimConfig(2, 2, 6, 1, 2, QAM4),
+                                 StimConfig(2, 2, 3, 3, 2, QAM4), StimConfig(2, 2, 7, 3, 2, QAM4)],
+                         ids=["fig4", "fig5", "n5k2", "k1", "k_eq_n", "n7k3"])
+def test_ml_tree_admits_the_encodable_patterns(cfg):
+    # the tree decides slot 0 first; a run of used and unused slots ends
+    # in a leaf exactly if it is one of the first 2^slot_bits k-subsets in
+    # lexicographic order, the patterns encode_frame sends, and a branch
+    # is cut only where no such pattern lies below
+    n, child = cfg.n_slots, _ml_tree(cfg)[1]
+    encodable = {tuple(s) for s in itertools.islice(itertools.combinations(range(n), cfg.k),
+                                                    1 << bit_partition(cfg).slot_bits)}
+    admitted = set()
+    for used in itertools.product((True, False), repeat=n):
+        state = cfg.k + 1
+        for slot, on in enumerate(used):
+            state = child[n - 1 - slot, state, 0 if on else -1]
+            below = {s for s in encodable if all((x in s) == u for x, u in enumerate(used[: slot + 1]))}
+            assert (state >= 0) == bool(below), (used, slot)
+            if state < 0:
+                break
+        else:
+            admitted.add(tuple(np.flatnonzero(used)))
+    assert admitted == encodable
 
 
 def test_ml_tables_are_read_only():
-    for table in _ml_patterns(FIG4):
+    for table in _ml_tree(FIG4)[:-1]:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
@@ -410,9 +467,10 @@ def test_interleaved_ml_calls_match_separate_calls():
 
 def test_per_slot_candidate_vectors_nt2_bpsk():
     # the n_t |A| one-active-antenna vectors for n_t=2, BPSK, unnormalized,
-    # as choices 0..3 of the one used slot: (1,0), (-1,0), (0,1), (0,-1)
+    # as choices 0..3 of the one used slot, slot 0, with slot 1 unused
+    # (choice 4): (1,0), (-1,0), (0,1), (0,-1)
     cfg = StimConfig(2, 1, 2, 1, 1, build_alphabet("bpsk", normalize=False))
-    _, antennas, symbols = _candidate_fields(0, np.arange(4)[:, None], cfg)
+    _, antennas, symbols = _candidate_fields(np.stack([np.arange(4), np.full(4, 4)], axis=1), cfg)
     vectors = np.zeros((4, cfg.n_t), dtype=complex)
     vectors[np.arange(4), antennas[:, 0]] = symbols[:, 0]
     assert np.array_equal(vectors, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=complex))

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import draw_links, joint_ml_reference, linear_convolution_ofdm_reference
+from oracles import draw_links, joint_ml_reference, linear_convolution_ofdm_reference, tap_normals
 from stimsim.alphabet import build_alphabet
-from stimsim.channel import draw_channel, snr_to_sigma2, tap_normals
+from stimsim.channel import draw_channel, snr_to_sigma2
 from stimsim.codec import bit_partition, with_cyclic_prefix
 from stimsim.ofdm import (
     OfdmConfig,
