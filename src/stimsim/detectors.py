@@ -25,10 +25,9 @@ stops per frame: a frame whose messages have settled keeps its state while
 the others iterate. Their ``iterations_run`` counts the iterations of the
 call's loop (the largest per-frame count) and ``frame_iterations`` each
 frame's own; every other per-frame diagnostic carries the batch axis. ML
-searches one tree per frame over all N slots, an unused slot being one
-more branch, in one breadth-first search for the chunk that descends a
-frame's wide levels in pieces; no frame's leaves depend on the others or
-on the pieces.
+runs one breadth-first search for the chunk, one tree per frame over all N
+slots, a frame's wide levels in pieces; no frame's leaves depend on the
+others or on the pieces.
 
 The message-passing tensors put the long axis last: an edge tensor is
 (candidate, tap, rx, frame-slot) with the frames' slots one after another
@@ -61,12 +60,11 @@ _ZF_EPS = 1e-12
 _CONVERGENCE_TOL = 1e-6
 
 # the sphere search's ridge and tolerance, relative to G's mean diagonal and
-# a frame's metric scale, the most nodes it descends a level with at once, a
-# frame's nodes a level keeps before its pieces and its first piece's, and
-# the most complex values it gathers at once to score them (_ml_sphere)
+# a frame's metric scale, its piece sizes, and the most complex values it
+# gathers at once to score them (_ml_sphere)
 _ML_RIDGE = 1e-9
 _ML_TOL = 1e-10
-_ML_FRONTIER = 2**13
+_ML_FRONTIER = 2**12
 _ML_SPLIT = 128
 _ML_FIRST = 8
 _ML_BLOCK = 2**15
@@ -215,18 +213,16 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 
 @functools.cache
 def _ml_tree(cfg: StimConfig):
-    """(at, child, barred, coef, ant, x_max), read-only. at places the lower
-    triangle of conj([[G, c], [c^H, d]]), slots reversed: level j decides
-    slot N - 1 - j. Choice c sends coef[c] (point c mod |A|, 0 for the last
-    choice, the unused slot) from antenna ant[c]; x_max is max ||x||^2.
-
-    child[j, state, c] is a node's state after choice c at level j, -1 (and
-    barred[j, c, state] inf) where no encodable pattern lies below. State
-    u + (k + 1) tight: u slots used, tight if used as in the last encodable
-    pattern P. The encodable patterns are the first 2^slot_bits in
-    lexicographic order, so a choice is kept if the k - u slots still to
-    use fit below and a tight node leaves no slot of P unused: the least
-    completion of the decided slots is then encodable."""
+    """(at, child, barred, coef, ant, x_max), read-only: at places the lower
+    triangle of conj([[G, c], [c^H, d]]), slots reversed (level j decides
+    slot N - 1 - j); choice c sends coef[c] (0: the unused slot, the last
+    choice) from antenna ant[c]; x_max is the largest ||x||^2. child[j, s, c]
+    is the state after choice c at level j, -1 (barred inf) where no
+    encodable pattern lies below. State u + (k + 1) tight: u slots used,
+    tight if used as in the last encodable pattern P. The encodable patterns
+    are the first 2^slot_bits in lexicographic order, so a choice is kept if
+    the k - u slots still to use fit below and a tight node leaves no slot
+    of P unused: the least completion is then encodable."""
     n, n_t, k, pts = cfg.n_slots, cfg.n_t, cfg.k, cfg.alphabet.points
     m, n_m = n * n_t, n_t * pts.size + 1
     slot, ant = np.arange(n - 1, -1, -1).repeat(n_t), np.tile(np.arange(n_t), n)
@@ -239,8 +235,7 @@ def _ml_tree(cfg: StimConfig):
     bar = tight * on[:, None, None]  # (level, tight, u): a tight node at a slot of P
     used = np.where(u < k, u + 1 + (k + 1) * bar, -1)
     unused = np.where((k - u <= j) & (bar == 0), u + (k + 1) * tight, -1)
-    child = np.concatenate([used[..., None].repeat(n_m - 1, axis=-1), unused[..., None]], axis=-1)
-    child = child.reshape(n, 2 * (k + 1), n_m)
+    child = np.concatenate([used[..., None].repeat(n_m - 1, axis=-1), unused[..., None]], -1).reshape(n, -1, n_m)
     tables = (at, child, np.where(child < 0, np.inf, 0.0).transpose(0, 2, 1).copy(),
               np.append(np.tile(pts, n_t), 0.0), np.append(np.arange(n_t).repeat(pts.size), 0))
     for table in tables:
@@ -277,26 +272,24 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     choices (_candidate_fields) and metrics, and the tree nodes scored.
 
     One tree per frame covers every slot pattern, as in sphere decoding for
-    index modulation (Younis et al. 2013): x_s = 0 is one more branch, and
-    branches with no encodable pattern below are cut (_ml_tree). The upper
-    Cholesky factor of [[G + eps I, c], [c^H, d]] is [[R, b], [0, .]], so
-    x^H (G + eps I) x - 2 Re(x^H c) is ||R x - b||^2 - ||b||^2, one term per
-    level; eps lets rank-deficient G factor. A Babai walk bounds each
-    frame's minimum; a breadth-first search keeps the nodes within it plus
-    twice the tolerance. The tolerance covers eps ||x||^2 and the float
-    error of this metric and the exact one, sums over N n_t + 1 rows of
-    terms under s = (sqrt(tr(G) max ||x||^2) + ||y||)^2 (||R||_F^2 =
-    tr(G + eps I), ||b|| <= ||y||): a few (N n_t + 1) 2^-53 s, under 1e-13 s
-    for N n_t below a few hundred. So every candidate that may be the
-    minimum is a leaf within the tolerance of the least leaf.
+    index modulation (Younis et al. 2013): x_s = 0 is one more branch, cut
+    with the others that leave no encodable pattern below (_ml_tree). The
+    upper Cholesky factor of [[G + eps I, c], [c^H, d]] is [[R, b], [0, .]],
+    so x^H (G + eps I) x - 2 Re(x^H c) is ||R x - b||^2 - ||b||^2, a term per
+    level; eps lets rank-deficient G factor. A Babai walk bounds a frame's
+    minimum, and the search keeps the nodes within it plus twice the
+    tolerance. That covers eps ||x||^2 and the float error of sums over the
+    N n_t + 1 rows of terms under s = (sqrt(tr(G) max ||x||^2) + ||y||)^2
+    (||R||_F^2 = tr(G + eps I), ||b|| <= ||y||), a few (N n_t + 1) 2^-53 s,
+    so every candidate that may be the minimum is a leaf within it.
 
-    A level keeping over _ML_SPLIT nodes of a frame is descended in pieces
-    of at most _ML_FRONTIER nodes, each to its leaves before the next: the
-    _ML_FIRST of each such frame with the lowest share of its bound, with
-    all nodes of the other frames, then the rest. A finished piece shrinks
-    its frames' bounds to their best leaf plus twice the tolerance and
-    drops the leaves beyond the tolerance. A node's partial distance is the
-    same sums in any piece, so the leaves do not depend on the pieces.
+    A level keeping over _ML_SPLIT nodes of a frame goes in pieces of at
+    most _ML_FRONTIER nodes, each to its leaves before the next: the
+    _ML_FIRST nodes of each such frame nearest the root of its bound, and
+    the other frames' nodes, then the rest. A finished piece shrinks its
+    frames' bounds to their best leaf plus twice the tolerance. A node's
+    partial distance is the same sums in any piece, so the leaves do not
+    depend on the pieces.
     """
     at, child, barred, coef, ant, x_max = _ml_tree(cfg)
     b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
@@ -306,7 +299,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     scale = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2
     tol, ext[:, -1] = _ML_TOL * scale + ridge * x_max, scale + ridge
     ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on G's diagonal
-    low = np.linalg.cholesky(np.take(ext, at, axis=1))
+    low = np.linalg.cholesky(ext.take(at, axis=1))
     # the conjugate's factor is R^T. Frames run along the last axis:
     # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
     cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
@@ -316,12 +309,11 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
 
     def scores(z, pd, frames, state, j):
-        """pd plus each choice's term at level j, (n_m, F), inf where barred,
-        for nodes of frames (None: each frame in order) with residuals z and
-        states state, _ML_BLOCK values at a time."""
+        """pd plus each choice's term at level j, (n_m, F), inf where barred, for
+        nodes of frames (None: all, in order), _ML_BLOCK values at a time."""
         blocks, width, rows = [], max(1, _ML_BLOCK // (n_m * n_t)), slice(j * n_t, (j + 1) * n_t)
         for lo in range(0, max(z.shape[1], 1), width):  # an empty frontier is one empty block
-            d = level[j][..., lo : lo + width] if frames is None else np.take(level[j], frames[lo : lo + width], axis=-1)
+            d = level[j][..., lo : lo + width] if frames is None else level[j].take(frames[lo : lo + width], axis=-1)
             d = np.subtract(z[rows, None, lo : lo + width], d, out=None if frames is None else d, order="C").view(float)
             sums = np.einsum("tmx,tmx->mx", d, d)
             blocks.append(sums[:, ::2] + sums[:, 1::2])
@@ -333,8 +325,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
 
     def below(z, parent, frames, pick, j):
         """Residuals of the children taking pick at level j from parent."""
-        rows = np.take(cols[j, : j * n_t], column[pick] + frames, axis=1)
-        return np.subtract(z[: j * n_t, parent], np.multiply(rows, coef[pick], out=rows), out=rows)
+        return z[: j * n_t, parent] - coef[pick] * cols[j, : j * n_t].take(column[pick] + frames, axis=1)
 
     every, root = np.arange(b), np.full(b, k + 1)
     first = score = scores(z, np.zeros(b), None, root, n - 1)  # the walk's and the search's
@@ -346,33 +337,28 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
             walk = below(walk, slice(None), every, pick, j)
             score = scores(walk, pd, None, state, j - 1)
     bound = pd - bb + 2.0 * tol
-    del walk, score, pick, state  # freed before the search, whose frontier holds the peak
     limit, best, nodes = bb + bound, np.full(b, np.inf), [n * n_m * b]
     kept = [every[:0], np.empty(0), np.empty((0, n), dtype=np.int64)]  # frame, metric, digits
 
     def settle(metric, frames, path):
-        """Keep the leaves, metric (n_m, F) less bb below the frontier's
-        nodes of frames that path led to from the roots, within tol of their
-        frames' best; drop the kept leaves no longer within it and shrink
-        the bounds."""
+        """Keep the leaves within tol of their frames' best, metric (n_m, F)
+        less bb below the nodes of frames that path led to, and shrink the
+        bounds."""
         np.minimum.at(best, frames, np.minimum.reduce(metric, axis=0))
         rows, pick = np.nonzero((metric <= (best + tol)[frames]).T)
         new = frames[rows], metric[pick, rows], np.empty((rows.size, n), dtype=np.int64)
         new[2][:, -1] = pick  # digits in slot order: level j decides slot N - 1 - j
         for j, (parent, choice) in enumerate(reversed(path), 2):
             new[2][:, -j], rows = choice[rows], parent[rows]
-        if kept[0].size:  # else the new leaves are all there is, and all near
-            leaves = [np.concatenate(pair) for pair in zip(kept, new)]
-            new = [leaf[leaves[1] <= (best + tol)[leaves[0]]] for leaf in leaves]
-        kept[:] = new
+        leaves = [np.concatenate(pair) for pair in zip(kept, new)]
+        kept[:] = [leaf[leaves[1] <= (best + tol)[leaves[0]]] for leaf in leaves]
         np.minimum(bound, best + 2.0 * tol, out=bound)
         np.add(bb, bound, out=limit)
 
     def descend(j, frames, pd, z, state, path, score=None):
         """Search below a frontier that has decided the levels above j: its
         nodes' frames, partial distances, residuals and states, the (parent,
-        pick) steps from the roots, and its scores at j if known. Children
-        keep their parents' order."""
+        pick) steps from the roots, and its scores at j if known."""
         path = list(path)
         while True:
             score = scores(z, pd, frames, state, j) if score is None else score
@@ -394,9 +380,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         home = frames[flat // n_m]
         order = np.argsort(home + 0.5 * (pd / limit[home]))
         flat, pd, z, home = flat[order], pd[order], z[: j * n_t].copy(), home[order]
-        start = np.flatnonzero(np.concatenate(([True], home[1:] != home[:-1])))
-        lead = np.arange(len(home)) - np.repeat(start, np.diff(np.append(start, len(home)))) < _ML_FIRST
-        lead |= width[home] <= _ML_SPLIT
+        lead = (np.arange(len(home)) - np.searchsorted(home, home) < _ML_FIRST) | (width[home] <= _ML_SPLIT)
         for part in (np.flatnonzero(lead), np.flatnonzero(~lead)):
             for piece in np.split(part, range(_ML_FRONTIER, len(part), _ML_FRONTIER)):
                 parent, pick = np.divmod(flat[piece], n_m)
@@ -452,8 +436,7 @@ def _lowest_bits(frame, digits, cfg: StimConfig):
 
 def _candidate_fields(digits, cfg: StimConfig):
     """(sap, antennas, symbols) of candidates given by (..., N) per-slot
-    choices, each with k used slots: choice t |A| + s sends point s from
-    antenna t, and choice n_t |A| leaves the slot unused."""
+    choices with k used: t |A| + s sends point s from antenna t, n_t |A| none."""
     q, shape, used = cfg.alphabet.size, digits.shape[:-1] + (cfg.k,), digits < cfg.n_t * cfg.alphabet.size
     sap, choice = np.nonzero(used)[-1].reshape(shape), digits[used].reshape(shape)
     return sap, choice // q, cfg.alphabet.points[choice % q]
