@@ -255,7 +255,8 @@ def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """
     b, l_taps, n_r, n_t = taps.shape
     n = y.shape[1] // n_r
-    pairs = taps.conj().swapaxes(-1, -2)[:, :, None] @ taps[:, None]  # (B, j, j', n_t, n_t)
+    stacked = taps.transpose(0, 2, 1, 3).reshape(b, n_r, l_taps * n_t)  # one product per frame
+    pairs = (stacked.conj().swapaxes(1, 2) @ stacked).reshape(b, l_taps, n_t, l_taps, n_t).swapaxes(2, 3)
     lag = (np.arange(l_taps) - np.arange(l_taps)[:, None]) % n
     on_lag = (np.arange(n)[:, None] == lag.ravel()).astype(float)  # (N, L L)
     g = on_lag @ pairs.reshape(b, l_taps * l_taps, n_t * n_t)
