@@ -302,12 +302,12 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on G's diagonal
     low = np.linalg.cholesky(ext.take(at, axis=1))
     # the conjugate's factor is R^T. Frames run along the last axis:
-    # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
-    cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
-    z, cols = low[:, -1, :-1].T, cols.reshape(n, size - 1, n_t * b)
+    # cols[j, :, t, f] is column j n_t + t of frame f's R, and z is b
+    cols = low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0)
+    z = low[:, -1, :-1].T
     bb = np.add.reduce(z.real**2 + z.imag**2, axis=0)
     # level[j, r, c]: what choice c puts on row j n_t + r of R
-    column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
+    level = np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
 
     def scores(z, pd, frames, state, j):
         """pd plus each choice's term at level j, (n_m, F), inf where barred, for
@@ -326,7 +326,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
 
     def below(z, parent, frames, pick, j):
         """Residuals of the children taking pick at level j from parent."""
-        return z[: j * n_t, parent] - coef[pick] * cols[j, : j * n_t].take(column[pick] + frames, axis=1)
+        return z[: j * n_t, parent] - coef[pick] * cols[j][: j * n_t, ant[pick], frames]
 
     every, root = np.arange(b), np.full(b, k + 1)
     first = score = scores(z, np.zeros(b), None, root, n - 1)  # the walk's and the search's
