@@ -288,9 +288,11 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     most _ML_FRONTIER nodes, each to its leaves before the next: the
     _ML_FIRST nodes of each such frame nearest the root of its bound, and
     the other frames' nodes, then the rest. A finished piece shrinks its
-    frames' bounds to their best leaf plus twice the tolerance. A node's
-    partial distance is the same sums in any piece, so the leaves do not
-    depend on the pieces.
+    frames' bounds to their best leaf plus twice the tolerance. On a wide
+    frontier, nodes that have used k slots take their leaves at once,
+    adding their unused slots' terms as the levels below would. A leaf's
+    metric is the same sums either way and in any piece, so the leaves do
+    not depend on the pieces.
     """
     at, child, barred, coef, ant, x_max = _ml_tree(cfg)
     b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
@@ -302,12 +304,19 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on G's diagonal
     low = np.linalg.cholesky(ext.take(at, axis=1))
     # the conjugate's factor is R^T. Frames run along the last axis:
-    # cols[j, :, t, f] is column j n_t + t of frame f's R, and z is b
-    cols = low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0)
-    z = low[:, -1, :-1].T
+    # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
+    cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
+    z, cols = low[:, -1, :-1].T.copy(), cols.reshape(n, size - 1, n_t * b)
+    del low
     bb = np.add.reduce(z.real**2 + z.imag**2, axis=0)
     # level[j, r, c]: what choice c puts on row j n_t + r of R
-    level = np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
+    column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
+
+    def energy(d):
+        """|d|^2 over the first axis of a complex array's float view d
+        (overwritten), its rows added in turn."""
+        sums = np.add.reduce(np.square(d, out=d), axis=0)
+        return sums[..., ::2] + sums[..., 1::2]
 
     def scores(z, pd, frames, state, j):
         """pd plus each choice's term at level j, (n_m, F), inf where barred, for
@@ -316,9 +325,8 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         for lo in range(0, max(z.shape[1], 1), width):  # an empty frontier is one empty block
             d = level[j][..., lo : lo + width] if frames is None else level[j].take(frames[lo : lo + width], axis=-1)
             d = np.subtract(z[rows, None, lo : lo + width], d, out=None if frames is None else d, order="C").view(float)
-            sums = np.einsum("tmx,tmx->mx", d, d)
-            blocks.append(sums[:, ::2] + sums[:, 1::2])
-            del d, sums  # before the next block's gather
+            blocks.append(energy(d))
+            del d  # before the next block's gather
         score = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
         score += pd
         score += barred[j][:, state]
@@ -326,7 +334,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
 
     def below(z, parent, frames, pick, j):
         """Residuals of the children taking pick at level j from parent."""
-        return z[: j * n_t, parent] - coef[pick] * cols[j][: j * n_t, ant[pick], frames]
+        return z[: j * n_t, parent] - coef[pick] * cols[j, : j * n_t].take(column[pick] + frames, axis=1)
 
     every, root = np.arange(b), np.full(b, k + 1)
     first = score = scores(z, np.zeros(b), None, root, n - 1)  # the walk's and the search's
@@ -341,16 +349,19 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     limit, best, nodes = bb + bound, np.full(b, np.inf), [n * n_m * b]
     kept = [every[:0], np.empty(0), np.empty((0, n), dtype=np.int64)]  # frame, metric, digits
 
-    def settle(metric, frames, path):
-        """Keep the leaves within tol of their frames' best, metric (n_m, F)
-        less bb below the nodes of frames that path led to, and shrink the
-        bounds."""
+    def settle(metric, frames, path, at=None):
+        """Keep the leaves within tol of their frames' best, metric (rows, F)
+        less bb below the nodes of frames (at: which, if not all) that path
+        led to, rows the last level's choices or one for nodes whose slots
+        below are unused, and shrink the bounds."""
         np.minimum.at(best, frames, np.minimum.reduce(metric, axis=0))
         rows, pick = np.nonzero((metric <= (best + tol)[frames]).T)
-        new = frames[rows], metric[pick, rows], np.empty((rows.size, n), dtype=np.int64)
-        new[2][:, -1] = pick  # digits in slot order: level j decides slot N - 1 - j
-        for j, (parent, choice) in enumerate(reversed(path), 2):
-            new[2][:, -j], rows = choice[rows], parent[rows]
+        new = frames[rows], metric[pick, rows], np.full((rows.size, n), n_m - 1)
+        if len(metric) == n_m:  # digits in slot order: level j decides slot N - 1 - j
+            new[2][:, len(path)] = pick
+        rows = rows if at is None else at[rows]
+        for j, (parent, choice) in enumerate(reversed(path), n - len(path)):
+            new[2][:, n - 1 - j], rows = choice[rows], parent[rows]
         leaves = [np.concatenate(pair) for pair in zip(kept, new)]
         kept[:] = [leaf[leaves[1] <= (best + tol)[leaves[0]]] for leaf in leaves]
         np.minimum(bound, best + 2.0 * tol, out=bound)
@@ -362,6 +373,18 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         pick) steps from the roots, and its scores at j if known."""
         path = list(path)
         while True:
+            done = state % (k + 1) == k if score is None and j < n - k and len(frames) > _ML_FIRST * b else None
+            if done is not None and done.any():  # a wide frontier's nodes that used k slots: leaves at once
+                done, rest = np.flatnonzero(done), np.flatnonzero(~done)
+                metric = pd[done]
+                for level_j in range(j, -1, -1):
+                    metric = energy(np.take(z[level_j * n_t : (level_j + 1) * n_t], done, axis=1).view(float)) + metric
+                nodes[0] += (j + 1) * n_m * done.size
+                settle((metric - bb[frames[done]])[None], frames[done], path, done)
+                path[-1:] = [tuple(step[rest] for step in path[-1])] if path else []
+                frames, pd, state, z = frames[rest], pd[rest], state[rest], z[:, rest]
+                if not rest.size:
+                    return
             score = scores(z, pd, frames, state, j) if score is None else score
             nodes[0] += score.size
             if not j:
