@@ -286,8 +286,8 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
 
     A level keeping over _ML_SPLIT nodes of a frame goes in pieces of at
     most _ML_FRONTIER nodes, each to its leaves before the next: the
-    _ML_FIRST nodes of each such frame nearest the root of its bound, and
-    the other frames' nodes, then the rest. A finished piece shrinks its
+    _ML_FIRST nodes of each such frame with the least share of its bound,
+    and the other frames' nodes, then the rest. A finished piece shrinks its
     frames' bounds to their best leaf plus twice the tolerance. On a wide
     frontier, nodes that have used k slots take their leaves at once,
     adding their unused slots' terms as the levels below would. A leaf's
@@ -381,7 +381,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
                     metric = energy(np.take(z[level_j * n_t : (level_j + 1) * n_t], done, axis=1).view(float)) + metric
                 nodes[0] += (j + 1) * n_m * done.size
                 settle((metric - bb[frames[done]])[None], frames[done], path, done)
-                path[-1:] = [tuple(step[rest] for step in path[-1])] if path else []
+                path[-1] = tuple(step[rest] for step in path[-1])
                 frames, pd, state, z = frames[rest], pd[rest], state[rest], z[:, rest]
                 if not rest.size:
                     return
