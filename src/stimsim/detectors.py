@@ -356,6 +356,8 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         below are unused, and shrink the bounds."""
         np.minimum.at(best, frames, np.minimum.reduce(metric, axis=0))
         rows, pick = np.nonzero((metric <= (best + tol)[frames]).T)
+        if not rows.size:  # no leaf near a best, so no best moved
+            return
         new = frames[rows], metric[pick, rows], np.full((rows.size, n), n_m - 1)
         if len(metric) == n_m:  # digits in slot order: level j decides slot N - 1 - j
             new[2][:, len(path)] = pick
