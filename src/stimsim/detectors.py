@@ -60,10 +60,14 @@ _ZF_EPS = 1e-12
 _CONVERGENCE_TOL = 1e-6
 
 # the sphere search's ridge and tolerance, relative to G's mean diagonal and
-# a frame's metric scale, its piece sizes, and the most complex values it
-# gathers at once to score them (_ml_sphere)
+# a frame's metric scale, its low-SNR ridge shift, relative to the MMSE
+# ridge, and the least shift it factors again for, relative to G's mean
+# diagonal, its piece sizes, and the most complex values it gathers at once
+# to score them (_ml_sphere)
 _ML_RIDGE = 1e-9
 _ML_TOL = 1e-10
+_ML_SHIFT = 0.3
+_ML_SHIFT_FROM = 0.1
 _ML_FRONTIER = 2**12
 _ML_SPLIT = 128
 _ML_FIRST = 8
@@ -279,36 +283,58 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     so x^H (G + eps I) x - 2 Re(x^H c) is ||R x - b||^2 - ||b||^2, a term per
     level; eps lets rank-deficient G factor. A Babai walk bounds a frame's
     minimum, and the search keeps the nodes within it plus twice the
-    tolerance. That covers eps ||x||^2 and the float error of sums over the
-    N n_t + 1 rows of terms under s = (sqrt(tr(G) max ||x||^2) + ||y||)^2
-    (||R||_F^2 = tr(G + eps I), ||b|| <= ||y||), a few (N n_t + 1) 2^-53 s,
-    so every candidate that may be the minimum is a leaf within it.
+    tolerance.
+
+    A node's partial distance leaves the undecided slots free, so at low
+    SNR those slots make up for wrong decisions above them and little is
+    cut. Where every candidate has ||x||^2 = x_max (one power for every
+    point) and n_r > n_t, the noise outside H's columns, ||y||^2 - ||b||^2,
+    estimates sigma^2 N (n_r - n_t). A frame whose shift a = _ML_SHIFT
+    sigma^2 N n_t / x_max (a fraction of the MMSE ridge) exceeds
+    _ML_SHIFT_FROM of G's mean diagonal is factored again with eps + a on
+    the diagonal, and a x_max joins ||b||^2: the leaves' metrics are the
+    same, but a partial distance now charges the free slots a ||x_s||^2,
+    the Lagrangian bound of ||x||^2 = x_max.
+
+    The tolerance covers eps ||x||^2 and the float error of sums over the
+    N n_t + 1 rows of terms under s = (sqrt(tr(G + (eps + a) I) x_max) +
+    ||y||)^2 (the squared norm of R, plus ||b|| <= ||y||), a few
+    (N n_t + 1) 2^-53 s, so every candidate that may be the minimum is a
+    leaf within it.
 
     A level keeping over _ML_SPLIT nodes of a frame goes in pieces of at
     most _ML_FRONTIER nodes, each to its leaves before the next: the
     _ML_FIRST nodes of each such frame with the least share of its bound,
     and the other frames' nodes, then the rest. A finished piece shrinks its
-    frames' bounds to their best leaf plus twice the tolerance. On a wide
-    frontier, nodes that have used k slots take their leaves at once,
-    adding their unused slots' terms as the levels below would. A leaf's
-    metric is the same sums either way and in any piece, so the leaves do
-    not depend on the pieces.
+    frames' bounds to their best leaf plus twice the tolerance. A leaf's
+    metric is the same sums in any piece, so the leaves do not depend on
+    the pieces.
     """
     at, child, barred, coef, ant, x_max = _ml_tree(cfg)
     b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
     ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
-    trace = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1)
-    ridge = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny
-    scale = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2
-    tol, ext[:, -1] = _ML_TOL * scale + ridge * x_max, scale + ridge
-    ext[:, : n_t * n_t : n_t + 1] += ridge[:, None]  # on G's diagonal
+    trace, diag = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1), np.s_[: n_t * n_t : n_t + 1]
+    ridge, shift = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny, np.zeros(b)
+    ext[:, -1] = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2 + ridge  # d > ||y||^2 >= ||b||^2
+    ext[:, diag] += ridge[:, None]  # on G's diagonal
     low = np.linalg.cholesky(ext.take(at, axis=1))
+    power = np.abs(cfg.alphabet.points) ** 2
+    if cfg.n_r > n_t and np.ptp(power) <= 1e-12 * power.max():  # every candidate has ||x||^2 = x_max
+        # ||y||^2 - ||b||^2 is the noise outside H's columns, sigma^2 N (n_r - n_t) on average
+        noise = y_energy - np.add.reduce(np.abs(low[:, -1, :-1].T) ** 2, axis=0)
+        shift = _ML_SHIFT * noise * n_t / ((cfg.n_r - n_t) * x_max)
+        shift[shift <= _ML_SHIFT_FROM * trace / (n * n_t)] = 0.0
+        redo = np.flatnonzero(shift)
+        if redo.size:
+            ext[redo, diag] += shift[redo, None]
+            low[redo] = np.linalg.cholesky(ext[redo].take(at, axis=1))
+    tol = _ML_TOL * (np.sqrt((trace + n * n_t * (ridge + shift)) * x_max) + np.sqrt(y_energy)) ** 2 + ridge * x_max
     # the conjugate's factor is R^T. Frames run along the last axis:
     # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
     cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
     z, cols = low[:, -1, :-1].T.copy(), cols.reshape(n, size - 1, n_t * b)
     del low
-    bb = np.add.reduce(z.real**2 + z.imag**2, axis=0)
+    bb = np.add.reduce(z.real**2 + z.imag**2, axis=0) + shift * x_max
     # level[j, r, c]: what choice c puts on row j n_t + r of R
     column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
 
@@ -349,20 +375,17 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     limit, best, nodes = bb + bound, np.full(b, np.inf), [n * n_m * b]
     kept = [every[:0], np.empty(0), np.empty((0, n), dtype=np.int64)]  # frame, metric, digits
 
-    def settle(metric, frames, path, at=None):
-        """Keep the leaves within tol of their frames' best, metric (rows, F)
-        less bb below the nodes of frames (at: which, if not all) that path
-        led to, rows the last level's choices or one for nodes whose slots
-        below are unused, and shrink the bounds."""
+    def settle(metric, frames, path):
+        """Keep the leaves within tol of their frames' best, metric (n_m, F)
+        less bb below the nodes of frames that path led to, and shrink the
+        bounds."""
         np.minimum.at(best, frames, np.minimum.reduce(metric, axis=0))
         rows, pick = np.nonzero((metric <= (best + tol)[frames]).T)
         if not rows.size:  # no leaf near a best, so no best moved
             return
-        new = frames[rows], metric[pick, rows], np.full((rows.size, n), n_m - 1)
-        if len(metric) == n_m:  # digits in slot order: level j decides slot N - 1 - j
-            new[2][:, len(path)] = pick
-        rows = rows if at is None else at[rows]
-        for j, (parent, choice) in enumerate(reversed(path), n - len(path)):
+        new = frames[rows], metric[pick, rows], np.empty((rows.size, n), dtype=np.int64)
+        new[2][:, n - 1] = pick  # digits in slot order: level j decides slot N - 1 - j
+        for j, (parent, choice) in enumerate(reversed(path), 1):
             new[2][:, n - 1 - j], rows = choice[rows], parent[rows]
         leaves = [np.concatenate(pair) for pair in zip(kept, new)]
         kept[:] = [leaf[leaves[1] <= (best + tol)[leaves[0]]] for leaf in leaves]
@@ -373,20 +396,7 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         """Search below a frontier that has decided the levels above j: its
         nodes' frames, partial distances, residuals and states, the (parent,
         pick) steps from the roots, and its scores at j if known."""
-        path = list(path)
         while True:
-            done = state % (k + 1) == k if score is None and j < n - k and len(frames) > _ML_FIRST * b else None
-            if done is not None and done.any():  # a wide frontier's nodes that used k slots: leaves at once
-                done, rest = np.flatnonzero(done), np.flatnonzero(~done)
-                metric = pd[done]
-                for level_j in range(j, -1, -1):
-                    metric = energy(np.take(z[level_j * n_t : (level_j + 1) * n_t], done, axis=1).view(float)) + metric
-                nodes[0] += (j + 1) * n_m * done.size
-                settle((metric - bb[frames[done]])[None], frames[done], path, done)
-                path[-1] = tuple(step[rest] for step in path[-1])
-                frames, pd, state, z = frames[rest], pd[rest], state[rest], z[:, rest]
-                if not rest.size:
-                    return
             score = scores(z, pd, frames, state, j) if score is None else score
             nodes[0] += score.size
             if not j:
@@ -406,7 +416,9 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
         home = frames[flat // n_m]
         order = np.argsort(home + 0.5 * (pd / limit[home]))
         flat, pd, z, home = flat[order], pd[order], z[: j * n_t].copy(), home[order]
-        lead = (np.arange(len(home)) - np.searchsorted(home, home) < _ML_FIRST) | (width[home] <= _ML_SPLIT)
+        starts = np.flatnonzero(np.concatenate(([True], home[1:] != home[:-1])))  # each frame's first node
+        pos = np.arange(len(home)) - np.repeat(starts, np.diff(np.append(starts, len(home))))
+        lead = (pos < _ML_FIRST) | (width[home] <= _ML_SPLIT)
         for part in (np.flatnonzero(lead), np.flatnonzero(~lead)):
             for piece in np.split(part, range(_ML_FRONTIER, len(part), _ML_FRONTIER)):
                 parent, pick = np.divmod(flat[piece], n_m)

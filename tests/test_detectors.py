@@ -140,6 +140,29 @@ def test_ml_candidate_count_fig4():
     assert isinstance(tied, int) and floor <= tied <= tree
 
 
+def test_ml_shift_keeps_the_leaves_and_cuts_the_low_snr_tree(monkeypatch):
+    # at -10 dB every Fig. 4 frame is factored again with the ridge shift:
+    # each frame's best leaf has the same metric, within the tolerance, as
+    # without the shift, the decisions are the same, and the search scores
+    # under a quarter of the nodes
+    rng = np.random.default_rng(40)
+    _, _, taps, y, _ = run_links(rng, FIG4, -10.0, 8)
+    entries, energy = _ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1)
+    runs = []
+    for shift in (detectors._ML_SHIFT, 0.0):
+        with monkeypatch.context() as m:
+            m.setattr(detectors, "_ML_SHIFT", shift)
+            frame, _, metric, _ = _ml_sphere(entries, energy, FIG4)
+            res = ml_detect(y, taps, FIG4)
+        best = np.full(8, np.inf)
+        np.minimum.at(best, frame, metric)
+        runs.append((best, res))
+    (best, shifted), (plain_best, plain) = runs
+    assert np.abs(best - plain_best).max() <= 1e-10 * np.max(energy)
+    assert np.array_equal(shifted.bits, plain.bits)
+    assert 4 * shifted.diagnostics["candidates"] <= plain.diagnostics["candidates"]
+
+
 def test_ml_beats_random_candidates():
     rng = np.random.default_rng(3)
     bits, _, taps, y, _ = run_links(rng, FIG4, 6.0)
@@ -319,14 +342,13 @@ def test_rank_metric_matches_dense_oracle(cfg, monkeypatch):
                                  StimConfig(2, 2, 6, 1, 2, QAM4)], ids=["n6k2", "nt4_qam8", "k1"])
 def test_ml_leaf_metrics_do_not_depend_on_the_pieces(cfg, monkeypatch):
     # every candidate a leaf (tolerance 2), and the same leaves with
-    # bitwise the same metrics: in one pass, with the unused slots of every
-    # frontier's nodes that have used k slots summed at once, and in
-    # pieces of 8 nodes, with and without those sums
+    # bitwise the same metrics: in one pass, and in pieces of 8 nodes led
+    # by no node, by 2 or by all the nodes of each wide frame
     rng = np.random.default_rng(39)
     _, _, taps, y, _ = run_links(rng, cfg, 3.0, 4)
     entries, energy = _ml_entries(y, taps), np.sum(np.abs(y) ** 2, axis=1)
     runs = []
-    for first, split, frontier in ((2**30, 2**30, 2**13), (0, 2**30, 2**13), (0, 1, 8), (2**30, 1, 8)):
+    for first, split, frontier in ((2**30, 2**30, 2**13), (0, 1, 8), (2, 1, 8), (2**30, 1, 8)):
         with monkeypatch.context() as m:
             for name, value in (("_ML_TOL", 2.0), ("_ML_FIRST", first), ("_ML_SPLIT", split),
                                 ("_ML_FRONTIER", frontier)):
@@ -634,6 +656,8 @@ MIXED_BATCHES = [
     ("3ssd", (2, 4, 16, 13, 2), MpParams(max_iterations=8, damping=0.9), 20.0),
     ("mmse", (2, 4, 8, 7, 2), MpParams(), 6.0),
     ("ml", (2, 4, 6, 5, 2), MpParams(), 6.0),
+    # N - k = 3: a frame's nodes below the first levels may be cut
+    ("ml", (2, 2, 5, 2, 2), MpParams(), 0.0),
     # one rx antenna, four taps: each tap sum adds four complex terms
     ("2ssd", (2, 1, 8, 6, 4), MpParams(max_iterations=40, damping=0.9), 20.0),
 ]
