@@ -67,7 +67,7 @@ _CONVERGENCE_TOL = 1e-6
 _ML_RIDGE = 1e-9
 _ML_TOL = 1e-10
 _ML_SHIFT = 0.3
-_ML_SHIFT_FROM = 0.1
+_ML_SHIFT_FROM = 0.15
 _ML_FRONTIER = 2**12
 _ML_SPLIT = 128
 _ML_FIRST = 8
@@ -217,10 +217,12 @@ def _observation_step(y: np.ndarray, n_r: int, sigma2: float):
 
 @functools.cache
 def _ml_tree(cfg: StimConfig):
-    """(at, child, barred, coef, ant, x_max), read-only: at places the lower
-    triangle of conj([[G, c], [c^H, d]]), slots reversed (level j decides
-    slot N - 1 - j); choice c sends coef[c] (0: the unused slot, the last
-    choice) from antenna ant[c]; x_max is the largest ||x||^2. child[j, s, c]
+    """(at, child, barred, coef, ant, x_max, spare), read-only: at places
+    the lower triangle of conj([[G, c], [c^H, d]]), slots reversed (level j
+    decides slot N - 1 - j); choice c sends coef[c] (0: the unused slot, the
+    last choice) from antenna ant[c]; x_max is the largest ||x||^2, and
+    spare is n_r - n_t if every candidate has ||x||^2 = x_max, else 0
+    (_ml_sphere's ridge shift). child[j, s, c]
     is the state after choice c at level j, -1 (barred inf) where no
     encodable pattern lies below. State u + (k + 1) tight: u slots used,
     tight if used as in the last encodable pattern P. The encodable patterns
@@ -244,7 +246,8 @@ def _ml_tree(cfg: StimConfig):
               np.append(np.tile(pts, n_t), 0.0), np.append(np.arange(n_t).repeat(pts.size), 0))
     for table in tables:
         table.setflags(write=False)
-    return tables + (k * float(np.max(np.abs(pts) ** 2)),)
+    power = np.abs(pts) ** 2
+    return tables + (k * float(power.max()), cfg.n_r - n_t if np.ptp(power) <= 1e-12 * power.max() else 0)
 
 
 def _ml_entries(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -310,31 +313,32 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     metric is the same sums in any piece, so the leaves do not depend on
     the pieces.
     """
-    at, child, barred, coef, ant, x_max = _ml_tree(cfg)
+    at, child, barred, coef, ant, x_max, spare = _ml_tree(cfg)
     b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
     ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
     trace, diag = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1), np.s_[: n_t * n_t : n_t + 1]
-    ridge, shift = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny, np.zeros(b)
+    ridge, shift = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny, 0.0
     ext[:, -1] = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2 + ridge  # d > ||y||^2 >= ||b||^2
     ext[:, diag] += ridge[:, None]  # on G's diagonal
     low = np.linalg.cholesky(ext.take(at, axis=1))
-    power = np.abs(cfg.alphabet.points) ** 2
-    if cfg.n_r > n_t and np.ptp(power) <= 1e-12 * power.max():  # every candidate has ||x||^2 = x_max
-        # ||y||^2 - ||b||^2 is the noise outside H's columns, sigma^2 N (n_r - n_t) on average
-        noise = y_energy - np.add.reduce(np.abs(low[:, -1, :-1].T) ** 2, axis=0)
-        shift = _ML_SHIFT * noise * n_t / ((cfg.n_r - n_t) * x_max)
-        shift[shift <= _ML_SHIFT_FROM * trace / (n * n_t)] = 0.0
+    # the conjugate's factor is R^T. Frames run along the last axis: z is
+    # b, and cols[j, :, t b + f] is column j n_t + t of frame f's R
+    z = low[:, -1, :-1].T.copy()
+    bb = np.add.reduce(z.real**2 + z.imag**2, axis=0)
+    if spare:  # ||y||^2 - ||b||^2 is the noise outside H's columns, sigma^2 N spare on average
+        shift = (y_energy - bb) * (_ML_SHIFT * n_t / (spare * x_max))
+        shift[shift <= trace * (_ML_SHIFT_FROM / (n * n_t))] = 0.0
         redo = np.flatnonzero(shift)
         if redo.size:
             ext[redo, diag] += shift[redo, None]
             low[redo] = np.linalg.cholesky(ext[redo].take(at, axis=1))
+            z[:, redo] = low[redo, -1, :-1].T
+            bb[redo] = np.add.reduce(z[:, redo].real ** 2 + z[:, redo].imag ** 2, axis=0)
+        bb += shift * x_max
     tol = _ML_TOL * (np.sqrt((trace + n * n_t * (ridge + shift)) * x_max) + np.sqrt(y_energy)) ** 2 + ridge * x_max
-    # the conjugate's factor is R^T. Frames run along the last axis:
-    # cols[j, :, t b + f] is column j n_t + t of frame f's R, and z is b
     cols = np.ascontiguousarray(low[:, :-1, :-1].reshape(b, n, n_t, size - 1).transpose(1, 3, 2, 0))
-    z, cols = low[:, -1, :-1].T.copy(), cols.reshape(n, size - 1, n_t * b)
+    cols = cols.reshape(n, size - 1, n_t * b)
     del low
-    bb = np.add.reduce(z.real**2 + z.imag**2, axis=0) + shift * x_max
     # level[j, r, c]: what choice c puts on row j n_t + r of R
     column, level = ant * b, np.einsum("jjrtf->jrtf", cols.reshape(n, n, n_t, n_t, b))[:, :, ant] * coef[:, None]
 
