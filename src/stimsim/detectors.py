@@ -316,7 +316,8 @@ def _ml_sphere(entries: np.ndarray, y_energy: np.ndarray, cfg: StimConfig):
     at, child, barred, coef, ant, x_max, spare = _ml_tree(cfg)
     b, size, n_t, n, n_m, k = len(entries), len(at), cfg.n_t, cfg.n_slots, len(coef), cfg.k
     ext = np.concatenate([entries.view(complex), np.zeros((b, 1))], axis=1)
-    trace, diag = n * ext[:, : n_t * n_t : n_t + 1].real.sum(axis=1), np.s_[: n_t * n_t : n_t + 1]
+    diag = np.s_[: n_t * n_t : n_t + 1]  # g[0]'s diagonal, G's
+    trace = n * ext[:, diag].real.sum(axis=1)
     ridge, shift = _ML_RIDGE * trace / (n * n_t) + np.finfo(float).tiny, 0.0
     ext[:, -1] = (np.sqrt(trace * x_max) + np.sqrt(y_energy)) ** 2 + ridge  # d > ||y||^2 >= ||b||^2
     ext[:, diag] += ridge[:, None]  # on G's diagonal
