@@ -299,9 +299,11 @@ def _add_system_flags(p: argparse.ArgumentParser):
         ("--nt", int), ("--nr", int), ("--n-slots", int), ("--k", int),
         ("--l-taps", int), ("--seed", int), ("--iters", int),
         ("--min-frames", int), ("--max-frames", int), ("--min-bit-errors", int),
-        ("--workers", int), ("--ml-cap", int), ("--damp", float),
+        ("--ml-cap", int), ("--damp", float),
     ]:
         p.add_argument(flag, type=typ, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes that run trials, this one included (default 1)")
     p.add_argument("--alphabet", default=None)
     p.add_argument("--config", default=None, help="key = value config file")
 

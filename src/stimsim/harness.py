@@ -9,16 +9,21 @@ Within a batch, trials run in chunks: each trial draws from its own
 substream into its row of the chunk's arrays, and all that follows (channel
 taps, encode, transmit, detect, decode, count) runs once per chunk.
 
-With more than one worker, a sweep runs all of its points on one process
-pool. Each batch is split into one task per worker. While the stopping rule
-is not expected to fire at the end of a batch, the next batch's tasks are
-submitted before this batch's counts are collected, so the workers do not
-idle while the parent checks the rule. The rule is expected to fire once the
-frame minimum is met and the bit errors so far, projected at their rate to
-the end of the batch, reach the error minimum. A batch past the stop never
-counts, and a task cannot be withdrawn once it is submitted, so a point
-whose stop was not expected discards one batch of work; one whose stop was
-expected discards none.
+With w workers, each batch is split into w contiguous shares. The calling
+process runs the first share itself, and each of w - 1 child processes runs
+one of the others; a child is fed over its own pipe and sends each share's
+counts back in order. A sweep runs all of its points on one pool, and one
+worker is a pool without children. While the stopping rule is not expected
+to fire at the end of a batch, the next batch's shares are sent to the
+children before this batch's counts are collected, so the children do not
+idle while the caller runs its share and checks the rule. The rule is
+expected to fire once the frame minimum is met and the bit errors so far,
+projected at their rate to the end of the batch, reach the error minimum. A
+batch past the stop never counts: its replies are read and dropped by the
+next collect on each pipe, so neither its counts nor its failures show. A
+share once sent always runs, so a point whose stop was not expected
+discards one batch of its children's work; one whose stop was expected
+discards none.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import contextlib
 import ctypes
 import functools
 import math
+import multiprocessing
+import pickle
+import traceback
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,54 +222,147 @@ def _openblas() -> ctypes.CDLL | None:
         try:
             lib = ctypes.CDLL(str(path))
             setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
         return lib
     return None
 
 
 def _one_blas_thread() -> None:
-    """Pool-worker initializer: one BLAS thread per worker, so that a pool of
-    w workers runs w threads rather than w times the BLAS default."""
+    """One BLAS thread in a pool's child, so that a pool of w workers runs w
+    threads rather than w times the BLAS default."""
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """``workers`` processes with one BLAS thread each, or, for one worker,
-    no executor: the trials then run in this process."""
+def _serve(conn, inherited) -> None:
+    """A pool child's loop: run each (function, share) that arrives on
+    ``conn`` and send back (True, counts) or (False, (exception, traceback)),
+    until None arrives or the caller closes its end. ``inherited`` are the
+    copies of the caller's ends of the pool's pipes that the fork made; once
+    they are closed, the caller's close reaches a child blocked on a reply."""
+    for end in inherited:
+        end.close()
+    _one_blas_thread()
+    try:
+        while (task := conn.recv()) is not None:
+            fn, share = task
+            try:
+                reply = True, fn(share)
+            except Exception as exc:
+                text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # it would not arrive: send its text instead
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                reply = False, (exc, text)
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the caller has gone, or dropped the pool with replies unread
 
-    workers: int
-    executor: ProcessPoolExecutor | None
+
+class _Pool:
+    """The caller plus ``workers`` - 1 children, each fed over its own pipe.
+    Shares go out and replies come back in order, so each child's replies
+    are counted: a collect reads up to its own reply and drops those before
+    it, which belong to batches sent ahead past a stop."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.children = []  # (caller's end of the pipe, process)
+        self.sent: list[int] = []  # shares sent to each child
+        self.read: list[int] = []  # replies read from each child
+
+    def fork(self) -> None:
+        ours, theirs = multiprocessing.Pipe()
+        inherited = [ours] + [end for end, _ in self.children]
+        proc = multiprocessing.Process(target=_serve, args=(theirs, inherited), daemon=True)
+        proc.start()
+        theirs.close()  # the child's end now lives only in the child, so its death reads as EOF
+        self.children.append((ours, proc))
+        self.sent.append(0)
+        self.read.append(0)
 
     def start(self, spec: SweepSpec, point_index: int, sigma2: float, lo: int, hi: int
               ) -> Callable[[], np.ndarray]:
-        """Start trials [lo, hi), split into one contiguous task per worker,
-        and return the call that waits for their summed counts. Without an
-        executor the tasks run in that call."""
+        """Split trials [lo, hi) into one contiguous share per worker, send
+        shares 2.. to the children, and return the call that runs share 1
+        here and then adds the children's counts to it."""
         edges = np.linspace(lo, hi, self.workers + 1, dtype=int)
-        tasks = [(spec, point_index, int(a), int(b), sigma2)
-                 for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        if self.executor is None:
-            return lambda: sum(_run_trial_range(t) for t in tasks)
-        futures = [self.executor.submit(_run_trial_range, t) for t in tasks]
-        return lambda: sum(f.result() for f in futures)
+        own, *rest = [(spec, point_index, int(a), int(b), sigma2) for a, b in zip(edges[:-1], edges[1:])]
+        fn = _run_trial_range
+        tickets = []  # (child, number of its reply)
+        for child, share in enumerate(rest):
+            if share[3] > share[2]:
+                self.children[child][0].send((fn, share))
+                self.sent[child] += 1
+                tickets.append((child, self.sent[child]))
+
+        def collect():
+            counts = [fn(own)] if own[3] > own[2] else []
+            return sum(counts + [self._receive(*ticket) for ticket in tickets])
+
+        return collect
+
+    def _receive(self, child: int, n: int) -> np.ndarray:
+        """Child ``child``'s n-th reply, after dropping the unread ones before it."""
+        conn, proc = self.children[child]
+        while self.read[child] < n:
+            try:
+                ok, value = conn.recv()
+            except (EOFError, OSError):  # OSError: it died with a share unread
+                proc.join(1.0)
+                raise RuntimeError(f"pool worker {proc.pid} exited with code {proc.exitcode} "
+                                   "before it sent its counts") from None
+            self.read[child] += 1
+        if not ok:
+            exc, text = value
+            raise exc from _RemoteError(text)
+        return value
+
+    def close(self) -> None:
+        """Tell each child to stop, close the pipes and join the children.
+        A child blocked on a reply nobody reads finds its pipe closed."""
+        for conn, _ in self.children:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            conn.close()
+        for _, proc in self.children:
+            proc.join()
+
+
+class _RemoteError(Exception):
+    """The traceback of an exception raised in a pool child."""
+
+    def __str__(self):
+        return f"\n{self.args[0]}"
 
 
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """A _Pool of ``workers``; its processes are joined on exit."""
+    """A _Pool of ``workers``. With more than one, this process runs one
+    OpenBLAS thread while the pool is open, as each child does; on exit,
+    also on error, the children are joined and the caller's thread count is
+    restored."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        yield _Pool(1, None)
-        return
-    _openblas()  # resolved here, so a forked worker only makes the call
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
-        yield _Pool(workers, executor)
+    lib = _openblas() if workers > 1 else None  # resolved here, so a child only makes the call
+    if lib is not None:
+        threads = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+    pool = _Pool(workers)
+    try:
+        for _ in range(workers - 1):
+            pool.fork()
+        yield pool
+    finally:
+        pool.close()
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def _stop_expected(spec: SweepSpec, errors: int, lo: int, hi: int) -> bool:
@@ -280,7 +380,8 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: _Po
     Runs frames until min_bit_errors and min_frames are both met (checked at
     fixed batch boundaries) or max_frames is reached. ``pool`` is a sweep's
     open pool, which brings its own worker count; without one the point opens
-    and closes a pool of ``workers``.
+    and closes a pool of ``workers``, whose children are joined before this
+    returns or raises.
     """
     if snr_db not in spec.snr_points:
         raise ValueError(f"SNR {snr_db:g} dB is not in the sweep grid {spec.snr_points}")
@@ -301,8 +402,9 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1, *, pool: _Po
             acc += collect()
             frames = hi
             if acc[:3].sum() >= spec.min_bit_errors and frames >= spec.min_frames:
-                # a batch sent ahead is not read: one worker would never have
-                # run it, so neither its counts nor its failure may show
+                # a batch sent ahead is not collected: one worker would never
+                # have run it, so neither its counts nor its failure may show
+                # (the next collect on each pipe drops its replies)
                 break
             if following:
                 collect = ahead or start(*following[0])
@@ -355,8 +457,8 @@ def run_sweep(
     workers: int = 1,
     deterministic: bool = False,
 ) -> list[BerRecord]:
-    """Run every SNR point of the sweep, all on one pool when workers > 1,
-    and optionally write the CSV. The pool's workers are joined before this
+    """Run every SNR point of the sweep, all on one pool of ``workers``, and
+    optionally write the CSV. The pool's children are joined before this
     returns or raises."""
     with _worker_pool(workers) as pool:
         records = [run_ber_point(spec, snr, pool=pool) for snr in spec.snr_points]

@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import math
 import multiprocessing
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -99,9 +103,82 @@ def test_seed_outside_the_philox_key_range_rejected(seed):
     assert small_spec(seed=2**128 - 1).seed == 2**128 - 1
 
 
+_trial_range = harness._run_trial_range
+# the file that _record_share appends to, in the caller and in the pool's children
+_SHARES_RAN = None
+
+
 def _report_blas_threads(args):
-    """Stand-in for a pool task: the worker's BLAS thread count as its counts."""
+    """Stand-in for a share: the BLAS thread count of the process that runs it, as its counts."""
     return np.array([harness._openblas().scipy_openblas_get_num_threads64_(), 0, 0, 0])
+
+
+def _record_share(args):
+    """The share's counts, after appending its (point, lo, hi) to _SHARES_RAN."""
+    with open(_SHARES_RAN, "a") as fh:
+        fh.write(f"{args[1]} {args[2]} {args[3]}\n")
+    return _trial_range(args)
+
+
+def _in_child(args) -> bool:
+    """Whether a share is one the caller sends to a child: the caller's own
+    share starts each batch."""
+    return args[2] % harness.BATCH_FRAMES != 0
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, how):  # pickles, but cannot be rebuilt from its args
+        super().__init__(f"{what} {how}")
+
+
+def _fail_in_child(args):
+    if not _in_child(args):
+        return _trial_range(args)
+    if args[1] == 1:
+        raise _Unpicklable(f"trials {args[2]}-{args[3]}", "failed")
+    raise RuntimeError(f"trials {args[2]}-{args[3]} failed")
+
+
+def _exit_in_child(args):
+    if _in_child(args):
+        os._exit(3)
+    return _trial_range(args)
+
+
+# the 4 dB point of STOPPING stops at 256 without expecting to, after sending
+# its next batch's child share ahead
+def _fail_past_the_stop(args):
+    if args[1] == 0 and args[2] >= 256:
+        raise RuntimeError("a batch past the stop showed")
+    return _trial_range(args)
+
+
+def _flood_past_the_stop(args):
+    if args[1] == 0 and args[2] >= 256:
+        return np.zeros(2**18)  # 2 MiB pickled: more than a pipe buffer holds
+    return _trial_range(args)
+
+
+def _stopping_spec(**kw):
+    """Points that stop after one batch, after three, and not at all (the last
+    batch has 232 frames)."""
+    return small_spec(**{"detector": "mmse", "snr_points": (4.0, 6.0, 10.0), "min_frames": 100,
+                         "max_frames": 1000, "min_bit_errors": 300, **kw})
+
+
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Fail, rather than hang, if the block takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -112,23 +189,48 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert rec.bit_errors_antenna == 2  # two tasks, one BLAS thread each
 
 
+def test_pool_restores_the_callers_blas_threads(monkeypatch):
+    lib = harness._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread control")
+    threads = lib.scipy_openblas_get_num_threads64_
+    before = threads()
+    lib.scipy_openblas_set_num_threads64_(2)  # not the pool's 1, so that a pin left behind shows
+    try:
+        spec = small_spec(min_frames=2, max_frames=2)
+        run_sweep(spec, workers=2)
+        assert threads() == 2
+        monkeypatch.setattr(harness, "_run_trial_range", _fail_in_worker)
+        with pytest.raises(RuntimeError, match="trials 0-1 failed"):
+            run_sweep(spec, workers=2)
+        assert threads() == 2
+        # one worker runs its share at the caller's own count
+        monkeypatch.setattr(harness, "_run_trial_range", _report_blas_threads)
+        assert run_sweep(spec, workers=1)[0].bit_errors_antenna == 2
+        assert threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def test_one_pool_per_sweep(monkeypatch):
-    built = []
+    opened = []  # the children of each pool, counted once it is open
+    worker_pool = harness._worker_pool
 
-    class CountedPool(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    @contextlib.contextmanager
+    def counted(workers):
+        with worker_pool(workers) as pool:
+            opened.append(len(multiprocessing.active_children()))
+            yield pool
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(harness, "_worker_pool", counted)
     spec = small_spec(detector="mmse", snr_points=(4.0, 8.0, 12.0), min_frames=300, max_frames=300)
     run_sweep(spec, workers=2)
-    assert built == [2]  # three points, one pool
+    assert opened == [1]  # three points, one pool: this process and one child
     run_sweep(spec, workers=1)
     run_ber_point(spec, 8.0)
-    assert built == [2]  # one worker never builds a pool
+    assert opened == [1, 0, 0]  # one worker never starts a child
     run_ber_point(spec, 8.0, workers=3)
-    assert built == [2, 3]  # a point run alone opens its own
+    assert opened == [1, 0, 0, 2]  # a point run alone opens its own
 
 
 def _fail_in_worker(args):
@@ -150,42 +252,75 @@ def test_no_worker_outlives_a_sweep(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_failure_in_a_child_share_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(harness, "_run_trial_range", _fail_in_child)
+    spec = small_spec(detector="mmse", snr_points=(4.0, 8.0), min_frames=300, max_frames=600)
+    with pytest.raises(RuntimeError, match="trials 128-256 failed") as failed:
+        run_sweep(spec, workers=2)
+    assert "_fail_in_child" in str(failed.value.__cause__)  # the child's traceback
+    assert multiprocessing.active_children() == []
+    # an exception that would not survive the pipe arrives as its text
+    with pytest.raises(RuntimeError, match="_Unpicklable: trials 85-170 failed"):
+        run_ber_point(spec, 8.0, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_is_an_error(monkeypatch):
+    monkeypatch.setattr(harness, "_run_trial_range", _exit_in_child)
+    spec = small_spec(detector="mmse", snr_points=(4.0, 8.0), min_frames=300, max_frames=600)
+    with _within(60), pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep(spec, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("past_the_stop", [_fail_past_the_stop, _flood_past_the_stop])
+def test_a_batch_past_an_unexpected_stop_never_shows(monkeypatch, past_the_stop):
+    # its reply is dropped by the next point's collect, or left unread when
+    # the 4 dB point is the sweep's last
+    monkeypatch.setattr(harness, "_run_trial_range", past_the_stop)
+    for spec in (_stopping_spec(), _stopping_spec(snr_points=(4.0,))):
+        serial = run_sweep(spec, workers=1)
+        with _within(60):
+            assert run_sweep(spec, workers=2) == serial
+        assert multiprocessing.active_children() == []
+
+
 def test_early_stopping_rows_do_not_depend_on_the_worker_count():
-    # 1000 frames is not a whole number of batches; the points stop after one
-    # batch, after three, and not at all (the last batch has 232 frames)
-    spec = small_spec(detector="mmse", snr_points=(4.0, 6.0, 10.0), min_frames=100,
-                      max_frames=1000, min_bit_errors=300)
+    spec = _stopping_spec()
     serial = run_sweep(spec, workers=1)
     assert [r.frames for r in serial] == [256, 768, 1000]
     for workers in (2, 3):
         assert run_sweep(spec, workers=workers) == serial
 
 
-def test_work_past_a_stop_only_where_the_stop_was_not_expected(monkeypatch):
-    ran = {}
+def test_work_past_a_stop_only_where_the_stop_was_not_expected(monkeypatch, tmp_path):
+    started = []  # (point, lo, hi) of each batch whose shares were sent
+    start = harness._Pool.start
 
-    class RecordingPool(harness.ProcessPoolExecutor):
-        def submit(self, fn, args):
-            future = super().submit(fn, args)
-            ran.setdefault(args[1], []).append((args[3], future))
-            return future
+    def recording(self, spec, point_index, sigma2, lo, hi):
+        started.append((point_index, lo, hi))
+        return start(self, spec, point_index, sigma2, lo, hi)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness._Pool, "start", recording)
+    monkeypatch.setattr(harness, "_run_trial_range", _record_share)
+    monkeypatch.setattr(sys.modules[__name__], "_SHARES_RAN", tmp_path / "ran")
     # no errors are known before the first batch, so the 4 dB point runs one
     # batch past its stop at 256; at 6 dB the errors of the first 512 frames
     # project past 300 at 768, so nothing runs past that stop
-    spec = small_spec(detector="mmse", snr_points=(4.0, 6.0, 10.0), min_frames=100,
-                      max_frames=1000, min_bit_errors=300)
-    assert [r.frames for r in run_sweep(spec, workers=2)] == [256, 768, 1000]
-    # every submitted task ran to its end: none is withdrawn
-    assert all(f.done() and not f.cancelled() for tasks in ran.values() for _, f in tasks)
-    assert [max(hi for hi, _ in ran[p]) for p in range(3)] == [512, 768, 1000]
+    assert [r.frames for r in run_sweep(_stopping_spec(), workers=2)] == [256, 768, 1000]
+    assert [max(hi for p, _, hi in started if p == point) for point in range(3)] == [512, 768, 1000]
+    # every share sent to the child ran to its end, past the stop too: none
+    # is withdrawn; the caller's own share past the stop never runs
+    ran = {tuple(map(int, line.split())) for line in (tmp_path / "ran").read_text().splitlines()}
+    sent = {(p, int(np.linspace(lo, hi, 3, dtype=int)[1]), hi) for p, lo, hi in started}
+    assert sent <= ran
+    assert (0, 384, 512) in ran and (0, 256, 384) not in ran
     # the errors pass the minimum long before min_frames: the stop is expected
-    ran.clear()
+    started.clear()
     spec = small_spec(detector="mmse", snr_points=(4.0,), min_frames=600, max_frames=1000,
                       min_bit_errors=50)
     assert run_ber_point(spec, 4.0, workers=2).frames == 768
-    assert max(hi for hi, _ in ran[0]) == 768
+    assert max(hi for _, _, hi in started) == 768
 
 
 @pytest.mark.parametrize("workers", [0, -2])
