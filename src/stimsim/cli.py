@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .alphabet import ConfigError, build_alphabet
 from .codec import StimConfig, decode_frame, encode_frame, slot_fields, with_cyclic_prefix
 from .detectors import DEFAULT_ML_CAP, MpParams
-from .harness import SEED_LIMIT, SweepSpec, run_ber_point, run_sweep, sweep_csv
+from .harness import SweepSpec, run_ber_point, run_sweep, sweep_csv
 from .ofdm import OfdmConfig
 from .rates import RateParams, improvement_curve, k_bounds, optimal_n, rate_curve
 
@@ -208,6 +209,15 @@ def cmd_roundtrip(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the flags of the SweepSpec and MpParams fields that their errors name
+_FIELD_FLAGS = {
+    "seed": "--seed", "ml_cap": "--ml-cap", "min_frames": "--min-frames",
+    "max_frames": "--max-frames", "min_bit_errors": "--min-bit-errors",
+    "max_iterations": "--iters", "damping": "--damp",
+}
+_FIELD_NAMES = re.compile(r"(?<![\w'])(" + "|".join(_FIELD_FLAGS) + r")(?![\w'])")
+
+
 def _sweep_spec(values: dict) -> SweepSpec:
     system = values.get("system", "stim")
     alphabet = build_alphabet(values.get("alphabet", "qam4"))
@@ -223,38 +233,25 @@ def _sweep_spec(values: dict) -> SweepSpec:
     snr_points = values.get("snr_db")
     if not snr_points:
         raise ConfigError("snr_db is required")
-    seed = values.get("seed", 0)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"--seed must be in [0, 2**128), got {seed}")
-    ml_cap = values.get("ml_cap", DEFAULT_ML_CAP)
-    if ml_cap < 1:
-        raise ConfigError(f"--ml-cap must be >= 1, got {ml_cap}")
-    iters, damp = values.get("iters", 10), values.get("damp", 0.3)
-    if iters < 1:
-        raise ConfigError(f"--iters must be >= 1, got {iters}")
-    if not 0.0 < damp <= 1.0:
-        raise ConfigError(f"--damp must be in (0, 1], got {damp:g}")
     # an unset frame bound defaults to a value that cannot conflict with the other
     hi = values.get("max_frames")
     lo = values.get("min_frames", 1000 if hi is None else min(1000, hi))
     hi = max(100_000, lo) if hi is None else hi
-    if not 0 < lo <= hi:
-        raise ConfigError(f"need 0 < --min-frames <= --max-frames, got {lo} and {hi}")
-    min_bit_errors = values.get("min_bit_errors", 100)
-    if min_bit_errors < 0:
-        raise ConfigError(f"--min-bit-errors must be >= 0, got {min_bit_errors}")
-    return SweepSpec(
-        system=system,
-        detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
-        cfg=cfg,
-        snr_points=tuple(snr_points),
-        min_frames=lo,
-        max_frames=hi,
-        min_bit_errors=min_bit_errors,
-        seed=seed,
-        mp=MpParams(max_iterations=iters, damping=damp),
-        ml_cap=ml_cap,
-    )
+    try:
+        return SweepSpec(
+            system=system,
+            detector=values.get("detector", "2ssd" if system == "stim" else "ml"),
+            cfg=cfg,
+            snr_points=tuple(snr_points),
+            min_frames=lo,
+            max_frames=hi,
+            min_bit_errors=values.get("min_bit_errors", 100),
+            seed=values.get("seed", 0),
+            mp=MpParams(max_iterations=values.get("iters", 10), damping=values.get("damp", 0.3)),
+            ml_cap=values.get("ml_cap", DEFAULT_ML_CAP),
+        )
+    except ValueError as exc:  # the fields' own checks, told in the flags' names
+        raise ConfigError(_FIELD_NAMES.sub(lambda m: _FIELD_FLAGS[m[1]], str(exc))) from None
 
 
 def _workers(values: dict) -> int:
@@ -297,11 +294,13 @@ def _add_rate_params(p: argparse.ArgumentParser):
 def _add_system_flags(p: argparse.ArgumentParser):
     for flag, typ in [
         ("--nt", int), ("--nr", int), ("--n-slots", int), ("--k", int),
-        ("--l-taps", int), ("--seed", int), ("--iters", int),
+        ("--l-taps", int), ("--seed", int),
         ("--min-frames", int), ("--max-frames", int), ("--min-bit-errors", int),
-        ("--ml-cap", int), ("--damp", float),
+        ("--ml-cap", int),
     ]:
         p.add_argument(flag, type=typ, default=None)
+    p.add_argument("--iters", type=int, help="message-passing iterations, all run on every frame (default 10)")
+    p.add_argument("--damp", type=float, help="message-passing damping in (0, 1], an update's weight (default 0.3)")
     p.add_argument("--workers", type=int, default=None,
                    help="processes that run trials, this one included (default 1)")
     p.add_argument("--alphabet", default=None)

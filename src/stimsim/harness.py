@@ -24,6 +24,10 @@ next collect on each pipe, so neither its counts nor its failures show. A
 share once sent always runs, so a point whose stop was not expected
 discards one batch of its children's work; one whose stop was expected
 discards none.
+
+The children come from ``multiprocessing``'s default start method. Rows are
+the same under fork, spawn and forkserver, but the benchmark's tracer needs
+fork: its children must inherit the wrappers it installs in this process.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class SweepSpec:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate SNR points in {self.snr_points}: their CSV labels are {labels}")
         if not 0 < self.min_frames <= self.max_frames:
-            raise ValueError("need 0 < min_frames <= max_frames")
+            raise ValueError(f"need 0 < min_frames <= max_frames, got {self.min_frames} and {self.max_frames}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.ml_cap < 1:

@@ -8,12 +8,7 @@ import numpy as np
 from stimsim.alphabet import Alphabet
 from stimsim.channel import build_block_circulant, draw_channel
 from stimsim.codec import StimConfig, bit_partition, decode_frame, encode_frame, repair_sap
-from stimsim.detectors import (
-    _CONVERGENCE_TOL,
-    _ZF_EPS,
-    DetectionResult,
-    MpParams,
-)
+from stimsim.detectors import _ZF_EPS, DetectionResult, MpParams
 from stimsim.ofdm import OfdmConfig
 from stimsim.rates import RateParams, rate_improvement
 
@@ -230,9 +225,7 @@ def dense_ssd2_detect(y, h, sigma2, cfg, mp=MpParams()):
 
     beliefs = np.full((n, q_pts + 1), 1.0 / (q_pts + 1))
     q = np.tile([1.0 - k / n, k / n], (n, 1))
-    iterations = 0
     for _ in range(mp.max_iterations):
-        iterations += 1
         mean_z = beliefs @ vals
         var_z = (beliefs @ vals_abs2 - np.abs(mean_z) ** 2).clip(min=0.0)
         mu = (h_bar @ mean_z)[:, None] - h_bar * mean_z[None, :]
@@ -256,17 +249,14 @@ def dense_ssd2_detect(y, h, sigma2, cfg, mp=MpParams()):
         q_new = normalize_log_rows(np.stack([sv[:, 0], log_q1], axis=1))
 
         delta = mp.damping
-        change = max(np.abs(beliefs_new - beliefs).max(), np.abs(q_new - q).max()) * delta
         beliefs = delta * beliefs_new + (1.0 - delta) * beliefs
         q = delta * q_new + (1.0 - delta) * q
-        if change < _CONVERGENCE_TOL:
-            break
 
     order = np.argsort(-q[:, 1], kind="stable")
     sap, repaired = repair_sap(np.sort(order[:k]), cfg, q[:, 1])
     antennas = ant_idx[sap]
     symbols = cfg.alphabet.points[np.argmax(sv[sap, 1:], axis=1)]
-    diag = {"iterations_run": iterations, "sap_repaired": repaired, "slot_posteriors": q}
+    diag = {"sap_repaired": repaired, "slot_posteriors": q}
     bits = decode_frame(sap, antennas, symbols, cfg)
     return DetectionResult(bits, sap, antennas, symbols, diag)
 
@@ -296,26 +286,17 @@ def dense_ssd3_detect(y, h, sigma2, cfg, mp=MpParams()):
         return -(np.abs(resid[:, :, None] - p_eff) ** 2) / s2[:, :, None]
 
     pbar = np.full((k, n_obs, n_m), 1.0 / n_m)
-    iterations = 0
     for _ in range(mp.max_iterations):
-        iterations += 1
         log_msg = observation_messages(pbar)
         tot = log_msg.sum(axis=0)
         pnew = normalize_log_rows(tot[:, None, :] - log_msg.transpose(1, 0, 2))
         delta = mp.damping
-        change = np.abs(pnew - pbar).max() * delta
         pbar = delta * pnew + (1.0 - delta) * pbar
-        if change < _CONVERGENCE_TOL:
-            break
 
     tot = observation_messages(pbar).sum(axis=0)
     w_hat = np.argmax(tot, axis=1)
     antennas = ant_of[w_hat]
     symbols = pts[sym_of[w_hat]]
-    diag = {
-        "iterations_run": iterations,
-        "stage2_iterations": res2.diagnostics["iterations_run"],
-        "beliefs": normalize_log_rows(tot),
-    }
+    diag = {"beliefs": normalize_log_rows(tot)}
     bits = decode_frame(slots, antennas, symbols, cfg)
     return DetectionResult(bits, slots, antennas, symbols, diag)

@@ -611,7 +611,6 @@ def test_banded_mp_matches_dense(shape, alphabet, snrs):
             for res, ref in ((res2, ref2), (res3, ref3)):
                 for name in ("bits", "sap", "antennas", "symbols"):
                     assert np.array_equal(getattr(res, name)[i], getattr(ref, name)), name
-                assert res.diagnostics["frame_iterations"][i] == ref.diagnostics["iterations_run"]
             q, q_ref = res2.diagnostics["slot_posteriors"][i], ref2.diagnostics["slot_posteriors"]
             assert np.abs(q - q_ref).max() < 1e-9
             b, b_ref = res3.diagnostics["beliefs"][i], ref3.diagnostics["beliefs"]
@@ -620,21 +619,19 @@ def test_banded_mp_matches_dense(shape, alphabet, snrs):
 
 @pytest.mark.parametrize("shape,alphabet,mp,snr", [
     ((2, 4, 16, 13, 2), QAM4, MpParams(max_iterations=40, damping=0.9), 20.0),
-    # two edges per slot: here the off-band beliefs can move the most
+    # two edges per slot, most of the graph off the band
     ((2, 1, 4, 2, 2), QAM4, MpParams(max_iterations=60, damping=0.3), 0.0),
 ])
-def test_banded_ssd3_early_stop_matches_dense(shape, alphabet, mp, snr):
-    # the stopping test is reached within the cap, and it watches the
-    # off-band edges of the full graph as well as the band's
+def test_banded_ssd3_long_schedule_matches_dense(shape, alphabet, mp, snr):
+    # schedules far longer than the default, one with damping near 1
     rng = np.random.default_rng(22)
     cfg = StimConfig(*shape, alphabet)
     _, _, taps, y, s2 = run_links(rng, cfg, snr, 25)
     res = ssd3_detect(y, taps, s2, cfg, mp)
     for i in range(25):
         ref = dense_ssd3_detect(y[i], dense_h(taps, i, cfg), s2, cfg, mp)
-        assert res.diagnostics["frame_iterations"][i] == ref.diagnostics["iterations_run"]
         assert np.array_equal(res.bits[i], ref.bits)
-    assert (res.diagnostics["frame_iterations"] < mp.max_iterations).any()
+        assert np.abs(res.diagnostics["beliefs"][i] - ref.diagnostics["beliefs"]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +645,7 @@ def frame_of(res, i):
     return res.bits[i : i + 1], res.sap[i : i + 1], res.antennas[i : i + 1], res.symbols[i : i + 1], diag
 
 
-# (detector, config, mp, SNR): the early-stop configs above, with caps at
-# which some frames stop early and the others run to the cap
+# (detector, config, mp, SNR), long schedules and damping near 1 among them
 MIXED_BATCHES = [
     ("2ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=50, damping=0.3), 0.0),
     ("3ssd", (2, 1, 4, 2, 2), MpParams(max_iterations=36, damping=0.3), 0.0),
@@ -677,16 +673,11 @@ def test_batch_matches_single_frames(name, shape, mp, snr):
             assert np.array_equal(got, want)
         assert diag.keys() == one.diagnostics.keys()
         for key, want in one.diagnostics.items():
-            if key not in ("iterations_run", "candidates"):  # counts of the whole call
+            if key != "candidates":  # a count of the whole call
                 assert np.array_equal(diag[key], want), key
     if name == "ml":  # the mean of the frames' own counts, rounded
         counts = [one.diagnostics["candidates"] for one in singles]
         assert batch.diagnostics["candidates"] == (sum(counts) + 6) // 12
-    if name in ("2ssd", "3ssd"):
-        counts = [int(one.diagnostics["frame_iterations"][0]) for one in singles]
-        assert 0 < counts.count(mp.max_iterations) < len(counts), counts  # a mixed batch
-        assert batch.diagnostics["iterations_run"] == max(counts)
-        assert all(one.diagnostics["iterations_run"] == c for one, c in zip(singles, counts))
     if name == "mmse":
         x_hat, idx = mmse_stage(y, taps, s2)
         for i in range(12):

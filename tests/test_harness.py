@@ -293,6 +293,15 @@ def test_early_stopping_rows_do_not_depend_on_the_worker_count():
         assert run_sweep(spec, workers=workers) == serial
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_rows_do_not_depend_on_the_start_method(monkeypatch, method):
+    spec = _stopping_spec()
+    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
+    csvs = {sweep_csv(spec, run_sweep(spec, workers=w), deterministic=True) for w in (1, 2, 3)}
+    assert len(csvs) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_work_past_a_stop_only_where_the_stop_was_not_expected(monkeypatch, tmp_path):
     started = []  # (point, lo, hi) of each batch whose shares were sent
     start = harness._Pool.start
